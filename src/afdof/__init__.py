@@ -24,11 +24,9 @@ from .scheme import (
     NonGenericChannel,
     PhasePlan,
     RateReport,
-    ReconstructionResult,
     achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,
-    decode_triple,
     plan_achievability,
     reconstruct_d1,
     reconstruct_d2,
@@ -42,8 +40,6 @@ from .simulate import (
     SlopeFit,
     TrialRecord,
     estimate_dof_slope,
-    estimate_mse,
-    estimate_relay_power,
     fit_rate_report,
     relay_samples,
     run_scheme_trial,

@@ -65,6 +65,17 @@ class StateCensus:
         if sum(counts) != self.n:
             raise ValueError("state counts must sum to n")
 
+    @classmethod
+    def from_labels(cls, labels) -> "StateCensus":
+        """Count a sequence of per-slot state labels."""
+        counts = {label: 0 for label in StateLabel}
+        for label in labels:
+            counts[label] += 1
+        return cls(nA=counts[StateLabel.A], nB=counts[StateLabel.B],
+                   nC1=counts[StateLabel.C1], nC2=counts[StateLabel.C2],
+                   nC3=counts[StateLabel.C3], nZero=counts[StateLabel.ZERO],
+                   n=len(labels))
+
     @property
     def nC(self) -> int:
         return self.nC1 + self.nC2 + self.nC3
@@ -179,14 +190,7 @@ def slot_states(ch: ChannelRealization, schedule: AfSchedule,
 def census(ch: ChannelRealization, schedule: AfSchedule,
            rel_tol: float = DEFAULT_STATE_TOL) -> StateCensus:
     """Classify every slot of a schedule and count the states."""
-    labels = slot_states(ch, schedule, rel_tol)
-    counts = {label: 0 for label in StateLabel}
-    for label in labels:
-        counts[label] += 1
-    return StateCensus(nA=counts[StateLabel.A], nB=counts[StateLabel.B],
-                       nC1=counts[StateLabel.C1], nC2=counts[StateLabel.C2],
-                       nC3=counts[StateLabel.C3], nZero=counts[StateLabel.ZERO],
-                       n=len(schedule.pairs))
+    return StateCensus.from_labels(slot_states(ch, schedule, rel_tol))
 
 
 def bound_constants(ch: ChannelRealization,
@@ -212,16 +216,14 @@ def bound_constants(ch: ChannelRealization,
 
 
 def evaluate_bounds(census_counts: StateCensus, P: float,
-                    constants: BoundConstants,
-                    ch: ChannelRealization | None = None) -> BoundEvaluation:
+                    constants: BoundConstants) -> BoundEvaluation:
     """Evaluate the three sum-rate bounds per symbol, in bits.
 
     Each bound contributes, per received-sample entropy term it contains,
     a packing constant (1/2) log2(1 + 2M/N); counted slots additionally
-    contribute half of log2(N) plus half of log2(2 pi e).  The channel is
-    accepted for interface symmetry but all computable parts are functions
-    of the census and constants alone; the remainders live behind
-    residual_note.
+    contribute half of log2(N) plus half of log2(2 pi e).  All computable
+    parts are functions of the census and constants alone; the remainders
+    live behind residual_note.
     """
     if P < 1:
         raise InvalidPower(f"P must be >= 1, got {P}")
@@ -349,19 +351,19 @@ def random_lemma2_instance(rng: np.random.Generator, max_dim: int = 4):
     return invertible(), invertible(), random_spd(rng, d), random_spd(rng, 2 * d)
 
 
-def random_schedule(ch: ChannelRealization, n: int, rng: np.random.Generator,
-                    include_zero: bool = True) -> AfSchedule:
+def random_schedule(ch: ChannelRealization, n: int,
+                    rng: np.random.Generator) -> AfSchedule:
     """Random schedule over an alphabet rich enough to reach every state.
 
     The coefficient set contains the two scheme cancelling values, the two
     values nulling the remaining diagonal entries, a random filler, and
-    optionally zeros so some slots idle both relays.
+    zeros so some slots idle both relays.
     """
     plan = plan_achievability(ch)
     c = plan.c
     null_c2 = -(c * ch.h_ud1 * ch.h_s1u) / (ch.h_vd1 * ch.h_s1v)
     null_c3 = -(c * ch.h_ud2 * ch.h_s2u) / (ch.h_vd2 * ch.h_s2v)
-    u_vals = (c, 0.0) if include_zero else (c,)
+    u_vals = (c, 0.0)
     v_vals = (0.0, plan.lambda_phase1, plan.lambda_phase2, null_c2, null_c3,
               float(rng.uniform(0.2, 2.0)))
     pairs = tuple(

@@ -50,22 +50,6 @@ class ChannelRealization:
         return np.array([[self.h_ud1, self.h_vd1],
                          [self.h_ud2, self.h_vd2]])
 
-    def cross_matrix(self, i: int) -> np.ndarray:
-        """Gain-product matrix whose columns give the per-relay route gains.
-
-        Row 1 pairs destination d1 with source i; row 2 pairs d2 with the
-        other source.  Full rank of both cross matrices is one of the
-        genericity conditions.
-        """
-        if i == 1:
-            top, bottom = (self.h_s1u, self.h_s1v), (self.h_s2u, self.h_s2v)
-        elif i == 2:
-            top, bottom = (self.h_s2u, self.h_s2v), (self.h_s1u, self.h_s1v)
-        else:
-            raise ValueError("cross matrix index must be 1 or 2")
-        return np.array([[self.h_ud1 * top[0], self.h_vd1 * top[1]],
-                         [self.h_ud2 * bottom[0], self.h_vd2 * bottom[1]]])
-
     def to_dict(self) -> dict:
         return dict(zip(_GAIN_KEYS, self.gains()))
 

@@ -33,13 +33,10 @@ from .scheme import (
     plan_achievability,
     schedule_from_plan,
 )
-from .simulate import (
-    estimate_dof_slope,
-    fit_rate_report,
-    sweep_power_grid,
-)
+from .simulate import estimate_dof_slope, sweep_power_grid
 from .bounds import (
     SingularCovariance,
+    StateCensus,
     bound_constants,
     census,
     check_lemma2,
@@ -59,6 +56,13 @@ TDMA_SLOPE_WINDOW = (0.95, 1.05)
 SLOPE_DOMINANCE_TOL = 0.05
 
 _FLOAT_FMT = ".12g"
+
+_INT_KEYS = ("trials", "n_triples", "schedule_slots", "fuzz", "samples",
+             "count", "max_dim")
+_FLOAT_KEYS = ("rel_tol", "state_tol")
+_CONFIG_KEYS = {"channel", "power_grid", "seed", "output_dir", *_INT_KEYS,
+                *_FLOAT_KEYS}
+_CHANNEL_KEYS = {"gains", "seed"}
 
 
 @dataclass
@@ -108,29 +112,35 @@ def _validate_grid(grid) -> None:
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, the optional JSON config, flag overrides and the
-    AFDOF_SEED fallback into one settings object."""
+    AFDOF_SEED fallback into one settings object.  Unknown config keys,
+    an unreadable config and a non-integer AFDOF_SEED raise."""
     cfg = ExperimentConfig()
     seed_from_config = None
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict) or not isinstance(raw.get("channel", {}), dict):
+            raise ValueError("config and its channel entry must be JSON objects")
         channel = raw.get("channel", {})
+        unknown = sorted(set(raw) - _CONFIG_KEYS) + [
+            f"channel.{k}" for k in sorted(set(channel) - _CHANNEL_KEYS)]
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         if "gains" in channel:
             cfg.channel_gains = dict(channel["gains"])
         if "seed" in channel:
             cfg.channel_seed = int(channel["seed"])
         if "power_grid" in raw:
             cfg.power_grid = tuple(float(p) for p in raw["power_grid"])
-        for key in ("trials", "n_triples", "schedule_slots", "fuzz",
-                    "samples", "count", "max_dim"):
+        for key in _INT_KEYS:
             if key in raw:
                 setattr(cfg, key, int(raw[key]))
         if "seed" in raw:
             seed_from_config = int(raw["seed"])
         if "output_dir" in raw:
             cfg.output_dir = str(raw["output_dir"])
-        for key in ("rel_tol", "state_tol"):
+        for key in _FLOAT_KEYS:
             if key in raw:
                 setattr(cfg, key, float(raw[key]))
 
@@ -186,8 +196,9 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> int:
         points = sweep_power_grid(ch, plan, cfg.power_grid,
                                   n_triples=cfg.n_triples, trials=cfg.trials,
                                   seed=cfg.seed)
-        report = fit_rate_report(points)
         scheme_fit = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points])
+        slope_user1 = estimate_dof_slope([(p.P, p.R1) for p in points]).slope
+        slope_user2 = estimate_dof_slope([(p.P, p.R2) for p in points]).slope
         tdma_rates = [baseline_tdma_rate(ch, p.P, plan) for p in points]
         tdma_fit = estimate_dof_slope(
             [(p.P, r1 + r2) for p, (r1, r2) in zip(points, tdma_rates)])
@@ -210,8 +221,8 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> int:
     })
     _write_json(os.path.join(cfg.output_dir, "slope.json"), {
         "scheme": {**scheme_fit.to_dict(),
-                   "slope_user1": report.slope_user1,
-                   "slope_user2": report.slope_user2},
+                   "slope_user1": slope_user1,
+                   "slope_user2": slope_user2},
         "tdma": tdma_fit.to_dict(),
     })
 
@@ -221,8 +232,8 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> int:
                    scheme_fit.slope))
     lo, hi = USER_SLOPE_WINDOW
     checks.append(("per_user_slopes",
-                   lo <= report.slope_user1 <= hi and lo <= report.slope_user2 <= hi,
-                   (report.slope_user1, report.slope_user2)))
+                   lo <= slope_user1 <= hi and lo <= slope_user2 <= hi,
+                   (slope_user1, slope_user2)))
     lo, hi = TDMA_SLOPE_WINDOW
     checks.append(("tdma_slope", lo <= tdma_fit.slope <= hi, tdma_fit.slope))
     top = points[-1]
@@ -253,14 +264,17 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         n = cfg.schedule_slots
         if n < 3 or n % 3 != 0:
             raise ValueError("schedule_slots must be a positive multiple of 3")
+        if cfg.fuzz < 0:
+            raise ValueError("fuzz must be >= 0")
         ch = _resolve_channel(cfg)
         plan = plan_achievability(ch, cfg.rel_tol)
         schedule = schedule_from_plan(plan, n)
-        cens = census(ch, schedule, cfg.state_tol)
+        labels = slot_states(ch, schedule, cfg.state_tol)
+        cens = StateCensus.from_labels(labels)
         constants = bound_constants(ch, plan.alphabet())
         set_name, fraction = min_census_fraction(cens)
 
-        evaluations = [(P, evaluate_bounds(cens, P, constants, ch))
+        evaluations = [(P, evaluate_bounds(cens, P, constants))
                        for P in cfg.power_grid]
         var_d1, var_d2 = analytic_noise_variances(ch, plan)
         achieved = [(P, achievable_rate(P, *var_d1) + achievable_rate(P, *var_d2))
@@ -278,7 +292,6 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         return _fail(cfg.output_dir, type(exc).__name__, str(exc))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    labels = slot_states(ch, schedule, cfg.state_tol)
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "mu", "lambda", "state"])
@@ -413,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args)
+    try:
+        cfg = load_config(args)
+    except (OSError, ValueError, TypeError) as exc:
+        return _fail(args.out, type(exc).__name__, str(exc))
     if args.command == "run-achievability":
         return cmd_run_achievability(cfg)
     if args.command == "verify-bounds":

@@ -111,17 +111,6 @@ class PhasePlan:
 
 
 @dataclass(frozen=True)
-class ReconstructionResult:
-    """Decoded symbol estimates for one three-slot block, with the analytic
-    noise variances of the two streams at each destination."""
-
-    d1_estimates: tuple[float, float]
-    d2_estimates: tuple[float, float]
-    d1_variances: tuple[float, float]
-    d2_variances: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class RateReport:
     """Per-power rates over a grid plus fitted DoF slopes (vs half-log power)."""
 
@@ -271,19 +260,6 @@ def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan,
     tau2_sq = v2[0] / G1.beta2 ** 2 + m3 * m3 * v2[2] + m2 * m2 * v2[1]
 
     return (sigma1_sq, sigma2_sq), (tau1_sq, tau2_sq)
-
-
-def decode_triple(ch: ChannelRealization, plan: PhasePlan,
-                  y1_triple, y2_triple) -> ReconstructionResult:
-    """Decode one three-slot block at both destinations and attach the
-    analytic stream variances."""
-    G1, G2, G3 = (end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs())
-    d1 = reconstruct_d1(*y1_triple, G1, G2, G3)
-    d2 = reconstruct_d2(*y2_triple, G1, G2, G3)
-    var_d1, var_d2 = analytic_noise_variances(ch, plan)
-    return ReconstructionResult(d1_estimates=tuple(map(float, d1)),
-                                d2_estimates=tuple(map(float, d2)),
-                                d1_variances=var_d1, d2_variances=var_d2)
 
 
 def achievable_rate(P: float, sigma1_sq: float, sigma2_sq: float) -> float:

@@ -119,11 +119,6 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng([int(k) for k in key])
 
 
-def _schedule_arrays(schedule: AfSchedule) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.asarray(schedule.pairs, dtype=float)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
     """Run the physical chain; relay slot 0 forwards a zero input."""
     yu = ch.h_s1u * x1 + ch.h_s2u * x2 + zu
@@ -138,21 +133,32 @@ def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
     return y1, y2, xu, xv
 
 
-def _block_noise(noise_seed: int, n_source: int, n_slots: int, noise_scale: float):
-    zu = _stream(noise_seed, 0, _TAG_RELAY_U).standard_normal(n_source) * noise_scale
-    zv = _stream(noise_seed, 0, _TAG_RELAY_V).standard_normal(n_source) * noise_scale
-    zd1 = _stream(noise_seed, 0, _TAG_DEST1).standard_normal(n_slots) * noise_scale
-    zd2 = _stream(noise_seed, 0, _TAG_DEST2).standard_normal(n_slots) * noise_scale
+def _chain_noise(seed: int, trial: int, n_source: int, noise_scale: float):
+    """Relay noise for n_source source slots and destination noise for the
+    n_source + 1 relay slots, each from its own (seed, trial, tag) stream."""
+    zu = _stream(seed, trial, _TAG_RELAY_U).standard_normal(n_source) * noise_scale
+    zv = _stream(seed, trial, _TAG_RELAY_V).standard_normal(n_source) * noise_scale
+    zd1 = _stream(seed, trial, _TAG_DEST1).standard_normal(n_source + 1) * noise_scale
+    zd2 = _stream(seed, trial, _TAG_DEST2).standard_normal(n_source + 1) * noise_scale
     return zu, zv, zd1, zd2
 
 
-def _check_block_shapes(schedule: AfSchedule, symbols: np.ndarray) -> None:
+def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int,
+                  noise_scale: float):
+    """Validate one block and return the chain inputs after the channel:
+    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0."""
+    symbols = np.asarray(symbols, dtype=float)
+    if symbols.size == 0:
+        symbols = symbols.reshape(0, 2)
     if symbols.ndim != 2 or symbols.shape[1] != 2:
         raise ValueError("symbols must have shape (slots, 2)")
     if symbols.shape[0] != len(schedule) - 1:
         raise ValueError(
             f"schedule length {len(schedule)} must be symbol slots + 1 "
             f"(got {symbols.shape[0]} symbol slots)")
+    pairs = np.asarray(schedule.pairs, dtype=float)
+    return (pairs[:, 0], pairs[:, 1], symbols[:, 0], symbols[:, 1],
+            *_chain_noise(noise_seed, 0, symbols.shape[0], noise_scale))
 
 
 def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
@@ -170,15 +176,8 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
     -------
     (y1, y2) : length-L received sample arrays at the two destinations
     """
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.size == 0:
-        symbols = symbols.reshape(0, 2)
-    _check_block_shapes(schedule, symbols)
-    mu_arr, lam_arr = _schedule_arrays(schedule)
-    zu, zv, zd1, zd2 = _block_noise(noise_seed, len(schedule) - 1, len(schedule),
-                                    noise_scale)
-    y1, y2, _, _ = _chain(ch, mu_arr, lam_arr, symbols[:, 0], symbols[:, 1],
-                          zu, zv, zd1, zd2)
+    y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
+                                             noise_scale))
     return y1, y2
 
 
@@ -186,15 +185,8 @@ def relay_samples(ch: ChannelRealization, schedule: AfSchedule, symbols,
                   noise_seed: int, noise_scale: float = 1.0):
     """Relay transmit samples (xu, xv) for one block, same conventions and
     noise substreams as simulate_block."""
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.size == 0:
-        symbols = symbols.reshape(0, 2)
-    _check_block_shapes(schedule, symbols)
-    mu_arr, lam_arr = _schedule_arrays(schedule)
-    zu, zv, zd1, zd2 = _block_noise(noise_seed, len(schedule) - 1, len(schedule),
-                                    noise_scale)
-    _, _, xu, xv = _chain(ch, mu_arr, lam_arr, symbols[:, 0], symbols[:, 1],
-                          zu, zv, zd1, zd2)
+    _, _, xu, xv = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
+                                             noise_scale))
     return xu, xv
 
 
@@ -206,15 +198,10 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     Consumes the same noise substreams as simulate_block, so with a shared
     noise_seed the two paths must agree sample for sample.
     """
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.size == 0:
-        symbols = symbols.reshape(0, 2)
-    _check_block_shapes(schedule, symbols)
-    mu_arr, lam_arr = _schedule_arrays(schedule)
-    zu, zv, zd1, zd2 = _block_noise(noise_seed, len(schedule) - 1, len(schedule),
-                                    noise_scale)
-    x1_prev = np.concatenate(([0.0], symbols[:, 0]))
-    x2_prev = np.concatenate(([0.0], symbols[:, 1]))
+    mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
+        schedule, symbols, noise_seed, noise_scale)
+    x1_prev = np.concatenate(([0.0], x1))
+    x2_prev = np.concatenate(([0.0], x2))
     zu_prev = np.concatenate(([0.0], zu))
     zv_prev = np.concatenate(([0.0], zv))
 
@@ -267,11 +254,8 @@ def run_scheme_trial(ch: ChannelRealization, plan: PhasePlan, P: float,
 
     mu_arr = np.full(m + 1, plan.mu_all)
     lam_arr = _scheme_lam_array(plan, n_triples)
-    zu = _stream(seed, trial, _TAG_RELAY_U).standard_normal(m) * noise_scale
-    zv = _stream(seed, trial, _TAG_RELAY_V).standard_normal(m) * noise_scale
-    zd1 = _stream(seed, trial, _TAG_DEST1).standard_normal(m + 1) * noise_scale
-    zd2 = _stream(seed, trial, _TAG_DEST2).standard_normal(m + 1) * noise_scale
-    y1, y2, xu, xv = _chain(ch, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2)
+    y1, y2, xu, xv = _chain(ch, mu_arr, lam_arr, x1, x2,
+                            *_chain_noise(seed, trial, m, noise_scale))
 
     G1, G2, G3 = (end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs())
     a1_hat, a2_hat = reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], G1, G2, G3)
@@ -306,20 +290,6 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan,
         relay_pu=float(np.mean(pu)), relay_pv=float(np.mean(pv)),
         relay_pu_se=se_u, relay_pv_se=se_v,
         n_samples=n_samples)
-
-
-def estimate_mse(ch: ChannelRealization, plan: PhasePlan, config: SimConfig,
-                 noise_scale: float = 1.0) -> tuple[float, float, float, float]:
-    """Empirical per-stream reconstruction MSEs (a1, a2, b1, b2)."""
-    s = run_scheme_trials(ch, plan, config, noise_scale)
-    return s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2
-
-
-def estimate_relay_power(ch: ChannelRealization, plan: PhasePlan,
-                         config: SimConfig) -> tuple[float, float]:
-    """Empirical per-slot transmit second moments of relays u and v."""
-    s = run_scheme_trials(ch, plan, config)
-    return s.relay_pu, s.relay_pv
 
 
 def estimate_dof_slope(rates) -> SlopeFit:

@@ -47,15 +47,12 @@ from afdof import (
     ChannelRealization,
     SimConfig,
 )
+from afdof.cli import SCHEME_SLOPE_WINDOW, TDMA_SLOPE_WINDOW, USER_SLOPE_WINDOW
 from conftest import reference_channel
 
 GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 PANEL_SIZE = 20
 VARIANCE_SCREEN = 1e3
-
-SUM_SLOPE_WINDOW = (1.27, 1.40)
-USER_SLOPE_WINDOW = (0.62, 0.72)
-TDMA_SLOPE_WINDOW = (0.95, 1.05)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -99,9 +96,9 @@ def panel_fits(panel):
 def test_criterion_01_sum_dof_slope(panel_fits):
     sums = [r.slope_sum for _, r, _ in panel_fits]
     users = [s for _, r, _ in panel_fits for s in (r.slope_user1, r.slope_user2)]
-    ok = (all(SUM_SLOPE_WINDOW[0] <= s <= SUM_SLOPE_WINDOW[1] for s in sums)
+    ok = (all(SCHEME_SLOPE_WINDOW[0] <= s <= SCHEME_SLOPE_WINDOW[1] for s in sums)
           and all(USER_SLOPE_WINDOW[0] <= u <= USER_SLOPE_WINDOW[1] for u in users))
-    _report(1, f"sum-DoF slope in {SUM_SLOPE_WINDOW} and per-user in "
+    _report(1, f"sum-DoF slope in {SCHEME_SLOPE_WINDOW} and per-user in "
                f"{USER_SLOPE_WINDOW} on {len(panel_fits)} channels", ok,
             f"sum range [{min(sums):.4f}, {max(sums):.4f}], "
             f"user range [{min(users):.4f}, {max(users):.4f}]")
@@ -199,7 +196,7 @@ def test_criterion_07_bound_dominance():
     plan = plan_achievability(ch)
     cens = census(ch, schedule_from_plan(plan, 300))
     constants = bound_constants(ch, plan.alphabet())
-    min_bound = min(evaluate_bounds(cens, P, constants, ch).min_slope_dof()
+    min_bound = min(evaluate_bounds(cens, P, constants).min_slope_dof()
                     for P in GRID)
     points = sweep_power_grid(ch, plan, GRID, n_triples=600, trials=5, seed=51)
     achieved = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points]).slope

@@ -160,7 +160,7 @@ def test_achieved_rate_below_all_bounds(ref_channel, ref_plan):
     sched = schedule_from_plan(ref_plan, 300)
     cens = census(ref_channel, sched)
     constants = bound_constants(ref_channel, ref_plan.alphabet())
-    ev = evaluate_bounds(cens, 1e9, constants, ref_channel)
+    ev = evaluate_bounds(cens, 1e9, constants)
     v1, v2 = analytic_noise_variances(ref_channel, ref_plan)
     achieved = achievable_rate(1e9, *v1) + achievable_rate(1e9, *v2)
     assert achieved <= ev.bound1

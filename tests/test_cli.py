@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import subprocess
@@ -5,7 +6,14 @@ import sys
 
 import pytest
 
-from afdof.cli import main, parse_grid, parse_power
+from afdof.cli import (
+    SCHEME_SLOPE_WINDOW,
+    TDMA_SLOPE_WINDOW,
+    USER_SLOPE_WINDOW,
+    main,
+    parse_grid,
+    parse_power,
+)
 from conftest import REFERENCE_GAINS
 
 REF_GAIN_JSON = {
@@ -48,10 +56,10 @@ def test_run_achievability(tmp_path):
                             "mse_b1", "mse_b2", "relay_pu", "relay_pv"}
 
     slope = json.loads((out / "slope.json").read_text())
-    assert 1.27 <= slope["scheme"]["slope"] <= 1.40
-    assert 0.95 <= slope["tdma"]["slope"] <= 1.05
-    assert 0.62 <= slope["scheme"]["slope_user1"] <= 0.72
-    assert 0.62 <= slope["scheme"]["slope_user2"] <= 0.72
+    assert SCHEME_SLOPE_WINDOW[0] <= slope["scheme"]["slope"] <= SCHEME_SLOPE_WINDOW[1]
+    assert TDMA_SLOPE_WINDOW[0] <= slope["tdma"]["slope"] <= TDMA_SLOPE_WINDOW[1]
+    for user in ("slope_user1", "slope_user2"):
+        assert USER_SLOPE_WINDOW[0] <= slope["scheme"][user] <= USER_SLOPE_WINDOW[1]
 
     plan = json.loads((out / "plan.json").read_text())
     assert plan["c"] == pytest.approx(0.15075567228888181)
@@ -88,6 +96,11 @@ def test_verify_bounds(tmp_path):
     assert states[:3] == ["B", "A", "C1"]
 
     bounds = json.loads((out / "bounds.json").read_text())
+    counts = collections.Counter(states)
+    assert bounds["census"] == {"nA": counts["A"], "nB": counts["B"],
+                                "nC1": counts["C1"], "nC2": counts["C2"],
+                                "nC3": counts["C3"], "nZero": counts["Zero"],
+                                "n": len(states)}
     assert bounds["census"]["nA"] == bounds["census"]["nB"] == 10
     assert bounds["min_fraction"]["fraction"] == pytest.approx(1 / 3)
     assert bounds["fuzz"] == {"schedules": 50, "violations": 0}
@@ -95,12 +108,37 @@ def test_verify_bounds(tmp_path):
     assert len(bounds["per_P"]) == 5
 
 
-def test_verify_bounds_rejects_bad_slots(tmp_path):
+@pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"]],
+                         ids=["slots", "fuzz"])
+def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     assert main(["verify-bounds", "--config", cfg, "--out", str(out),
-                 "--slots", "31"]) != 0
+                 *flags]) != 0
     assert (out / "error.json").exists()
+    assert not (out / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"trails": 2}, {"channel": {"sed": 3}}],
+                         ids=["top-level", "channel"])
+def test_config_rejects_unknown_key(tmp_path, overrides):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert "unknown config keys" in err["detail"]
+    assert not (out / "rates.csv").exists()
+
+
+def test_config_errors_write_error_json(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["sample-conditions", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "FileNotFoundError"
+    monkeypatch.setenv("AFDOF_SEED", "nine")
+    assert main(["sample-conditions", "--samples", "5", "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
 
 
 def test_check_lemma2_command(capsys):

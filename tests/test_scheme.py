@@ -14,7 +14,6 @@ from afdof import (
     achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,
-    decode_triple,
     effective_noise_variance,
     end_to_end,
     plan_achievability,
@@ -215,21 +214,6 @@ def test_variances_exceed_destination_noise_floor():
         g1 = end_to_end(ch, plan.mu_all, plan.lambda_phase1).alpha1
         assert s1 >= 1.0 / g1 ** 2
         assert min(s1, s2, t1, t2) > 0
-
-
-def test_decode_triple_round_trip(ref_channel, ref_plan):
-    G1, G2, G3 = _ref_G(ref_channel, ref_plan)
-    a1, a2, b1, b2 = 0.5, 2.0, -1.0, 4.0
-    y1 = (G1.alpha1 * a1 + G1.beta1 * b1,
-          G2.alpha1 * a2 + G2.beta1 * b2,
-          G3.alpha1 * a1 + G3.beta1 * b2)
-    y2 = (G1.alpha2 * a1 + G1.beta2 * b1,
-          G2.alpha2 * a2 + G2.beta2 * b2,
-          G3.alpha2 * a1 + G3.beta2 * b2)
-    out = decode_triple(ref_channel, ref_plan, y1, y2)
-    assert out.d1_estimates == pytest.approx((a1, a2), rel=1e-12)
-    assert out.d2_estimates == pytest.approx((b1, b2), rel=1e-12)
-    assert out.d1_variances == analytic_noise_variances(ref_channel, ref_plan)[0]
 
 
 def test_achievable_rate_values():

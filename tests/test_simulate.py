@@ -12,8 +12,6 @@ from afdof import (
     baseline_tdma_rate,
     end_to_end,
     estimate_dof_slope,
-    estimate_mse,
-    estimate_relay_power,
     fit_rate_report,
     plan_achievability,
     reconstruct_d1,
@@ -27,6 +25,11 @@ from afdof import (
     sweep_power_grid,
 )
 from afdof.bounds import random_schedule
+from afdof.cli import (
+    SCHEME_SLOPE_WINDOW,
+    TDMA_SLOPE_WINDOW,
+    USER_SLOPE_WINDOW,
+)
 
 GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
@@ -98,27 +101,27 @@ def test_trial_determinism(ref_channel, ref_plan):
 
 def test_mse_zero_noise(ref_channel, ref_plan):
     cfg = SimConfig(P=100.0, n_triples=200, trials=2, seed=1)
-    mses = estimate_mse(ref_channel, ref_plan, cfg, noise_scale=0.0)
-    assert max(mses) <= 1e-18 * 100.0
+    s = run_scheme_trials(ref_channel, ref_plan, cfg, noise_scale=0.0)
+    assert max(s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2) <= 1e-18 * 100.0
 
 
 def test_mse_matches_analytic(ref_channel, ref_plan):
     cfg = SimConfig(P=100.0, n_triples=5000, trials=20, seed=3)
-    mse_a1, mse_a2, mse_b1, mse_b2 = estimate_mse(ref_channel, ref_plan, cfg)
+    s = run_scheme_trials(ref_channel, ref_plan, cfg)
     (s1, s2), (t1, t2) = analytic_noise_variances(ref_channel, ref_plan)
-    assert mse_a1 == pytest.approx(s1, rel=0.02)
-    assert mse_a2 == pytest.approx(s2, rel=0.02)
-    assert mse_b1 == pytest.approx(t2, rel=0.02)  # combined stream decodes b1
-    assert mse_b2 == pytest.approx(t1, rel=0.02)  # direct stream decodes b2
+    assert s.mse_a1 == pytest.approx(s1, rel=0.02)
+    assert s.mse_a2 == pytest.approx(s2, rel=0.02)
+    assert s.mse_b1 == pytest.approx(t2, rel=0.02)  # combined stream decodes b1
+    assert s.mse_b2 == pytest.approx(t1, rel=0.02)  # direct stream decodes b2
 
 
 def test_mse_power_independent(ref_channel, ref_plan):
-    lo = estimate_mse(ref_channel, ref_plan,
-                      SimConfig(P=1e2, n_triples=5000, trials=10, seed=4))
-    hi = estimate_mse(ref_channel, ref_plan,
-                      SimConfig(P=1e6, n_triples=5000, trials=10, seed=5))
-    for a, b in zip(lo, hi):
-        assert a == pytest.approx(b, rel=0.05)
+    lo = run_scheme_trials(ref_channel, ref_plan,
+                           SimConfig(P=1e2, n_triples=5000, trials=10, seed=4))
+    hi = run_scheme_trials(ref_channel, ref_plan,
+                           SimConfig(P=1e6, n_triples=5000, trials=10, seed=5))
+    for name in ("mse_a1", "mse_a2", "mse_b1", "mse_b2"):
+        assert getattr(lo, name) == pytest.approx(getattr(hi, name), rel=0.05)
 
 
 def test_noiseless_reconstruction_at_extreme_power(ref_channel, ref_plan):
@@ -141,8 +144,9 @@ def test_relay_power_reference_ratio(ref_channel, ref_plan):
     # u-relay second moment: c^2 ((h_s1u^2 + h_s2u^2) P + 1), so the ratio
     # to P converges to 5 c^2 on the reference gains.
     P = 1e6
-    pu, pv = estimate_relay_power(ref_channel, ref_plan,
-                                  SimConfig(P=P, n_triples=4000, trials=10, seed=2))
+    stats = run_scheme_trials(ref_channel, ref_plan,
+                              SimConfig(P=P, n_triples=4000, trials=10, seed=2))
+    pu, pv = stats.relay_pu, stats.relay_pv
     c = ref_plan.c
     assert pu / P == pytest.approx(5 * c * c, rel=0.01)
     lam_sq_mean = (ref_plan.lambda_phase1 ** 2 + ref_plan.lambda_phase2 ** 2) / 3.0
@@ -189,9 +193,9 @@ def test_scheme_slope_windows(ref_channel, ref_plan):
     points = sweep_power_grid(ref_channel, ref_plan, GRID,
                               n_triples=400, trials=5, seed=0)
     report = fit_rate_report(points)
-    assert 1.27 <= report.slope_sum <= 1.40
-    assert 0.62 <= report.slope_user1 <= 0.72
-    assert 0.62 <= report.slope_user2 <= 0.72
+    assert SCHEME_SLOPE_WINDOW[0] <= report.slope_sum <= SCHEME_SLOPE_WINDOW[1]
+    assert USER_SLOPE_WINDOW[0] <= report.slope_user1 <= USER_SLOPE_WINDOW[1]
+    assert USER_SLOPE_WINDOW[0] <= report.slope_user2 <= USER_SLOPE_WINDOW[1]
     sums = [p.R1 + p.R2 for p in points]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
@@ -199,7 +203,7 @@ def test_scheme_slope_windows(ref_channel, ref_plan):
 def test_baseline_slope_window(ref_channel, ref_plan):
     fit = estimate_dof_slope(
         [(P, sum(baseline_tdma_rate(ref_channel, P, ref_plan))) for P in GRID])
-    assert 0.95 <= fit.slope <= 1.05
+    assert TDMA_SLOPE_WINDOW[0] <= fit.slope <= TDMA_SLOPE_WINDOW[1]
 
 
 def test_sweep_deterministic(ref_channel, ref_plan):
