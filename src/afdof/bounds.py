@@ -15,8 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelRealization, EndToEndMatrix, end_to_end
-from .scheme import AfAlphabet, AfSchedule, InvalidPower, plan_achievability
+from .channel import (
+    ChannelRealization,
+    EndToEndMatrix,
+    effective_noise_variance,
+    end_to_end,
+)
+from .scheme import AfAlphabet, AfSchedule, InvalidPower, PhasePlan
 
 # Looser than the coefficient-construction precision (1e-12) so state
 # labels never flap, still far tighter than any generic nonzero entry.
@@ -164,27 +169,31 @@ def slot_states(ch: ChannelRealization, schedule: AfSchedule,
                 rel_tol: float = DEFAULT_STATE_TOL) -> list[StateLabel]:
     """Per-slot state labels for a schedule.
 
+    A slot's state depends only on its (mu, lambda) pair, so each distinct
+    pair is classified once and every slot reads its pair's label.
     Membership in state A is double-checked through its defining linear
-    form (the (2,1) coefficient as a function of the slot's mu, lambda);
-    disagreement with the zero-pattern label means the tolerance split the
-    two computations and raises ImpossiblePattern.
+    form (the (2,1) coefficient as a function of mu, lambda); disagreement
+    with the zero-pattern label means the tolerance split the two
+    computations and raises ImpossiblePattern.
     """
-    labels = []
-    for k, (mu, lam) in enumerate(schedule.pairs):
+    by_pair = {}
+    for mu, lam in dict.fromkeys(schedule.pairs):
         if mu == 0.0 and lam == 0.0:
-            labels.append(StateLabel.ZERO)
+            by_pair[mu, lam] = StateLabel.ZERO
             continue
         G = end_to_end(ch, mu, lam)
         label = classify_state(G, rel_tol)
         if label is StateLabel.ZERO:
             raise ImpossiblePattern(
-                f"slot {k}: nonzero coefficients produced an all-zero matrix")
+                f"pair ({mu}, {lam}): nonzero coefficients produced an "
+                "all-zero matrix")
         form = mu * ch.h_ud2 * ch.h_s1u + lam * ch.h_vd2 * ch.h_s1v
         if (abs(form) <= rel_tol * G.max_abs()) != (label is StateLabel.A):
             raise ImpossiblePattern(
-                f"slot {k}: zero-pattern and linear-form tests for state A disagree")
-        labels.append(label)
-    return labels
+                f"pair ({mu}, {lam}): zero-pattern and linear-form tests for "
+                "state A disagree")
+        by_pair[mu, lam] = label
+    return [by_pair[pair] for pair in schedule.pairs]
 
 
 def census(ch: ChannelRealization, schedule: AfSchedule,
@@ -197,21 +206,13 @@ def bound_constants(ch: ChannelRealization,
                     alphabet: AfAlphabet) -> BoundConstants:
     """Exhaustively maximize the squared coefficients and noise variances
     over the finite alphabet."""
-
-    def best(hu: float, hsu: float, hv: float, hsv: float) -> float:
-        return max((mu * hu * hsu + lam * hv * hsv) ** 2
-                   for mu in alphabet.U for lam in alphabet.V)
-
-    m11 = best(ch.h_ud1, ch.h_s1u, ch.h_vd1, ch.h_s1v)
-    m12 = best(ch.h_ud1, ch.h_s2u, ch.h_vd1, ch.h_s2v)
-    m21 = best(ch.h_ud2, ch.h_s1u, ch.h_vd2, ch.h_s1v)
-    m22 = best(ch.h_ud2, ch.h_s2u, ch.h_vd2, ch.h_s2v)
-    noise = max(
-        max(ch.h_ud1 ** 2 * mu ** 2 + ch.h_vd1 ** 2 * lam ** 2
-            for mu in alphabet.U for lam in alphabet.V),
-        max(ch.h_ud2 ** 2 * mu ** 2 + ch.h_vd2 ** 2 * lam ** 2
-            for mu in alphabet.U for lam in alphabet.V))
-    return BoundConstants(M=max(m11, m12, m21, m22), N=noise + 1.0,
+    pairs = [(mu, lam) for mu in alphabet.U for lam in alphabet.V]
+    squares = [[e ** 2 for e in end_to_end(ch, mu, lam).entries()]
+               for mu, lam in pairs]
+    m11, m12, m21, m22 = (max(column) for column in zip(*squares))
+    noise = max(effective_noise_variance(ch, mu, lam, dest)
+                for mu, lam in pairs for dest in (1, 2))
+    return BoundConstants(M=max(m11, m12, m21, m22), N=noise,
                           M_ij=((m11, m12), (m21, m22)))
 
 
@@ -351,23 +352,21 @@ def random_lemma2_instance(rng: np.random.Generator, max_dim: int = 4):
     return invertible(), invertible(), random_spd(rng, d), random_spd(rng, 2 * d)
 
 
-def random_schedule(ch: ChannelRealization, n: int,
+def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
                     rng: np.random.Generator) -> AfSchedule:
     """Random schedule over an alphabet rich enough to reach every state.
 
-    The coefficient set contains the two scheme cancelling values, the two
-    values nulling the remaining diagonal entries, a random filler, and
-    zeros so some slots idle both relays.
+    ``plan`` is ``plan_achievability(ch)``.  The coefficient set contains
+    its two cancelling values, the two values nulling the remaining
+    diagonal entries, a random filler, and zeros so some slots idle both
+    relays.
     """
-    plan = plan_achievability(ch)
     c = plan.c
     null_c2 = -(c * ch.h_ud1 * ch.h_s1u) / (ch.h_vd1 * ch.h_s1v)
     null_c3 = -(c * ch.h_ud2 * ch.h_s2u) / (ch.h_vd2 * ch.h_s2v)
     u_vals = (c, 0.0)
     v_vals = (0.0, plan.lambda_phase1, plan.lambda_phase2, null_c2, null_c3,
               float(rng.uniform(0.2, 2.0)))
-    pairs = tuple(
-        (u_vals[int(rng.integers(len(u_vals)))],
-         v_vals[int(rng.integers(len(v_vals)))])
-        for _ in range(n))
+    slots = rng.integers((len(u_vals), len(v_vals)), size=(n, 2))
+    pairs = tuple((u_vals[i], v_vals[j]) for i, j in slots.tolist())
     return AfSchedule(pairs=pairs, alphabet=AfAlphabet(U=u_vals, V=v_vals))

@@ -9,7 +9,6 @@ effective noise seen at a destination.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +39,8 @@ class ChannelRealization:
         return (self.h_s1u, self.h_s2u, self.h_s1v, self.h_s2v,
                 self.h_ud1, self.h_vd1, self.h_ud2, self.h_vd2)
 
-    def first_hop(self) -> np.ndarray:
-        """2x2 matrix mapping source symbols to noiseless relay inputs."""
-        return np.array([[self.h_s1u, self.h_s2u],
-                         [self.h_s1v, self.h_s2v]])
-
-    def second_hop(self) -> np.ndarray:
-        """2x2 matrix mapping relay transmissions to noiseless destination inputs."""
-        return np.array([[self.h_ud1, self.h_vd1],
-                         [self.h_ud2, self.h_vd2]])
-
     def to_dict(self) -> dict:
         return dict(zip(_GAIN_KEYS, self.gains()))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelRealization":
@@ -62,10 +48,6 @@ class ChannelRealization:
         if missing:
             raise ValueError(f"missing channel gains: {missing}")
         return cls(*(float(d[k]) for k in _GAIN_KEYS))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelRealization":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -161,10 +143,6 @@ class EndToEndMatrix:
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.beta1, self.alpha2, self.beta2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.alpha1, self.beta1],
-                         [self.alpha2, self.beta2]])
 
     def max_abs(self) -> float:
         return max(abs(e) for e in self.entries())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -104,16 +105,28 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _validate_grid(grid) -> None:
+    if not all(math.isfinite(p) for p in grid):
+        raise ValueError(f"power grid values must be finite, got {list(grid)}")
     if any(p < 1 for p in grid):
         raise InvalidPower(f"power grid values must be >= 1, got {list(grid)}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("power grid must be strictly increasing")
 
 
+def _config_int(key: str, value) -> int:
+    """A config integer: a JSON number with no fractional part, not a bool."""
+    integral = (isinstance(value, int)
+                or (isinstance(value, float) and value.is_integer()))
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"config key {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, the optional JSON config, flag overrides and the
     AFDOF_SEED fallback into one settings object.  Unknown config keys,
-    an unreadable config and a non-integer AFDOF_SEED raise."""
+    non-integral integer settings, negative seeds, an unreadable config and
+    a non-integer AFDOF_SEED raise."""
     cfg = ExperimentConfig()
     seed_from_config = None
     path = getattr(args, "config", None)
@@ -130,14 +143,14 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if "gains" in channel:
             cfg.channel_gains = dict(channel["gains"])
         if "seed" in channel:
-            cfg.channel_seed = int(channel["seed"])
+            cfg.channel_seed = _config_int("channel.seed", channel["seed"])
         if "power_grid" in raw:
             cfg.power_grid = tuple(float(p) for p in raw["power_grid"])
         for key in _INT_KEYS:
             if key in raw:
-                setattr(cfg, key, int(raw[key]))
+                setattr(cfg, key, _config_int(key, raw[key]))
         if "seed" in raw:
-            seed_from_config = int(raw["seed"])
+            seed_from_config = _config_int("seed", raw["seed"])
         if "output_dir" in raw:
             cfg.output_dir = str(raw["output_dir"])
         for key in _FLOAT_KEYS:
@@ -160,6 +173,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.seed = seed_from_config
     elif os.environ.get("AFDOF_SEED"):
         cfg.seed = int(os.environ["AFDOF_SEED"])
+    if cfg.seed < 0 or cfg.channel_seed < 0:
+        raise ValueError(f"seeds must be >= 0, got seed {cfg.seed} and "
+                         f"channel seed {cfg.channel_seed}")
     return cfg
 
 
@@ -284,7 +300,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         fuzz_violations = 0
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.fuzz):
-            sched = random_schedule(ch, n, rng)
+            sched = random_schedule(ch, plan, n, rng)
             _, frac = min_census_fraction(census(ch, sched, cfg.state_tol))
             if frac > 1.0 / 3.0 + 1e-12:
                 fuzz_violations += 1

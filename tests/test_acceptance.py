@@ -175,14 +175,14 @@ def test_criterion_06_census_pigeonhole():
             exhaustive_ok = exhaustive_ok and fraction <= 1 / 3 + 1e-12
 
     ch = sample_channel(40)
+    plan = plan_achievability(ch)
     rng = np.random.default_rng(41)
     random_ok = True
     for _ in range(1000):
-        sched = random_schedule(ch, 300, rng)
+        sched = random_schedule(ch, plan, 300, rng)
         _, fraction = min_census_fraction(census(ch, sched))
         random_ok = random_ok and fraction <= 1 / 3 + 1e-12
 
-    plan = plan_achievability(ch)
     cens = census(ch, schedule_from_plan(plan, 300))
     balanced = (cens.nA, cens.nB, cens.nC1, cens.nZero) == (100, 100, 100, 0)
     _report(6, "min census fraction <= 1/3 exhaustively (n <= 8) and on 1e3 "
@@ -222,7 +222,7 @@ def test_criterion_08_lemma2_validity():
 def test_criterion_09_chain_matrix_equivalence():
     ch = sample_channel(90)
     rng = np.random.default_rng(91)
-    sched = random_schedule(ch, 1001, rng)
+    sched = random_schedule(ch, plan_achievability(ch), 1001, rng)
     symbols = rng.normal(0.0, 10.0, size=(1000, 2))
     y1a, y2a = simulate_block(ch, sched, symbols, noise_seed=92)
     y1b, y2b = simulate_block_matrix(ch, sched, symbols, noise_seed=92)

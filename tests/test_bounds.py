@@ -28,6 +28,7 @@ from afdof import (
     random_schedule,
     sample_channel,
     schedule_from_plan,
+    slot_states,
     end_to_end,
 )
 
@@ -92,14 +93,33 @@ def test_census_counts_must_sum():
         StateCensus(nA=1, nB=1, nC1=0, nC2=0, nC3=0, nZero=0, n=3)
 
 
-def test_census_random_schedules_consistent(ref_channel):
+def test_census_random_schedules_consistent(ref_channel, ref_plan):
     # The zero-pattern label and the linear-form membership test for state A
-    # must agree on every slot; census raises if they split.
+    # must agree on every slot; census raises if they split.  Classifying
+    # each distinct pair once must give the per-slot classification.
     rng = np.random.default_rng(123)
     for _ in range(25):
-        sched = random_schedule(ref_channel, 60, rng)
+        sched = random_schedule(ref_channel, ref_plan, 60, rng)
+        assert slot_states(ref_channel, sched) == [
+            StateLabel.ZERO if pair == (0.0, 0.0)
+            else classify_state(end_to_end(ref_channel, *pair))
+            for pair in sched.pairs]
         cens = census(ref_channel, sched)
         assert cens.n == 60
+
+
+def test_random_schedule_draw_order(ref_channel, ref_plan):
+    # One (n, 2) index draw must replay the interleaved scalar draws (u index,
+    # then v index, slot by slot) so seeded fuzz schedules stay the same.
+    for seed in (0, 1, 7):
+        sched = random_schedule(ref_channel, ref_plan, 300,
+                                np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        u_vals, v_vals = sched.alphabet.U, sched.alphabet.V
+        assert v_vals[-1] == float(rng.uniform(0.2, 2.0))
+        assert sched.pairs == tuple(
+            (u_vals[int(rng.integers(2))], v_vals[int(rng.integers(6))])
+            for _ in range(300))
 
 
 def test_bound_constants_reference(ref_channel):
@@ -242,11 +262,10 @@ def test_lemma2_shape_validation():
         check_lemma2([[0.0]], [[1.0]], [[1.0]], np.eye(2))
 
 
-def test_random_schedule_reaches_every_state(ref_channel):
+def test_random_schedule_reaches_every_state(ref_channel, ref_plan):
     rng = np.random.default_rng(3)
     seen = set()
-    from afdof import slot_states
     for _ in range(20):
-        sched = random_schedule(ref_channel, 120, rng)
+        sched = random_schedule(ref_channel, ref_plan, 120, rng)
         seen.update(slot_states(ref_channel, sched))
     assert seen == set(StateLabel)

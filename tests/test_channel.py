@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -91,8 +92,13 @@ def test_end_to_end_u_relay_only(ref_channel):
 def test_end_to_end_matches_matrix_product(ref_channel):
     mu, lam = 0.7, -1.3
     G = end_to_end(ref_channel, mu, lam)
-    product = ref_channel.second_hop() @ np.diag([mu, lam]) @ ref_channel.first_hop()
-    np.testing.assert_allclose(G.as_array(), product, rtol=1e-12)
+    first_hop = np.array([[ref_channel.h_s1u, ref_channel.h_s2u],
+                          [ref_channel.h_s1v, ref_channel.h_s2v]])
+    second_hop = np.array([[ref_channel.h_ud1, ref_channel.h_vd1],
+                           [ref_channel.h_ud2, ref_channel.h_vd2]])
+    product = second_hop @ np.diag([mu, lam]) @ first_hop
+    np.testing.assert_allclose(np.reshape(G.entries(), (2, 2)), product,
+                               rtol=1e-12)
 
 
 def test_effective_noise_variance_examples(ref_channel):
@@ -143,7 +149,8 @@ def test_at_most_one_zero_entry(seed, mu):
 
 
 def test_json_roundtrip(ref_channel):
-    again = ChannelRealization.from_json(ref_channel.to_json())
+    again = ChannelRealization.from_dict(
+        json.loads(json.dumps(ref_channel.to_dict())))
     assert again == ref_channel
     assert set(ref_channel.to_dict()) == {
         "s1u", "s2u", "s1v", "s2v", "ud1", "vd1", "ud2", "vd2"}

@@ -108,8 +108,9 @@ def test_verify_bounds(tmp_path):
     assert len(bounds["per_P"]) == 5
 
 
-@pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"]],
-                         ids=["slots", "fuzz"])
+@pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"],
+                                   ["--grid", "nan,1e4,1e5,1e6,1e7"]],
+                         ids=["slots", "fuzz", "nan-grid"])
 def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
@@ -119,15 +120,27 @@ def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     assert not (out / "bounds.json").exists()
 
 
-@pytest.mark.parametrize("overrides", [{"trails": 2}, {"channel": {"sed": 3}}],
-                         ids=["top-level", "channel"])
-def test_config_rejects_unknown_key(tmp_path, overrides):
+@pytest.mark.parametrize("overrides,detail", [
+    ({"trails": 2}, "unknown config keys"),
+    ({"channel": {"sed": 3}}, "unknown config keys"),
+    ({"trials": 2.7}, "trials must be an integer"),
+    ({"trials": True}, "trials must be an integer"),
+    ({"fuzz": 1.9}, "fuzz must be an integer"),
+    ({"seed": 0.5}, "seed must be an integer"),
+    ({"channel": {"seed": 1.5}}, "channel.seed must be an integer"),
+    ({"seed": -1}, "seeds must be >= 0"),
+    ({"channel": {"seed": -3}}, "seeds must be >= 0"),
+], ids=["top-level", "channel", "float-trials", "bool-trials", "float-fuzz",
+        "float-seed", "float-channel-seed", "negative-seed",
+        "negative-channel-seed"])
+def test_config_rejects_unknown_key(tmp_path, overrides, detail):
+    # Unknown keys and malformed values of known keys both fail up front.
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     out = tmp_path / "out"
     assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 1
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ValueError"
-    assert "unknown config keys" in err["detail"]
+    assert detail in err["detail"]
     assert not (out / "rates.csv").exists()
 
 
@@ -136,9 +149,17 @@ def test_config_errors_write_error_json(tmp_path, monkeypatch):
     assert main(["sample-conditions", "--config", str(tmp_path / "missing.json"),
                  "--out", str(out)]) == 1
     assert json.loads((out / "error.json").read_text())["error"] == "FileNotFoundError"
-    monkeypatch.setenv("AFDOF_SEED", "nine")
-    assert main(["sample-conditions", "--samples", "5", "--out", str(out)]) == 1
-    assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
+    for argv in (["check-lemma2", "--seed", "-1"],
+                 ["sample-conditions", "--seed", "-1"]):
+        (out / "error.json").unlink()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
+    for env_seed in ("nine", "-1"):
+        (out / "error.json").unlink()
+        monkeypatch.setenv("AFDOF_SEED", env_seed)
+        assert main(["sample-conditions", "--samples", "5",
+                     "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
 
 
 def test_check_lemma2_command(capsys):

@@ -60,11 +60,11 @@ def test_schedule_symbol_length_mismatch(ref_channel, ref_plan):
         simulate_block(ref_channel, sched, np.zeros((5, 2)), noise_seed=0)
 
 
-def test_chain_matches_matrix_shortcut(ref_channel):
+def test_chain_matches_matrix_shortcut(ref_channel, ref_plan):
     # Identical noise substreams: the two evaluation paths are mutual
     # oracles, sample for sample.
     rng = np.random.default_rng(5)
-    sched = random_schedule(ref_channel, 400, rng)
+    sched = random_schedule(ref_channel, ref_plan, 400, rng)
     symbols = rng.normal(0.0, 10.0, size=(len(sched) - 1, 2))
     y1a, y2a = simulate_block(ref_channel, sched, symbols, noise_seed=11)
     y1b, y2b = simulate_block_matrix(ref_channel, sched, symbols, noise_seed=11)
@@ -77,7 +77,7 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
     # Received sample t must equal G(sched[t]) applied to symbols of t - 1
     # plus effective noise; with zero noise it is the pure matrix action.
     rng = np.random.default_rng(0)
-    sched = random_schedule(ref_channel, 50, rng)
+    sched = random_schedule(ref_channel, ref_plan, 50, rng)
     symbols = rng.normal(size=(49, 2))
     y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
                             noise_scale=0.0)
