@@ -9,6 +9,8 @@ effective noise seen at a destination.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,12 @@ class ChannelRealization:
         missing = [k for k in _GAIN_KEYS if k not in d]
         if missing:
             raise ValueError(f"missing channel gains: {missing}")
+        for k in _GAIN_KEYS:
+            g = d[k]
+            if (isinstance(g, bool) or not isinstance(g, numbers.Real)
+                    or not math.isfinite(g)):
+                raise ValueError(f"channel gain {k} must be a finite number, "
+                                 f"got {g!r}")
         return cls(*(float(d[k]) for k in _GAIN_KEYS))
 
 

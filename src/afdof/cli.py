@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,17 +58,12 @@ SLOPE_DOMINANCE_TOL = 0.05
 
 _FLOAT_FMT = ".12g"
 
-_INT_KEYS = ("trials", "n_triples", "schedule_slots", "fuzz", "samples",
-             "count", "max_dim")
-_FLOAT_KEYS = ("rel_tol", "state_tol")
-_CONFIG_KEYS = {"channel", "power_grid", "seed", "output_dir", *_INT_KEYS,
-                *_FLOAT_KEYS}
-_CHANNEL_KEYS = {"gains", "seed"}
-
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment settings shared by the subcommands."""
+    """The one list of settings.  Config keys and flag dests are the field
+    names; the config gives ``channel_seed`` and ``channel_gains`` as
+    ``channel.seed`` and ``channel.gains``."""
 
     channel_seed: int = 42
     channel_gains: dict | None = None
@@ -104,79 +99,89 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(parse_power(tok) for tok in text.split(",") if tok.strip())
 
 
-def _validate_grid(grid) -> None:
-    if not all(math.isfinite(p) for p in grid):
-        raise ValueError(f"power grid values must be finite, got {list(grid)}")
+def _config_value(key: str, default, value):
+    """Type-check one config value against its field's default.  Integers
+    are numbers with no fractional part; no number may be a bool."""
+    if isinstance(default, str):
+        return str(value)
+    if isinstance(default, tuple):
+        return tuple(_config_value(key, default[0], p) for p in value)
+    if default is None:
+        return dict(value)
+    integral = isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    kind = "an integer" if isinstance(default, int) else "a number"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind == "an integer" and not integral)):
+        raise ValueError(f"config key {key} must be {kind}, got {value!r}")
+    return type(default)(value)
+
+
+def read_config(path: str | None) -> dict:
+    """The parsed JSON config, or {} without one."""
+    if not path:
+        return {}
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict) or not isinstance(raw.get("channel", {}), dict):
+        raise ValueError("config and its channel entry must be JSON objects")
+    return raw
+
+
+def load_config(args: argparse.Namespace, raw: dict) -> ExperimentConfig:
+    """Merge defaults < config < flags (the seed falls back to AFDOF_SEED
+    when neither sets it) into one settings object, then validate it."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    channel = raw.get("channel", {})
+    settings = {k: v for k, v in raw.items() if k != "channel"}
+    unknown = sorted(k for k in settings
+                     if k not in names or k.startswith("channel_")) + [
+        f"channel.{k}" for k in sorted(channel) if f"channel_{k}" not in names]
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    settings.update({f"channel_{k}": v for k, v in channel.items()})
+
+    cfg = ExperimentConfig()
+    for name, value in settings.items():
+        setattr(cfg, name, _config_value(name.replace("channel_", "channel."),
+                                         getattr(cfg, name), value))
+    if args.seed is None and "seed" not in raw and os.environ.get("AFDOF_SEED"):
+        cfg.seed = int(os.environ["AFDOF_SEED"])
+    for name in names:
+        value = getattr(args, name, None)
+        if value not in (None, ""):
+            setattr(cfg, name, parse_grid(value) if name == "power_grid" else value)
+    validate_config(cfg)
+    return cfg
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Range-check the merged settings, whatever their source.  The error
+    names every rule they break."""
+    grid = cfg.power_grid
+    broken = [f"{rule}, got {value!r}" for rule, value, ok in (
+        ("seeds must be >= 0", (cfg.seed, cfg.channel_seed),
+         cfg.seed >= 0 and cfg.channel_seed >= 0),
+        ("trials must be >= 1", cfg.trials, cfg.trials >= 1),
+        ("n_triples must be >= 1", cfg.n_triples, cfg.n_triples >= 1),
+        ("samples must be >= 1", cfg.samples, cfg.samples >= 1),
+        ("count must be >= 1", cfg.count, cfg.count >= 1),
+        ("fuzz must be >= 0", cfg.fuzz, cfg.fuzz >= 0),
+        ("schedule_slots must be a positive multiple of 3", cfg.schedule_slots,
+         cfg.schedule_slots >= 3 and cfg.schedule_slots % 3 == 0),
+        ("max_dim must be in [1, 8]", cfg.max_dim, 1 <= cfg.max_dim <= 8),
+        ("rel_tol must be finite and > 0", cfg.rel_tol, 0 < cfg.rel_tol < math.inf),
+        ("state_tol must be finite and > 0", cfg.state_tol,
+         0 < cfg.state_tol < math.inf),
+        ("power grid values must be finite", list(grid),
+         all(math.isfinite(p) for p in grid)),
+        ("power grid must be strictly increasing", list(grid),
+         all(b > a for a, b in zip(grid, grid[1:]))),
+    ) if not ok]
+    if broken:
+        raise ValueError("; ".join(broken))
     if any(p < 1 for p in grid):
         raise InvalidPower(f"power grid values must be >= 1, got {list(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("power grid must be strictly increasing")
-
-
-def _config_int(key: str, value) -> int:
-    """A config integer: a JSON number with no fractional part, not a bool."""
-    integral = (isinstance(value, int)
-                or (isinstance(value, float) and value.is_integer()))
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"config key {key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, the optional JSON config, flag overrides and the
-    AFDOF_SEED fallback into one settings object.  Unknown config keys,
-    non-integral integer settings, negative seeds, an unreadable config and
-    a non-integer AFDOF_SEED raise."""
-    cfg = ExperimentConfig()
-    seed_from_config = None
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or not isinstance(raw.get("channel", {}), dict):
-            raise ValueError("config and its channel entry must be JSON objects")
-        channel = raw.get("channel", {})
-        unknown = sorted(set(raw) - _CONFIG_KEYS) + [
-            f"channel.{k}" for k in sorted(set(channel) - _CHANNEL_KEYS)]
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        if "gains" in channel:
-            cfg.channel_gains = dict(channel["gains"])
-        if "seed" in channel:
-            cfg.channel_seed = _config_int("channel.seed", channel["seed"])
-        if "power_grid" in raw:
-            cfg.power_grid = tuple(float(p) for p in raw["power_grid"])
-        for key in _INT_KEYS:
-            if key in raw:
-                setattr(cfg, key, _config_int(key, raw[key]))
-        if "seed" in raw:
-            seed_from_config = _config_int("seed", raw["seed"])
-        if "output_dir" in raw:
-            cfg.output_dir = str(raw["output_dir"])
-        for key in _FLOAT_KEYS:
-            if key in raw:
-                setattr(cfg, key, float(raw[key]))
-
-    if getattr(args, "grid", None):
-        cfg.power_grid = parse_grid(args.grid)
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    for flag in ("trials", "n_triples", "channel_seed", "slots", "fuzz",
-                 "samples", "count", "max_dim"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, "schedule_slots" if flag == "slots" else flag, int(value))
-
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = int(args.seed)
-    elif seed_from_config is not None:
-        cfg.seed = seed_from_config
-    elif os.environ.get("AFDOF_SEED"):
-        cfg.seed = int(os.environ["AFDOF_SEED"])
-    if cfg.seed < 0 or cfg.channel_seed < 0:
-        raise ValueError(f"seeds must be >= 0, got seed {cfg.seed} and "
-                         f"channel seed {cfg.channel_seed}")
-    return cfg
 
 
 def _resolve_channel(cfg: ExperimentConfig) -> ChannelRealization:
@@ -204,22 +209,18 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def cmd_run_achievability(cfg: ExperimentConfig) -> int:
-    try:
-        _validate_grid(cfg.power_grid)
-        ch = _resolve_channel(cfg)
-        plan = plan_achievability(ch, cfg.rel_tol)
-        points = sweep_power_grid(ch, plan, cfg.power_grid,
-                                  n_triples=cfg.n_triples, trials=cfg.trials,
-                                  seed=cfg.seed)
-        scheme_fit = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points])
-        slope_user1 = estimate_dof_slope([(p.P, p.R1) for p in points]).slope
-        slope_user2 = estimate_dof_slope([(p.P, p.R2) for p in points]).slope
-        tdma_rates = [baseline_tdma_rate(ch, p.P, plan) for p in points]
-        tdma_fit = estimate_dof_slope(
-            [(p.P, r1 + r2) for p, (r1, r2) in zip(points, tdma_rates)])
-    except Exception as exc:  # noqa: BLE001 - every failure maps to error.json
-        return _fail(cfg.output_dir, type(exc).__name__, str(exc))
+def cmd_run_achievability(cfg: ExperimentConfig) -> list:
+    ch = _resolve_channel(cfg)
+    plan = plan_achievability(ch, cfg.rel_tol)
+    points = sweep_power_grid(ch, plan, cfg.power_grid,
+                              n_triples=cfg.n_triples, trials=cfg.trials,
+                              seed=cfg.seed)
+    scheme_fit = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points])
+    slope_user1 = estimate_dof_slope([(p.P, p.R1) for p in points]).slope
+    slope_user2 = estimate_dof_slope([(p.P, p.R2) for p in points]).slope
+    tdma_rates = [baseline_tdma_rate(ch, p.P, plan) for p in points]
+    tdma_fit = estimate_dof_slope(
+        [(p.P, r1 + r2) for p, (r1, r2) in zip(points, tdma_rates)])
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "rates.csv"), "w", newline="") as fh:
@@ -242,70 +243,55 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> int:
         "tdma": tdma_fit.to_dict(),
     })
 
-    checks = []
-    lo, hi = SCHEME_SLOPE_WINDOW
-    checks.append(("scheme_sum_slope", lo <= scheme_fit.slope <= hi,
-                   scheme_fit.slope))
-    lo, hi = USER_SLOPE_WINDOW
-    checks.append(("per_user_slopes",
-                   lo <= slope_user1 <= hi and lo <= slope_user2 <= hi,
-                   (slope_user1, slope_user2)))
-    lo, hi = TDMA_SLOPE_WINDOW
-    checks.append(("tdma_slope", lo <= tdma_fit.slope <= hi, tdma_fit.slope))
     top = points[-1]
     tdma_top = sum(tdma_rates[-1])
-    checks.append(("tdma_below_scheme",
-                   tdma_fit.slope < scheme_fit.slope
-                   and tdma_top < top.R1 + top.R2,
-                   {"tdma_sum": tdma_top, "scheme_sum": top.R1 + top.R2}))
-    checks.append(("relay_power_feasible",
-                   all(p.relay_pu <= p.P + 3 * p.relay_pu_se
-                       and p.relay_pv <= p.P + 3 * p.relay_pv_se
-                       for p in points),
-                   [(p.relay_pu / p.P, p.relay_pv / p.P) for p in points]))
     sums = [p.R1 + p.R2 for p in points]
-    checks.append(("monotone_sum_rate",
-                   all(b >= a for a, b in zip(sums, sums[1:])), sums))
+    lo, hi = USER_SLOPE_WINDOW
+    return [
+        ("scheme_sum_slope",
+         SCHEME_SLOPE_WINDOW[0] <= scheme_fit.slope <= SCHEME_SLOPE_WINDOW[1],
+         scheme_fit.slope),
+        ("per_user_slopes",
+         lo <= slope_user1 <= hi and lo <= slope_user2 <= hi,
+         (slope_user1, slope_user2)),
+        ("tdma_slope",
+         TDMA_SLOPE_WINDOW[0] <= tdma_fit.slope <= TDMA_SLOPE_WINDOW[1],
+         tdma_fit.slope),
+        ("tdma_below_scheme",
+         tdma_fit.slope < scheme_fit.slope and tdma_top < top.R1 + top.R2,
+         {"tdma_sum": tdma_top, "scheme_sum": top.R1 + top.R2}),
+        ("relay_power_feasible",
+         all(p.relay_pu <= p.P + 3 * p.relay_pu_se
+             and p.relay_pv <= p.P + 3 * p.relay_pv_se for p in points),
+         [(p.relay_pu / p.P, p.relay_pv / p.P) for p in points]),
+        ("monotone_sum_rate", all(b >= a for a, b in zip(sums, sums[1:])), sums),
+    ]
 
-    failed = [(name, detail) for name, ok, detail in checks if not ok]
-    if failed:
-        return _fail(cfg.output_dir, "invariant_check_failed",
-                     {name: detail for name, detail in failed})
-    return 0
 
+def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
+    n = cfg.schedule_slots
+    ch = _resolve_channel(cfg)
+    plan = plan_achievability(ch, cfg.rel_tol)
+    schedule = schedule_from_plan(plan, n)
+    labels = slot_states(ch, schedule, cfg.state_tol)
+    cens = StateCensus.from_labels(labels)
+    constants = bound_constants(ch, plan.alphabet())
+    set_name, fraction = min_census_fraction(cens)
 
-def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
-    try:
-        _validate_grid(cfg.power_grid)
-        n = cfg.schedule_slots
-        if n < 3 or n % 3 != 0:
-            raise ValueError("schedule_slots must be a positive multiple of 3")
-        if cfg.fuzz < 0:
-            raise ValueError("fuzz must be >= 0")
-        ch = _resolve_channel(cfg)
-        plan = plan_achievability(ch, cfg.rel_tol)
-        schedule = schedule_from_plan(plan, n)
-        labels = slot_states(ch, schedule, cfg.state_tol)
-        cens = StateCensus.from_labels(labels)
-        constants = bound_constants(ch, plan.alphabet())
-        set_name, fraction = min_census_fraction(cens)
+    evaluations = [(P, evaluate_bounds(cens, P, constants))
+                   for P in cfg.power_grid]
+    var_d1, var_d2 = analytic_noise_variances(ch, plan)
+    achieved = [(P, achievable_rate(P, *var_d1) + achievable_rate(P, *var_d2))
+                for P in cfg.power_grid]
+    achieved_fit = estimate_dof_slope(achieved)
 
-        evaluations = [(P, evaluate_bounds(cens, P, constants))
-                       for P in cfg.power_grid]
-        var_d1, var_d2 = analytic_noise_variances(ch, plan)
-        achieved = [(P, achievable_rate(P, *var_d1) + achievable_rate(P, *var_d2))
-                    for P in cfg.power_grid]
-        achieved_fit = estimate_dof_slope(achieved)
-
-        fuzz_violations = 0
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.fuzz):
-            sched = random_schedule(ch, plan, n, rng)
-            _, frac = min_census_fraction(census(ch, sched, cfg.state_tol))
-            if frac > 1.0 / 3.0 + 1e-12:
-                fuzz_violations += 1
-    except Exception as exc:  # noqa: BLE001
-        return _fail(cfg.output_dir, type(exc).__name__, str(exc))
+    fuzz_violations = 0
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.fuzz):
+        sched = random_schedule(ch, plan, n, rng)
+        _, frac = min_census_fraction(census(ch, sched, cfg.state_tol))
+        if frac > 1.0 / 3.0 + 1e-12:
+            fuzz_violations += 1
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
@@ -324,7 +310,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         "fuzz": {"schedules": cfg.fuzz, "violations": fuzz_violations},
     })
 
-    checks = [
+    return [
         ("pigeonhole", fraction <= 1.0 / 3.0 + 1e-12, fraction),
         ("achievability_census_balanced",
          cens.nA == cens.nB == cens.nC1 == n // 3 and cens.nZero == 0,
@@ -334,30 +320,18 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
          {"achieved": achieved_fit.slope, "min_bound": min_bound_slope}),
         ("fuzz_violations", fuzz_violations == 0, fuzz_violations),
     ]
-    failed = [(name, detail) for name, ok, detail in checks if not ok]
-    if failed:
-        return _fail(cfg.output_dir, "invariant_check_failed",
-                     {name: detail for name, detail in failed})
-    return 0
 
 
-def cmd_check_lemma2(count: int, max_dim: int, seed: int) -> int:
-    if count < 1:
-        print("usage error: count must be >= 1", file=sys.stderr)
-        return 2
-    if not 1 <= max_dim <= 8:
-        print("usage error: max_dim must be in [1, 8]", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(seed)
+def cmd_check_lemma2(cfg: ExperimentConfig) -> list:
+    rng = np.random.default_rng(cfg.seed)
     violations = 0
     checked = 0
     attempts = 0
-    while checked < count:
+    while checked < cfg.count:
         attempts += 1
-        if attempts > 100 * count:
-            print("too many singular resamples", file=sys.stderr)
-            return 1
-        instance = random_lemma2_instance(rng, max_dim)
+        if attempts > 100 * cfg.count:
+            raise SingularCovariance("too many singular resamples")
+        instance = random_lemma2_instance(rng, cfg.max_dim)
         try:
             _, _, holds = check_lemma2(*instance)
         except SingularCovariance:
@@ -366,36 +340,50 @@ def cmd_check_lemma2(count: int, max_dim: int, seed: int) -> int:
         if not holds:
             violations += 1
     print(json.dumps({"count": checked, "violations": violations}))
-    return 0 if violations == 0 else 1
+    return [("lemma2_violations", violations == 0, violations)]
 
 
-def cmd_sample_conditions(cfg: ExperimentConfig) -> int:
-    if cfg.channel_gains is not None:
-        ch = ChannelRealization.from_dict(cfg.channel_gains)
-        report = check_conditions(ch, cfg.rel_tol)
-        failures = 0 if report.generic else 1
-        print(json.dumps({"samples": 1, "failures": failures,
-                          "fraction": float(failures), "generic": report.generic}))
-        return 0 if failures == 0 else 1
-    if cfg.samples < 1:
-        print("usage error: samples must be >= 1", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(cfg.seed)
-    failures = 0
-    for _ in range(cfg.samples):
-        ch = ChannelRealization(*(float(g) for g in rng.standard_normal(8)))
-        if not check_conditions(ch, cfg.rel_tol).generic:
-            failures += 1
-    print(json.dumps({"samples": cfg.samples, "failures": failures,
-                      "fraction": failures / cfg.samples}))
-    return 0 if failures == 0 else 1
+def cmd_sample_conditions(cfg: ExperimentConfig) -> list:
+    inline = cfg.channel_gains is not None
+    if inline:
+        channels = [ChannelRealization.from_dict(cfg.channel_gains)]
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        channels = (ChannelRealization(*(float(g) for g in rng.standard_normal(8)))
+                    for _ in range(cfg.samples))
+    failures = sum(not check_conditions(ch, cfg.rel_tol).generic for ch in channels)
+    samples = 1 if inline else cfg.samples
+    report = {"samples": samples, "failures": failures, "fraction": failures / samples}
+    print(json.dumps({**report, "generic": failures == 0} if inline else report))
+    return [("genericity_failures", failures == 0, failures)]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="experiment seed (fallback: config, then AFDOF_SEED)")
-    sub.add_argument("--out", help="output directory")
+_COMMANDS = {  # name: (function, help, flags beyond --config, --seed, --out)
+    "run-achievability": (cmd_run_achievability,
+                          "rate sweep over a power grid plus TDMA baseline",
+                          ("--grid", "--trials", "--n-triples", "--channel-seed")),
+    "verify-bounds": (cmd_verify_bounds,
+                      "state census, slope bounds and pigeonhole checks",
+                      ("--grid", "--slots", "--fuzz", "--channel-seed")),
+    "check-lemma2": (cmd_check_lemma2,
+                     "random Gaussian instances of the entropy lemma",
+                     ("--count", "--max-dim")),
+    "sample-conditions": (cmd_sample_conditions,
+                          "sample channels and report genericity failures",
+                          ("--samples",)),
+}
+
+_FLAGS = {  # flag: (ExperimentConfig field it sets, help)
+    "--grid": ("power_grid", "comma-separated powers, e.g. 1e3,1e4.5,1e6"),
+    "--trials": ("trials", None),
+    "--n-triples": ("n_triples", None),
+    "--channel-seed": ("channel_seed", None),
+    "--slots": ("schedule_slots", "schedule length (multiple of 3)"),
+    "--fuzz": ("fuzz", "number of random schedules to fuzz"),
+    "--count": ("count", None),
+    "--max-dim": ("max_dim", None),
+    "--samples": ("samples", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,54 +395,36 @@ def build_parser() -> argparse.ArgumentParser:
                      "AFDOF_SEED seeds runs when neither flag nor config "
                      "sets one."))
     subs = parser.add_subparsers(dest="command", required=True)
-
-    run = subs.add_parser("run-achievability",
-                          help="rate sweep over a power grid plus TDMA baseline")
-    _add_common(run)
-    run.add_argument("--grid", help="comma-separated powers, e.g. 1e3,1e4.5,1e6")
-    run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--n-triples", dest="n_triples", type=int, default=None)
-    run.add_argument("--channel-seed", dest="channel_seed", type=int, default=None)
-
-    ver = subs.add_parser("verify-bounds",
-                          help="state census, slope bounds and pigeonhole checks")
-    _add_common(ver)
-    ver.add_argument("--grid", help="comma-separated powers")
-    ver.add_argument("--slots", type=int, default=None,
-                     help="schedule length (multiple of 3)")
-    ver.add_argument("--fuzz", type=int, default=None,
-                     help="number of random schedules to fuzz")
-    ver.add_argument("--channel-seed", dest="channel_seed", type=int, default=None)
-
-    lem = subs.add_parser("check-lemma2",
-                          help="random Gaussian instances of the entropy lemma")
-    _add_common(lem)
-    lem.add_argument("--count", type=int, default=None)
-    lem.add_argument("--max-dim", dest="max_dim", type=int, default=None)
-
-    cond = subs.add_parser("sample-conditions",
-                           help="sample channels and report genericity failures")
-    _add_common(cond)
-    cond.add_argument("--samples", type=int, default=None)
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="JSON config file; flags override its fields")
+        sub.add_argument("--seed", type=int,
+                         help="experiment seed (fallback: config, then AFDOF_SEED)")
+        sub.add_argument("--out", dest="output_dir", metavar="OUT",
+                         help="output directory")
+        for flag in flags:
+            dest, flag_help = _FLAGS[flag]
+            sub.add_argument(flag, dest=dest, help=flag_help,
+                             metavar=flag[2:].replace("-", "_").upper(),
+                             type=str if dest == "power_grid" else int)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Each ``cmd_*`` writes its outputs and returns
+    its ``(name, ok, detail)`` invariant checks.  Any exception or failed
+    check ends in ``error.json`` and exit status 1, in the directory settled
+    first: ``--out``, else the config's ``output_dir``, else the default."""
     args = build_parser().parse_args(argv)
+    outdir = args.output_dir or ExperimentConfig.output_dir
     try:
-        cfg = load_config(args)
-    except (OSError, ValueError, TypeError) as exc:
-        return _fail(args.out, type(exc).__name__, str(exc))
-    if args.command == "run-achievability":
-        return cmd_run_achievability(cfg)
-    if args.command == "verify-bounds":
-        return cmd_verify_bounds(cfg)
-    if args.command == "check-lemma2":
-        return cmd_check_lemma2(cfg.count, cfg.max_dim, cfg.seed)
-    if args.command == "sample-conditions":
-        return cmd_sample_conditions(cfg)
-    raise AssertionError(f"unhandled command {args.command}")
+        raw = read_config(args.config)
+        outdir = args.output_dir or str(raw.get("output_dir", outdir))
+        checks = _COMMANDS[args.command][0](load_config(args, raw))
+    except Exception as exc:  # noqa: BLE001 - every failure maps to error.json
+        return _fail(outdir, type(exc).__name__, str(exc))
+    failed = {name: detail for name, ok, detail in checks if not ok}
+    return _fail(outdir, "invariant_check_failed", failed) if failed else 0
 
 
 if __name__ == "__main__":

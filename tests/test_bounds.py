@@ -108,6 +108,20 @@ def test_census_random_schedules_consistent(ref_channel, ref_plan):
         assert cens.n == 60
 
 
+@settings(max_examples=50)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       k=st.integers(min_value=-20, max_value=20))
+def test_slot_states_scale_invariant(seed, k):
+    # Scaling every (mu, lam) by a power of two scales each end-to-end entry
+    # and linear form exactly, so no label may change.
+    ch = sample_channel(seed)
+    sched = random_schedule(ch, plan_achievability(ch), 60,
+                            np.random.default_rng(seed))
+    s = 2.0 ** k
+    scaled = AfSchedule(tuple((s * mu, s * lam) for mu, lam in sched.pairs))
+    assert slot_states(ch, scaled) == slot_states(ch, sched)
+
+
 def test_random_schedule_draw_order(ref_channel, ref_plan):
     # One (n, 2) index draw must replay the interleaved scalar draws (u index,
     # then v index, slot by slot) so seeded fuzz schedules stay the same.

@@ -148,6 +148,33 @@ def test_at_most_one_zero_entry(seed, mu):
         assert zeros <= 1
 
 
+# Small integers give rank-deficient and zero-gain channels; the magnitude
+# floor keeps every product scaled by 2**k clear of subnormals.
+scalable_gain = st.one_of(st.integers(min_value=-3, max_value=3).map(float),
+                          st.floats(min_value=1e-3, max_value=1e3),
+                          st.floats(min_value=-1e3, max_value=-1e-3))
+
+
+@given(gains=st.lists(scalable_gain, min_size=8, max_size=8),
+       k=st.integers(min_value=-20, max_value=20))
+def test_check_conditions_scale_invariant(gains, k):
+    # Scaling by a power of two is exact in floating point, so the verdict
+    # must not move and each determinant must scale exactly.
+    s = 2.0 ** k
+    base = check_conditions(ChannelRealization(*gains))
+    scaled = check_conditions(ChannelRealization(*(s * g for g in gains)))
+
+    def verdict(rep):
+        return (rep.all_nonzero, rep.rank_h1_full, rep.rank_h2_full,
+                rep.rank_hsup1_full, rep.rank_hsup2_full)
+
+    assert verdict(scaled) == verdict(base)
+    assert (scaled.det_h1, scaled.det_h2) == (s ** 2 * base.det_h1,
+                                              s ** 2 * base.det_h2)
+    assert (scaled.det_hsup1, scaled.det_hsup2) == (s ** 4 * base.det_hsup1,
+                                                    s ** 4 * base.det_hsup2)
+
+
 def test_json_roundtrip(ref_channel):
     again = ChannelRealization.from_dict(
         json.loads(json.dumps(ref_channel.to_dict())))
@@ -156,6 +183,17 @@ def test_json_roundtrip(ref_channel):
         "s1u", "s2u", "s1v", "s2v", "ud1", "vd1", "ud2", "vd2"}
 
 
-def test_from_dict_requires_all_gains():
-    with pytest.raises(ValueError):
-        ChannelRealization.from_dict({"s1u": 1.0})
+REF_GAIN_DICT = reference_channel().to_dict()
+
+
+@pytest.mark.parametrize("gains,detail", [
+    ({"s1u": 1.0}, "missing channel gains"),
+    ({**REF_GAIN_DICT, "s1u": True}, "s1u"),
+    ({**REF_GAIN_DICT, "vd1": "x"}, "vd1"),
+    ({**REF_GAIN_DICT, "ud2": math.nan}, "ud2"),
+    ({**REF_GAIN_DICT, "vd2": math.inf}, "vd2"),
+    ({**REF_GAIN_DICT, "s2v": -math.inf}, "s2v"),
+], ids=["missing", "bool", "string", "nan", "inf", "neg-inf"])
+def test_from_dict_requires_all_gains(gains, detail):
+    with pytest.raises(ValueError, match=detail):
+        ChannelRealization.from_dict(gains)

@@ -130,9 +130,16 @@ def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     ({"channel": {"seed": 1.5}}, "channel.seed must be an integer"),
     ({"seed": -1}, "seeds must be >= 0"),
     ({"channel": {"seed": -3}}, "seeds must be >= 0"),
+    ({"rel_tol": -1}, "rel_tol must be finite and > 0"),
+    ({"rel_tol": float("nan")}, "rel_tol must be finite and > 0"),
+    ({"state_tol": True}, "state_tol must be a number"),
+    ({"power_grid": [1e3, True, 1e6]}, "power_grid must be a number"),
+    ({"channel": {"gains": {**REF_GAIN_JSON, "s1u": float("inf")}}},
+     "channel gain s1u must be a finite number"),
 ], ids=["top-level", "channel", "float-trials", "bool-trials", "float-fuzz",
         "float-seed", "float-channel-seed", "negative-seed",
-        "negative-channel-seed"])
+        "negative-channel-seed", "negative-rel-tol", "nan-rel-tol",
+        "bool-state-tol", "bool-grid-entry", "inf-gain"])
 def test_config_rejects_unknown_key(tmp_path, overrides, detail):
     # Unknown keys and malformed values of known keys both fail up front.
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -160,6 +167,15 @@ def test_config_errors_write_error_json(tmp_path, monkeypatch):
         assert main(["sample-conditions", "--samples", "5",
                      "--out", str(out)]) == 1
         assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
+    # Without --out, error.json goes to the config's output_dir, even when a
+    # later config key is the one that fails.
+    cfg = tmp_path / "cfg.json"
+    for command, overrides in (("run-achievability", {"trials": 2.5}),
+                               ("sample-conditions", {"rel_tol": -1})):
+        cfg_out = tmp_path / command
+        cfg.write_text(json.dumps({"output_dir": str(cfg_out), **overrides}))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert json.loads((cfg_out / "error.json").read_text())["error"] == "ValueError"
 
 
 def test_check_lemma2_command(capsys):
@@ -169,9 +185,18 @@ def test_check_lemma2_command(capsys):
     assert report == {"count": 50, "violations": 0}
 
 
-def test_check_lemma2_usage_errors():
-    assert main(["check-lemma2", "--count", "0"]) == 2
-    assert main(["check-lemma2", "--count", "5", "--max-dim", "9"]) == 2
+def test_check_lemma2_usage_errors(tmp_path):
+    out = tmp_path / "out"
+    for argv, setting in ((["check-lemma2", "--count", "0"], "count"),
+                          (["check-lemma2", "--count", "5", "--max-dim", "9"],
+                           "max_dim"),
+                          (["sample-conditions", "--samples", "0"], "samples"),
+                          (["run-achievability", "--trials", "0"], "trials")):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError"
+        assert setting in err["detail"]
+        (out / "error.json").unlink()
 
 
 def test_sample_conditions(capsys):
@@ -191,9 +216,11 @@ def test_sample_conditions_deterministic(capsys):
 def test_sample_conditions_inline_nongeneric(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"channel": {"gains": {k: 1 for k in REF_GAIN_JSON}}}))
-    assert main(["sample-conditions", "--config", str(cfg)]) == 1
+    out = tmp_path / "out"
+    assert main(["sample-conditions", "--config", str(cfg), "--out", str(out)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["generic"] is False
+    assert json.loads((out / "error.json").read_text())["error"] == "invariant_check_failed"
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
