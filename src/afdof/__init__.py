@@ -23,7 +23,6 @@ from .scheme import (
     InvalidPower,
     NonGenericChannel,
     PhasePlan,
-    RateReport,
     achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,
@@ -34,7 +33,7 @@ from .scheme import (
 )
 from .simulate import (
     InsufficientGrid,
-    RatePoint,
+    RateReport,
     SchemeStats,
     SimConfig,
     SlopeFit,

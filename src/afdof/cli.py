@@ -34,7 +34,7 @@ from .scheme import (
     plan_achievability,
     schedule_from_plan,
 )
-from .simulate import estimate_dof_slope, sweep_power_grid
+from .simulate import estimate_dof_slope, fit_rate_report, sweep_power_grid
 from .bounds import (
     SingularCovariance,
     StateCensus,
@@ -170,6 +170,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("schedule_slots must be a positive multiple of 3", cfg.schedule_slots,
          cfg.schedule_slots >= 3 and cfg.schedule_slots % 3 == 0),
         ("max_dim must be in [1, 8]", cfg.max_dim, 1 <= cfg.max_dim <= 8),
+        ("output_dir must be nonempty", cfg.output_dir, cfg.output_dir != ""),
         ("rel_tol must be finite and > 0", cfg.rel_tol, 0 < cfg.rel_tol < math.inf),
         ("state_tol must be finite and > 0", cfg.state_tol,
          0 < cfg.state_tol < math.inf),
@@ -198,9 +199,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _fail(outdir: str, name: str, detail) -> int:
     payload = {"error": name, "detail": detail}
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        _write_json(os.path.join(outdir, "error.json"), payload)
+    os.makedirs(outdir, exist_ok=True)
+    _write_json(os.path.join(outdir, "error.json"), payload)
     print(json.dumps(payload), file=sys.stderr)
     return 1
 
@@ -215,9 +215,7 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
     points = sweep_power_grid(ch, plan, cfg.power_grid,
                               n_triples=cfg.n_triples, trials=cfg.trials,
                               seed=cfg.seed)
-    scheme_fit = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points])
-    slope_user1 = estimate_dof_slope([(p.P, p.R1) for p in points]).slope
-    slope_user2 = estimate_dof_slope([(p.P, p.R2) for p in points]).slope
+    report = fit_rate_report(points)
     tdma_rates = [baseline_tdma_rate(ch, p.P, plan) for p in points]
     tdma_fit = estimate_dof_slope(
         [(p.P, r1 + r2) for p, (r1, r2) in zip(points, tdma_rates)])
@@ -237,9 +235,9 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
         "channel": ch.to_dict(),
     })
     _write_json(os.path.join(cfg.output_dir, "slope.json"), {
-        "scheme": {**scheme_fit.to_dict(),
-                   "slope_user1": slope_user1,
-                   "slope_user2": slope_user2},
+        "scheme": {**report.sum_fit.to_dict(),
+                   "slope_user1": report.slope_user1,
+                   "slope_user2": report.slope_user2},
         "tdma": tdma_fit.to_dict(),
     })
 
@@ -249,16 +247,16 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
     lo, hi = USER_SLOPE_WINDOW
     return [
         ("scheme_sum_slope",
-         SCHEME_SLOPE_WINDOW[0] <= scheme_fit.slope <= SCHEME_SLOPE_WINDOW[1],
-         scheme_fit.slope),
+         SCHEME_SLOPE_WINDOW[0] <= report.slope_sum <= SCHEME_SLOPE_WINDOW[1],
+         report.slope_sum),
         ("per_user_slopes",
-         lo <= slope_user1 <= hi and lo <= slope_user2 <= hi,
-         (slope_user1, slope_user2)),
+         lo <= report.slope_user1 <= hi and lo <= report.slope_user2 <= hi,
+         (report.slope_user1, report.slope_user2)),
         ("tdma_slope",
          TDMA_SLOPE_WINDOW[0] <= tdma_fit.slope <= TDMA_SLOPE_WINDOW[1],
          tdma_fit.slope),
         ("tdma_below_scheme",
-         tdma_fit.slope < scheme_fit.slope and tdma_top < top.R1 + top.R2,
+         tdma_fit.slope < report.slope_sum and tdma_top < top.R1 + top.R2,
          {"tdma_sum": tdma_top, "scheme_sum": top.R1 + top.R2}),
         ("relay_power_feasible",
          all(p.relay_pu <= p.P + 3 * p.relay_pu_se
@@ -414,12 +412,13 @@ def main(argv=None) -> int:
     """Run one subcommand.  Each ``cmd_*`` writes its outputs and returns
     its ``(name, ok, detail)`` invariant checks.  Any exception or failed
     check ends in ``error.json`` and exit status 1, in the directory settled
-    first: ``--out``, else the config's ``output_dir``, else the default."""
+    first: ``--out``, else the config's nonempty ``output_dir``, else the
+    default."""
     args = build_parser().parse_args(argv)
     outdir = args.output_dir or ExperimentConfig.output_dir
     try:
         raw = read_config(args.config)
-        outdir = args.output_dir or str(raw.get("output_dir", outdir))
+        outdir = args.output_dir or str(raw.get("output_dir") or outdir)
         checks = _COMMANDS[args.command][0](load_config(args, raw))
     except Exception as exc:  # noqa: BLE001 - every failure maps to error.json
         return _fail(outdir, type(exc).__name__, str(exc))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import (
     ChannelRealization,
     EndToEndMatrix,
@@ -110,29 +112,6 @@ class PhasePlan:
         }
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Per-power rates over a grid plus fitted DoF slopes (vs half-log power)."""
-
-    P: tuple[float, ...]
-    R1: tuple[float, ...]
-    R2: tuple[float, ...]
-    slope_user1: float | None = None
-    slope_user2: float | None = None
-    slope_sum: float | None = None
-
-    def __post_init__(self):
-        if any(r < 0 for r in self.R1 + self.R2):
-            raise ValueError("rates must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "P": list(self.P), "R1": list(self.R1), "R2": list(self.R2),
-            "slope_user1": self.slope_user1, "slope_user2": self.slope_user2,
-            "slope_sum": self.slope_sum,
-        }
-
-
 def plan_achievability(ch: ChannelRealization,
                        rel_tol: float = DEFAULT_REL_TOL) -> PhasePlan:
     """Derive the three-phase relay coefficients for a generic channel.
@@ -164,8 +143,10 @@ def schedule_from_plan(plan: PhasePlan, n: int) -> AfSchedule:
     """Periodic schedule of n relay-transmit slots cycling phases 1, 2, 3.
 
     Slot k carries the phase (k mod 3) coefficients; a partial trailing
-    period is fine.  The one-slot relay delay is handled by the simulator,
-    which pairs relay slot t with the source symbols of slot t - 1.
+    period is fine.  This is the census and bound schedule, not the one
+    run_scheme_trial simulates: there relay slot t forwards source slot
+    t - 1 and so carries phase (t - 1) mod 3.  The rotation leaves the
+    census of any whole number of periods unchanged.
     """
     if n < 3:
         raise ValueError("schedule needs at least one full period (n >= 3)")
@@ -234,32 +215,21 @@ def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan,
 
     Returns ((sigma1_sq, sigma2_sq), (sigma1_sq_d2, sigma2_sq_d2)) where the
     first entry of each pair is the directly-received stream and the second
-    the three-slot combination.  The three phases forward disjoint relay
-    noise samples, so the combination's variance is the sum of its three
-    scaled per-phase effective noise variances.
+    the three-slot combination.  The decoders are linear, so feeding them
+    the three unit impulses gives each stream's weights on the block's
+    samples.  The three phases forward disjoint relay noise samples, so a
+    stream's variance is its squared weights times the per-phase effective
+    noise variances.  Raises DegenerateCoefficients when the decoders do.
     """
     pairs = plan.phase_pairs()
-    G1, G2, G3 = (end_to_end(ch, mu, lam) for mu, lam in pairs)
-    v1 = [effective_noise_variance(ch, mu, lam, 1) for mu, lam in pairs]
-    v2 = [effective_noise_variance(ch, mu, lam, 2) for mu, lam in pairs]
-
-    scale = _coef_scale(G1, G2, G3)
-    for val, name in ((G1.alpha1, "G1.alpha1"), (G2.alpha1, "G2.alpha1"),
-                      (G3.beta1, "G3.beta1"), (G2.beta2, "G2.beta2"),
-                      (G3.alpha2, "G3.alpha2"), (G1.beta2, "G1.beta2")):
-        _need_nonzero(val, scale, rel_tol, name)
-
-    sigma1_sq = v1[0] / G1.alpha1 ** 2
-    k3 = G2.beta1 / (G2.alpha1 * G3.beta1)
-    k1 = (G3.alpha1 * G2.beta1) / (G1.alpha1 * G2.alpha1 * G3.beta1)
-    sigma2_sq = v1[1] / G2.alpha1 ** 2 + k3 * k3 * v1[2] + k1 * k1 * v1[0]
-
-    tau1_sq = v2[1] / G2.beta2 ** 2
-    m3 = G1.alpha2 / (G1.beta2 * G3.alpha2)
-    m2 = (G1.alpha2 * G3.beta2) / (G1.beta2 * G3.alpha2 * G2.beta2)
-    tau2_sq = v2[0] / G1.beta2 ** 2 + m3 * m3 * v2[2] + m2 * m2 * v2[1]
-
-    return (sigma1_sq, sigma2_sq), (tau1_sq, tau2_sq)
+    G = [end_to_end(ch, mu, lam) for mu, lam in pairs]
+    variances = []
+    for dest, decode in ((1, reconstruct_d1), (2, reconstruct_d2)):
+        noise = [effective_noise_variance(ch, mu, lam, dest) for mu, lam in pairs]
+        weights = np.square(decode(*np.eye(3), *G, rel_tol))
+        variances.append([float(w @ noise) for w in weights])
+    (a1, a2), (b1, b2) = variances
+    return (a1, a2), (b2, b1)
 
 
 def achievable_rate(P: float, sigma1_sq: float, sigma2_sq: float) -> float:
@@ -273,25 +243,17 @@ def achievable_rate(P: float, sigma1_sq: float, sigma2_sq: float) -> float:
 
 
 def baseline_tdma_rate(ch: ChannelRealization, P: float,
-                       plan: PhasePlan | None = None) -> tuple[float, float]:
+                       plan: PhasePlan) -> tuple[float, float]:
     """Constant-AF time-sharing baseline: each user transmits alone in half
     the slots.
 
     During user 1's slots the relays hold the phase-1 coefficients, during
-    user 2's the phase-2 coefficients, so each destination sees its own
-    direct coefficient with no interference.  Per-user rate is
-    (1/4) log2(1 + P g^2 / noise_var); the sum scales like a single
-    interference-free user.
+    user 2's the phase-2 coefficients, so each destination decodes its own
+    direct stream with no interference.  Per-user rate is
+    (1/4) log2(1 + P / sigma_sq) with sigma_sq that direct stream's
+    variance; the sum scales like a single interference-free user.
     """
     if P < 1:
         raise InvalidPower(f"P must be >= 1, got {P}")
-    if plan is None:
-        plan = plan_achievability(ch)
-    (mu1, lam1), (mu2, lam2), _ = plan.phase_pairs()
-    g1 = end_to_end(ch, mu1, lam1).alpha1
-    g2 = end_to_end(ch, mu2, lam2).beta2
-    n1 = effective_noise_variance(ch, mu1, lam1, 1)
-    n2 = effective_noise_variance(ch, mu2, lam2, 2)
-    r1 = 0.25 * math.log2(1.0 + P * g1 * g1 / n1)
-    r2 = 0.25 * math.log2(1.0 + P * g2 * g2 / n2)
-    return r1, r2
+    (s1, _), (t1, _) = analytic_noise_variances(ch, plan)
+    return 0.25 * math.log2(1.0 + P / s1), 0.25 * math.log2(1.0 + P / t1)

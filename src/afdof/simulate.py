@@ -19,7 +19,6 @@ from .scheme import (
     AfSchedule,
     InvalidPower,
     PhasePlan,
-    RateReport,
     achievable_rate,
     reconstruct_d1,
     reconstruct_d2,
@@ -69,8 +68,9 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SchemeStats:
-    """Trial-averaged reconstruction MSEs and relay powers."""
+    """Trial-averaged reconstruction MSEs and relay powers at power P."""
 
+    P: float
     mse_a1: float
     mse_a2: float
     mse_b1: float
@@ -80,6 +80,16 @@ class SchemeStats:
     relay_pu_se: float
     relay_pv_se: float
     n_samples: int
+
+    # Properties, not fields: a noise_scale=0 run has zero MSE, which
+    # achievable_rate rejects.
+    @property
+    def R1(self) -> float:
+        return achievable_rate(self.P, self.mse_a1, self.mse_a2)
+
+    @property
+    def R2(self) -> float:
+        return achievable_rate(self.P, self.mse_b1, self.mse_b2)
 
 
 @dataclass(frozen=True)
@@ -99,20 +109,16 @@ class SlopeFit:
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """One power-grid row: rates, per-stream MSEs and relay powers."""
+class RateReport:
+    """DoF slopes of one power sweep: the sum-rate fit and each user's slope."""
 
-    P: float
-    R1: float
-    R2: float
-    mse_a1: float
-    mse_a2: float
-    mse_b1: float
-    mse_b2: float
-    relay_pu: float
-    relay_pv: float
-    relay_pu_se: float = 0.0
-    relay_pv_se: float = 0.0
+    sum_fit: SlopeFit
+    slope_user1: float
+    slope_user2: float
+
+    @property
+    def slope_sum(self) -> float:
+        return self.sum_fit.slope
 
 
 def _stream(*key: int) -> np.random.Generator:
@@ -283,6 +289,7 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan,
     se_u = float(np.std(pu, ddof=1) / math.sqrt(len(pu))) if len(pu) > 1 else 0.0
     se_v = float(np.std(pv, ddof=1) / math.sqrt(len(pv))) if len(pv) > 1 else 0.0
     return SchemeStats(
+        P=config.P,
         mse_a1=sum(r.sq_err_a1 for r in records) / n_samples,
         mse_a2=sum(r.sq_err_a2 for r in records) / n_samples,
         mse_b1=sum(r.sq_err_b1 for r in records) / n_samples,
@@ -317,37 +324,21 @@ def estimate_dof_slope(rates) -> SlopeFit:
 
 
 def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
-                     n_triples: int, trials: int, seed: int) -> list[RatePoint]:
-    """Measure rates over a power grid.
+                     n_triples: int, trials: int, seed: int) -> list[SchemeStats]:
+    """Measure rates over a power grid, one SchemeStats per power.
 
     Rates come from the analytic formula fed by the empirical stream MSEs,
     not from bit-error counting.  Each grid point gets its own derived
     seed, keeping the sweep deterministic.
     """
-    points = []
-    for idx, P in enumerate(grid):
-        cfg = SimConfig(P=float(P), n_triples=n_triples, trials=trials,
-                        seed=seed + idx)
-        s = run_scheme_trials(ch, plan, cfg)
-        points.append(RatePoint(
-            P=float(P),
-            R1=achievable_rate(P, s.mse_a1, s.mse_a2),
-            R2=achievable_rate(P, s.mse_b1, s.mse_b2),
-            mse_a1=s.mse_a1, mse_a2=s.mse_a2,
-            mse_b1=s.mse_b1, mse_b2=s.mse_b2,
-            relay_pu=s.relay_pu, relay_pv=s.relay_pv,
-            relay_pu_se=s.relay_pu_se, relay_pv_se=s.relay_pv_se))
-    return points
+    return [run_scheme_trials(ch, plan, SimConfig(P=float(P), n_triples=n_triples,
+                                                  trials=trials, seed=seed + idx))
+            for idx, P in enumerate(grid)]
 
 
-def fit_rate_report(points: list[RatePoint]) -> RateReport:
+def fit_rate_report(points: list[SchemeStats]) -> RateReport:
     """Fit per-user and sum DoF slopes over a measured power sweep."""
-    sum_fit = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points])
-    u1_fit = estimate_dof_slope([(p.P, p.R1) for p in points])
-    u2_fit = estimate_dof_slope([(p.P, p.R2) for p in points])
-    return RateReport(P=tuple(p.P for p in points),
-                      R1=tuple(p.R1 for p in points),
-                      R2=tuple(p.R2 for p in points),
-                      slope_user1=u1_fit.slope,
-                      slope_user2=u2_fit.slope,
-                      slope_sum=sum_fit.slope)
+    return RateReport(
+        sum_fit=estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points]),
+        slope_user1=estimate_dof_slope([(p.P, p.R1) for p in points]).slope,
+        slope_user2=estimate_dof_slope([(p.P, p.R2) for p in points]).slope)

@@ -176,6 +176,13 @@ def test_config_errors_write_error_json(tmp_path, monkeypatch):
         cfg.write_text(json.dumps({"output_dir": str(cfg_out), **overrides}))
         assert main([command, "--config", str(cfg)]) == 1
         assert json.loads((cfg_out / "error.json").read_text())["error"] == "ValueError"
+    # An empty output_dir is rejected, and error.json falls back to the
+    # default directory.
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text(json.dumps({"output_dir": ""}))
+    assert main(["sample-conditions", "--config", str(cfg), "--samples", "5"]) == 1
+    err = json.loads((tmp_path / "afdof-out" / "error.json").read_text())
+    assert err["error"] == "ValueError" and "output_dir" in err["detail"]
 
 
 def test_check_lemma2_command(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -206,6 +207,14 @@ def test_analytic_variances_reference(ref_channel, ref_plan):
     assert t2 == pytest.approx(want_t2, rel=1e-12)
 
 
+def test_analytic_variances_reject_non_nulling_plan(ref_channel, ref_plan):
+    # Phase 1 no longer cancels source 2 at destination 1, so the decoder
+    # behind the variances has no clean first stream.
+    plan = dataclasses.replace(ref_plan, lambda_phase1=1.01 * ref_plan.lambda_phase1)
+    with pytest.raises(DegenerateCoefficients):
+        analytic_noise_variances(ref_channel, plan)
+
+
 def test_variances_exceed_destination_noise_floor():
     for seed in range(50):
         ch = sample_channel(seed)
@@ -246,6 +255,10 @@ def test_baseline_rates(ref_channel, ref_plan):
     v1 = effective_noise_variance(ref_channel, c, ref_plan.lambda_phase1, 1)
     want = 0.25 * math.log2(1.0 + 1e4 * (5 * c) ** 2 / v1)
     assert baseline_tdma_rate(ref_channel, 1e4, ref_plan)[0] == pytest.approx(want, rel=1e-12)
+    # user 2 sees the phase-2 (2,2) entry 10c/3
+    v2 = effective_noise_variance(ref_channel, c, ref_plan.lambda_phase2, 2)
+    want = 0.25 * math.log2(1.0 + 1e4 * (10 * c / 3) ** 2 / v2)
+    assert baseline_tdma_rate(ref_channel, 1e4, ref_plan)[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_baseline_crossover(ref_channel, ref_plan):

@@ -197,6 +197,8 @@ def test_scheme_slope_windows(ref_channel, ref_plan):
     assert USER_SLOPE_WINDOW[0] <= report.slope_user1 <= USER_SLOPE_WINDOW[1]
     assert USER_SLOPE_WINDOW[0] <= report.slope_user2 <= USER_SLOPE_WINDOW[1]
     sums = [p.R1 + p.R2 for p in points]
+    assert report.slope_sum == report.sum_fit.slope
+    assert report.sum_fit == estimate_dof_slope([(p.P, s) for p, s in zip(points, sums)])
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
