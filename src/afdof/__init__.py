@@ -29,7 +29,7 @@ from .scheme import (
     plan_achievability,
     reconstruct_d1,
     reconstruct_d2,
-    schedule_from_plan,
+    scheme_schedule,
 )
 from .simulate import (
     InsufficientGrid,
@@ -40,7 +40,6 @@ from .simulate import (
     TrialRecord,
     estimate_dof_slope,
     fit_rate_report,
-    relay_samples,
     run_scheme_trial,
     run_scheme_trials,
     simulate_block,

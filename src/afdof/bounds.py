@@ -51,6 +51,10 @@ class StateLabel(str, Enum):
     ZERO = "Zero"    # all entries zero (both coefficients zero)
 
 
+# Label order is StateCensus's count order: nA, nB, nC1, nC2, nC3, nZero.
+_LABELS = tuple(StateLabel)
+
+
 @dataclass(frozen=True)
 class StateCensus:
     """Per-state slot counts for one schedule."""
@@ -69,17 +73,6 @@ class StateCensus:
             raise ValueError("counts must be nonnegative and n >= 1")
         if sum(counts) != self.n:
             raise ValueError("state counts must sum to n")
-
-    @classmethod
-    def from_labels(cls, labels) -> "StateCensus":
-        """Count a sequence of per-slot state labels."""
-        counts = {label: 0 for label in StateLabel}
-        for label in labels:
-            counts[label] += 1
-        return cls(nA=counts[StateLabel.A], nB=counts[StateLabel.B],
-                   nC1=counts[StateLabel.C1], nC2=counts[StateLabel.C2],
-                   nC3=counts[StateLabel.C3], nZero=counts[StateLabel.ZERO],
-                   n=len(labels))
 
     @property
     def nC(self) -> int:
@@ -165,41 +158,50 @@ def classify_state(G: EndToEndMatrix,
         f"{n_zero} zero entries with a nonzero entry present: {entries}")
 
 
+def _slot_label_ids(ch: ChannelRealization, schedule: AfSchedule,
+                    rel_tol: float) -> np.ndarray:
+    """Each slot's state as a position in StateLabel order.
+
+    A slot's state depends only on its (mu, lambda) index pair, so each
+    distinct pair that occurs is classified once and every slot reads its
+    pair's label from that table.  Membership in state A is double-checked
+    through its defining linear form (the (2,1) coefficient as a function of
+    mu, lambda); disagreement with the zero-pattern label means the
+    tolerance split the two computations and raises ImpossiblePattern.
+    """
+    U, V = schedule.alphabet.U, schedule.alphabet.V
+    iu, iv = schedule.index.T.astype(np.intp)
+    codes, slot_code = np.unique(iu * len(V) + iv, return_inverse=True)
+    table = []
+    for mu, lam in ((U[c // len(V)], V[c % len(V)]) for c in codes.tolist()):
+        label = StateLabel.ZERO
+        if mu != 0.0 or lam != 0.0:
+            G = end_to_end(ch, mu, lam)
+            label = classify_state(G, rel_tol)
+            if label is StateLabel.ZERO:
+                raise ImpossiblePattern(
+                    f"pair ({mu}, {lam}): nonzero coefficients produced an "
+                    "all-zero matrix")
+            form = mu * ch.h_ud2 * ch.h_s1u + lam * ch.h_vd2 * ch.h_s1v
+            if (abs(form) <= rel_tol * G.max_abs()) != (label is StateLabel.A):
+                raise ImpossiblePattern(
+                    f"pair ({mu}, {lam}): zero-pattern and linear-form tests "
+                    "for state A disagree")
+        table.append(_LABELS.index(label))
+    return np.array(table, dtype=np.intp)[slot_code]
+
+
 def slot_states(ch: ChannelRealization, schedule: AfSchedule,
                 rel_tol: float = DEFAULT_STATE_TOL) -> list[StateLabel]:
-    """Per-slot state labels for a schedule.
-
-    A slot's state depends only on its (mu, lambda) pair, so each distinct
-    pair is classified once and every slot reads its pair's label.
-    Membership in state A is double-checked through its defining linear
-    form (the (2,1) coefficient as a function of mu, lambda); disagreement
-    with the zero-pattern label means the tolerance split the two
-    computations and raises ImpossiblePattern.
-    """
-    by_pair = {}
-    for mu, lam in dict.fromkeys(schedule.pairs):
-        if mu == 0.0 and lam == 0.0:
-            by_pair[mu, lam] = StateLabel.ZERO
-            continue
-        G = end_to_end(ch, mu, lam)
-        label = classify_state(G, rel_tol)
-        if label is StateLabel.ZERO:
-            raise ImpossiblePattern(
-                f"pair ({mu}, {lam}): nonzero coefficients produced an "
-                "all-zero matrix")
-        form = mu * ch.h_ud2 * ch.h_s1u + lam * ch.h_vd2 * ch.h_s1v
-        if (abs(form) <= rel_tol * G.max_abs()) != (label is StateLabel.A):
-            raise ImpossiblePattern(
-                f"pair ({mu}, {lam}): zero-pattern and linear-form tests for "
-                "state A disagree")
-        by_pair[mu, lam] = label
-    return [by_pair[pair] for pair in schedule.pairs]
+    """Per-slot state labels for a schedule."""
+    return [_LABELS[i] for i in _slot_label_ids(ch, schedule, rel_tol).tolist()]
 
 
 def census(ch: ChannelRealization, schedule: AfSchedule,
            rel_tol: float = DEFAULT_STATE_TOL) -> StateCensus:
     """Classify every slot of a schedule and count the states."""
-    return StateCensus.from_labels(slot_states(ch, schedule, rel_tol))
+    ids = _slot_label_ids(ch, schedule, rel_tol)
+    return StateCensus(*np.bincount(ids, minlength=len(_LABELS)).tolist(), n=len(ids))
 
 
 def bound_constants(ch: ChannelRealization,
@@ -367,6 +369,5 @@ def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
     u_vals = (c, 0.0)
     v_vals = (0.0, plan.lambda_phase1, plan.lambda_phase2, null_c2, null_c3,
               float(rng.uniform(0.2, 2.0)))
-    slots = rng.integers((len(u_vals), len(v_vals)), size=(n, 2))
-    pairs = tuple((u_vals[i], v_vals[j]) for i, j in slots.tolist())
-    return AfSchedule(pairs=pairs, alphabet=AfAlphabet(U=u_vals, V=v_vals))
+    index = rng.integers((len(u_vals), len(v_vals)), size=(n, 2))
+    return AfSchedule(AfAlphabet(U=u_vals, V=v_vals), index)

@@ -32,12 +32,11 @@ from .scheme import (
     achievable_rate,
     analytic_noise_variances,
     plan_achievability,
-    schedule_from_plan,
+    scheme_schedule,
 )
 from .simulate import estimate_dof_slope, fit_rate_report, sweep_power_grid
 from .bounds import (
     SingularCovariance,
-    StateCensus,
     bound_constants,
     census,
     check_lemma2,
@@ -270,9 +269,9 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     n = cfg.schedule_slots
     ch = _resolve_channel(cfg)
     plan = plan_achievability(ch, cfg.rel_tol)
-    schedule = schedule_from_plan(plan, n)
+    schedule = scheme_schedule(plan, n // 3)[1:]  # the data slots
     labels = slot_states(ch, schedule, cfg.state_tol)
-    cens = StateCensus.from_labels(labels)
+    cens = census(ch, schedule, cfg.state_tol)
     constants = bound_constants(ch, plan.alphabet())
     set_name, fraction = min_census_fraction(cens)
 
@@ -295,7 +294,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "mu", "lambda", "state"])
-        for k, ((mu, lam), label) in enumerate(zip(schedule.pairs, labels)):
+        for k, (mu, lam, label) in enumerate(zip(schedule.mu, schedule.lam, labels)):
             writer.writerow([k, _fmt(mu), _fmt(lam), label.value])
     min_bound_slope = min(ev.min_slope_dof() for _, ev in evaluations)
     _write_json(os.path.join(cfg.output_dir, "bounds.json"), {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,23 +54,47 @@ class AfAlphabet:
             raise ValueError("alphabet values must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AfSchedule:
-    """Per-slot relay coefficient pairs (mu_k, lambda_k), indexed by
-    relay-transmit slot."""
+    """Per-slot relay coefficients as alphabet indices: slot k uses
+    (U[index[k, 0]], V[index[k, 1]]), read as the cached arrays mu and lam."""
 
-    pairs: tuple[tuple[float, float], ...]
-    alphabet: AfAlphabet | None = None
+    alphabet: AfAlphabet
+    index: np.ndarray
 
     def __post_init__(self):
-        if self.alphabet is not None:
-            for k, (mu, lam) in enumerate(self.pairs):
-                if mu not in self.alphabet.U or lam not in self.alphabet.V:
-                    raise ValueError(
-                        f"slot {k}: coefficient pair ({mu}, {lam}) outside alphabet")
+        index = np.asarray(self.index)
+        n_u, n_v = len(self.alphabet.U), len(self.alphabet.V)
+        if index.ndim != 2 or index.shape[1] != 2 or index.dtype.kind not in "iu":
+            raise ValueError("index must be an (L, 2) integer array")
+        if index.size and (index.min() < 0 or index[:, 0].max() >= n_u
+                           or index[:, 1].max() >= n_v):
+            raise ValueError(f"index outside the alphabet sizes ({n_u}, {n_v})")
+        object.__setattr__(self, "index", index.astype(
+            np.min_scalar_type(max(n_u, n_v) - 1), copy=False))
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "AfSchedule":
+        """Schedule of the given per-slot (mu, lambda) pairs over the
+        alphabet of their distinct values, in first-occurrence order."""
+        mus, lams = np.asarray(pairs, dtype=float).reshape(-1, 2).T.tolist()
+        U, V = tuple(dict.fromkeys(mus)), tuple(dict.fromkeys(lams))
+        return cls(AfAlphabet(U=U, V=V), np.array(
+            [[U.index(mu), V.index(lam)] for mu, lam in zip(mus, lams)]))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.index)
+
+    def __getitem__(self, slots: slice) -> "AfSchedule":
+        return AfSchedule(self.alphabet, self.index[slots])
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return np.asarray(self.alphabet.U)[self.index[:, 0]]
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return np.asarray(self.alphabet.V)[self.index[:, 1]]
 
 
 @dataclass(frozen=True)
@@ -96,11 +121,8 @@ class PhasePlan:
                 (self.mu_all, self.lambda_phase3))
 
     def alphabet(self) -> AfAlphabet:
-        v_vals: list[float] = []
-        for v in (self.lambda_phase3, self.lambda_phase1, self.lambda_phase2):
-            if v not in v_vals:
-                v_vals.append(v)
-        return AfAlphabet(U=(self.mu_all,), V=tuple(v_vals))
+        return AfAlphabet(U=(self.mu_all,), V=tuple(dict.fromkeys(
+            (self.lambda_phase3, self.lambda_phase1, self.lambda_phase2))))
 
     def to_dict(self) -> dict:
         return {
@@ -139,20 +161,21 @@ def plan_achievability(ch: ChannelRealization,
                      lambda_phase3=0.0, mu_all=c)
 
 
-def schedule_from_plan(plan: PhasePlan, n: int) -> AfSchedule:
-    """Periodic schedule of n relay-transmit slots cycling phases 1, 2, 3.
+def scheme_schedule(plan: PhasePlan, n_triples: int) -> AfSchedule:
+    """The scheme's relay schedule for n_triples blocks: warmup slot 0, then
+    3 n_triples slots cycling phases 1, 2, 3.
 
-    Slot k carries the phase (k mod 3) coefficients; a partial trailing
-    period is fine.  This is the census and bound schedule, not the one
-    run_scheme_trial simulates: there relay slot t forwards source slot
-    t - 1 and so carries phase (t - 1) mod 3.  The rotation leaves the
-    census of any whole number of periods unchanged.
+    Relay slot t forwards source slot t - 1, so it carries the phase
+    (t - 1) mod 3 coefficients; the warmup slot holds the phase-3 pair and
+    scales a zero input.
     """
-    if n < 3:
-        raise ValueError("schedule needs at least one full period (n >= 3)")
-    phase = plan.phase_pairs()
-    return AfSchedule(pairs=tuple(phase[k % 3] for k in range(n)),
-                      alphabet=plan.alphabet())
+    if n_triples < 1:
+        raise ValueError("schedule needs at least one block (n_triples >= 1)")
+    alphabet = plan.alphabet()
+    index = np.zeros((3 * n_triples + 1, 2), dtype=np.uint8)
+    for phase, (_, lam) in enumerate(plan.phase_pairs()):
+        index[(phase + 1) % 3::3, 1] = alphabet.V.index(lam)
+    return AfSchedule(alphabet, index)
 
 
 def _coef_scale(*matrices: EndToEndMatrix) -> float:

@@ -22,6 +22,7 @@ from .scheme import (
     achievable_rate,
     reconstruct_d1,
     reconstruct_d2,
+    scheme_schedule,
 )
 
 # Substream tags: every consumer of randomness inside a trial gets its own
@@ -149,10 +150,10 @@ def _chain_noise(seed: int, trial: int, n_source: int, noise_scale: float):
     return zu, zv, zd1, zd2
 
 
-def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int,
+def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int, trial: int,
                   noise_scale: float):
     """Validate one block and return the chain inputs after the channel:
-    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0."""
+    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial's streams."""
     symbols = np.asarray(symbols, dtype=float)
     if symbols.size == 0:
         symbols = symbols.reshape(0, 2)
@@ -162,9 +163,8 @@ def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int,
         raise ValueError(
             f"schedule length {len(schedule)} must be symbol slots + 1 "
             f"(got {symbols.shape[0]} symbol slots)")
-    pairs = np.asarray(schedule.pairs, dtype=float)
-    return (pairs[:, 0], pairs[:, 1], symbols[:, 0], symbols[:, 1],
-            *_chain_noise(noise_seed, 0, symbols.shape[0], noise_scale))
+    return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
+            *_chain_noise(noise_seed, trial, symbols.shape[0], noise_scale))
 
 
 def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
@@ -183,17 +183,8 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
     (y1, y2) : length-L received sample arrays at the two destinations
     """
     y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
-                                             noise_scale))
+                                             0, noise_scale))
     return y1, y2
-
-
-def relay_samples(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                  noise_seed: int, noise_scale: float = 1.0):
-    """Relay transmit samples (xu, xv) for one block, same conventions and
-    noise substreams as simulate_block."""
-    _, _, xu, xv = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
-                                             noise_scale))
-    return xu, xv
 
 
 def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
@@ -205,7 +196,7 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     noise_seed the two paths must agree sample for sample.
     """
     mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
-        schedule, symbols, noise_seed, noise_scale)
+        schedule, symbols, noise_seed, 0, noise_scale)
     x1_prev = np.concatenate(([0.0], x1))
     x2_prev = np.concatenate(([0.0], x2))
     zu_prev = np.concatenate(([0.0], zu))
@@ -224,18 +215,6 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     return y1, y2
 
 
-def _scheme_lam_array(plan: PhasePlan, n_triples: int) -> np.ndarray:
-    # Relay slot t forwards source slot t - 1, whose phase is (t - 1) mod 3;
-    # index 0 falls on the warmup slot (its coefficient scales a zero input).
-    m = 3 * n_triples
-    lam = np.empty(m + 1)
-    lam[0] = plan.lambda_phase3
-    lam[1::3] = plan.lambda_phase1
-    lam[2::3] = plan.lambda_phase2
-    lam[3::3] = plan.lambda_phase3
-    return lam
-
-
 def run_scheme_trial(ch: ChannelRealization, plan: PhasePlan, P: float,
                      n_triples: int, seed: int, trial: int,
                      noise_scale: float = 1.0) -> TrialRecord:
@@ -243,25 +222,23 @@ def run_scheme_trial(ch: ChannelRealization, plan: PhasePlan, P: float,
 
     Source symbols are zero-mean Gaussian with variance P.  Within each
     block, both sources repeat their phase-3 symbols as the scheme
-    requires (user 1 resends its first symbol, user 2 its second).
+    requires (user 1 resends its first symbol, user 2 its second): a block
+    sends (a1, b1), (a2, b2), (a1, b2).  The relays run
+    scheme_schedule(plan, n_triples) through simulate_block's chain path.
     """
-    sym = _stream(seed, trial, _TAG_SYMBOLS).standard_normal((n_triples, 4))
+    return _trial(ch, plan, scheme_schedule(plan, n_triples), P, seed, trial, noise_scale)
+
+
+def _trial(ch: ChannelRealization, plan: PhasePlan, schedule: AfSchedule, P: float,
+           seed: int, trial: int, noise_scale: float) -> TrialRecord:
+    sym = _stream(seed, trial, _TAG_SYMBOLS).standard_normal((len(schedule) // 3, 4))
     sym *= math.sqrt(P)
     a1, a2, b1, b2 = sym.T
-    m = 3 * n_triples
-    x1 = np.empty(m)
-    x2 = np.empty(m)
-    x1[0::3] = a1
-    x1[1::3] = a2
-    x1[2::3] = a1
-    x2[0::3] = b1
-    x2[1::3] = b2
-    x2[2::3] = b2
-
-    mu_arr = np.full(m + 1, plan.mu_all)
-    lam_arr = _scheme_lam_array(plan, n_triples)
-    y1, y2, xu, xv = _chain(ch, mu_arr, lam_arr, x1, x2,
-                            *_chain_noise(seed, trial, m, noise_scale))
+    x1, x2 = sources = np.empty((2, len(schedule) - 1))  # contiguous per source
+    x1[0::3], x1[1::3], x1[2::3] = a1, a2, a1
+    x2[0::3], x2[1::3], x2[2::3] = b1, b2, b2
+    y1, y2, xu, xv = _chain(ch, *_block_inputs(schedule, sources.T, seed, trial,
+                                               noise_scale))
 
     G1, G2, G3 = (end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs())
     a1_hat, a2_hat = reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], G1, G2, G3)
@@ -274,14 +251,14 @@ def run_scheme_trial(ch: ChannelRealization, plan: PhasePlan, P: float,
         sq_err_b2=float(np.sum((b2_hat - b2) ** 2)),
         relay_u_second_moment=float(np.mean(xu[1:] ** 2)),
         relay_v_second_moment=float(np.mean(xv[1:] ** 2)),
-        n_triples=n_triples)
+        n_triples=len(sym))
 
 
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan,
                       config: SimConfig, noise_scale: float = 1.0) -> SchemeStats:
-    """Run config.trials independent trials and aggregate their records."""
-    records = [run_scheme_trial(ch, plan, config.P, config.n_triples,
-                                config.seed, t, noise_scale)
+    """Run config.trials trials of one shared schedule and aggregate them."""
+    schedule = scheme_schedule(plan, config.n_triples)
+    records = [_trial(ch, plan, schedule, config.P, config.seed, t, noise_scale)
                for t in range(config.trials)]
     n_samples = config.trials * config.n_triples
     pu = np.array([r.relay_u_second_moment for r in records])

@@ -40,7 +40,7 @@ from afdof import (
     random_schedule,
     run_scheme_trials,
     sample_channel,
-    schedule_from_plan,
+    scheme_schedule,
     simulate_block,
     simulate_block_matrix,
     sweep_power_grid,
@@ -183,7 +183,7 @@ def test_criterion_06_census_pigeonhole():
         _, fraction = min_census_fraction(census(ch, sched))
         random_ok = random_ok and fraction <= 1 / 3 + 1e-12
 
-    cens = census(ch, schedule_from_plan(plan, 300))
+    cens = census(ch, scheme_schedule(plan, 100)[1:])
     balanced = (cens.nA, cens.nB, cens.nC1, cens.nZero) == (100, 100, 100, 0)
     _report(6, "min census fraction <= 1/3 exhaustively (n <= 8) and on 1e3 "
                "random schedules at n=300; achievability census is balanced",
@@ -194,7 +194,7 @@ def test_criterion_06_census_pigeonhole():
 def test_criterion_07_bound_dominance():
     ch = reference_channel()
     plan = plan_achievability(ch)
-    cens = census(ch, schedule_from_plan(plan, 300))
+    cens = census(ch, scheme_schedule(plan, 100)[1:])
     constants = bound_constants(ch, plan.alphabet())
     min_bound = min(evaluate_bounds(cens, P, constants).min_slope_dof()
                     for P in GRID)

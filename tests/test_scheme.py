@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from afdof import (
     reconstruct_d1,
     reconstruct_d2,
     sample_channel,
-    schedule_from_plan,
+    scheme_schedule,
 )
 from afdof.bounds import StateLabel, slot_states
 from conftest import REFERENCE_GAINS, reference_channel
@@ -81,34 +82,68 @@ def test_plan_nulling_fuzz():
             assert abs(value) > 1e-9 * max(G1.max_abs(), G2.max_abs(), G3.max_abs())
 
 
+def _pairs(sched):
+    return list(zip(sched.mu.tolist(), sched.lam.tolist()))
+
+
 def test_schedule_one_period(ref_plan):
-    sched = schedule_from_plan(ref_plan, 3)
-    assert sched.pairs == ref_plan.phase_pairs()
+    # Warmup slot 0 holds the phase-3 pair, then phases 1, 2, 3.
+    phases = list(ref_plan.phase_pairs())
+    assert _pairs(scheme_schedule(ref_plan, 1)) == [phases[2]] + phases
 
 
-def test_schedule_partial_tail(ref_plan):
-    sched = schedule_from_plan(ref_plan, 7)
-    assert len(sched) == 7
-    assert sched.pairs[:3] == ref_plan.phase_pairs()
-    assert sched.pairs[3:6] == ref_plan.phase_pairs()
-    assert sched.pairs[6] == ref_plan.phase_pairs()[0]
+def test_scheme_schedule_periodic(ref_plan):
+    # Relay slot t carries phase (t - 1) mod 3, stored as narrow indices into
+    # the plan's alphabet.
+    sched = scheme_schedule(ref_plan, 5)
+    phases = ref_plan.phase_pairs()
+    assert len(sched) == 16 and sched.index.dtype == np.uint8
+    assert sched.alphabet == ref_plan.alphabet()
+    assert _pairs(sched) == [phases[(t - 1) % 3] for t in range(16)]
+    assert _pairs(sched[1:]) == list(phases) * 5
 
 
 def test_schedule_too_short(ref_plan):
     with pytest.raises(ValueError):
-        schedule_from_plan(ref_plan, 2)
+        scheme_schedule(ref_plan, 0)
 
 
 def test_schedule_state_sequence(ref_channel, ref_plan):
     # Phase 1 nulls (1,2), phase 2 nulls (2,1), phase 3 has no zeros.
-    sched = schedule_from_plan(ref_plan, 6)
-    labels = slot_states(ref_channel, sched)
+    labels = slot_states(ref_channel, scheme_schedule(ref_plan, 2)[1:])
     assert labels == [StateLabel.B, StateLabel.A, StateLabel.C1] * 2
 
 
 def test_schedule_enforces_alphabet(ref_plan):
-    with pytest.raises(ValueError):
-        AfSchedule(pairs=((ref_plan.c, 123.0),), alphabet=ref_plan.alphabet())
+    # The plan's alphabet has one u value and three v values.
+    alphabet = ref_plan.alphabet()
+    for index in ([[0, 3]], [[1, 0]], [[-1, 0]], [[0, -1]], [0, 0],
+                  [[0, 0, 0]], [[0.0, 1.0]], [[True, False]]):
+        with pytest.raises(ValueError):
+            AfSchedule(alphabet, np.array(index))
+    assert len(AfSchedule(alphabet, np.array([[0, 2]] * 4))) == 4
+
+
+def test_schedule_from_pairs():
+    sched = AfSchedule.from_pairs([(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)])
+    assert sched.alphabet == AfAlphabet(U=(1.0, 2.0), V=(0.5, -1.0))
+    assert sched.index.tolist() == [[0, 0], [1, 0], [0, 1]]
+    assert _pairs(sched) == [(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1], ids=["mu", "lam"])
+def test_schedule_rejects_nonfinite(column, value):
+    # Every schedule is built over an AfAlphabet, whose finite check rejects
+    # the pair before any census or simulation can see it.
+    pair = [0.5, -0.25]
+    pair[column] = value
+    with pytest.raises(ValueError, match="finite"):
+        AfSchedule.from_pairs([tuple(pair)] * 3)
+    with pytest.raises(ValueError, match="finite"):
+        AfSchedule(AfAlphabet(U=(pair[0],), V=(pair[1],)),
+                   np.zeros((3, 2), dtype=int))
 
 
 def test_alphabet_must_be_nonempty():

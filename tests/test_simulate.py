@@ -16,15 +16,16 @@ from afdof import (
     plan_achievability,
     reconstruct_d1,
     reconstruct_d2,
-    relay_samples,
     run_scheme_trial,
     run_scheme_trials,
     sample_channel,
+    scheme_schedule,
     simulate_block,
     simulate_block_matrix,
     sweep_power_grid,
 )
 from afdof.bounds import random_schedule
+from afdof.simulate import _TAG_DEST1, _TAG_DEST2, _TAG_SYMBOLS, _stream
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
@@ -35,7 +36,7 @@ GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
 
 def test_zero_noise_zero_symbols(ref_channel, ref_plan):
-    sched = AfSchedule(pairs=tuple(ref_plan.phase_pairs()) * 2)
+    sched = AfSchedule.from_pairs(ref_plan.phase_pairs() * 2)
     symbols = np.zeros((len(sched) - 1, 2))
     y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
                             noise_scale=0.0)
@@ -46,7 +47,7 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
     # One forwarded slot with phase-1 coefficients and unit symbols: d1 sees
     # only the (1,1) entry -5c, d2 sees -4c + 2c.
     pair = ref_plan.phase_pairs()[0]
-    sched = AfSchedule(pairs=(pair, pair))
+    sched = AfSchedule.from_pairs((pair, pair))
     y1, y2 = simulate_block(ref_channel, sched, [[1.0, 1.0]], noise_seed=0,
                             noise_scale=0.0)
     c = ref_plan.c
@@ -55,16 +56,20 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
 
 
 def test_schedule_symbol_length_mismatch(ref_channel, ref_plan):
-    sched = AfSchedule(pairs=tuple(ref_plan.phase_pairs()))
+    sched = AfSchedule.from_pairs(ref_plan.phase_pairs())
     with pytest.raises(ValueError):
         simulate_block(ref_channel, sched, np.zeros((5, 2)), noise_seed=0)
 
 
-def test_chain_matches_matrix_shortcut(ref_channel, ref_plan):
+@pytest.mark.parametrize("make_schedule", [
+    lambda ch, plan, rng: random_schedule(ch, plan, 400, rng),
+    lambda ch, plan, rng: scheme_schedule(plan, 133),
+], ids=["random_schedule", "scheme_schedule"])
+def test_chain_matches_matrix_shortcut(ref_channel, ref_plan, make_schedule):
     # Identical noise substreams: the two evaluation paths are mutual
     # oracles, sample for sample.
     rng = np.random.default_rng(5)
-    sched = random_schedule(ref_channel, ref_plan, 400, rng)
+    sched = make_schedule(ref_channel, ref_plan, rng)
     symbols = rng.normal(0.0, 10.0, size=(len(sched) - 1, 2))
     y1a, y2a = simulate_block(ref_channel, sched, symbols, noise_seed=11)
     y1b, y2b = simulate_block_matrix(ref_channel, sched, symbols, noise_seed=11)
@@ -82,11 +87,33 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
     y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
                             noise_scale=0.0)
     for t in (1, 7, 23, 49):
-        G = end_to_end(ref_channel, *sched.pairs[t])
+        G = end_to_end(ref_channel, sched.mu[t], sched.lam[t])
         want1 = G.alpha1 * symbols[t - 1, 0] + G.beta1 * symbols[t - 1, 1]
         assert y1[t] == pytest.approx(want1, rel=1e-12, abs=1e-15)
         want2 = G.alpha2 * symbols[t - 1, 0] + G.beta2 * symbols[t - 1, 1]
         assert y2[t] == pytest.approx(want2, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
+    # run_scheme_trial runs scheme_schedule through the chain; the matrix
+    # oracle on that schedule, with the trial's symbols and noise streams,
+    # must decode to the same stream errors.
+    P, n = 100.0, 200
+    rec = run_scheme_trial(ref_channel, ref_plan, P, n, seed=seed, trial=0)
+    sym = _stream(seed, 0, _TAG_SYMBOLS).standard_normal((n, 4)) * math.sqrt(P)
+    a1, a2, b1, b2 = sym.T
+    symbols = np.stack([a1, b1, a2, b2, a1, b2], axis=1).reshape(3 * n, 2)
+    y1, y2 = simulate_block_matrix(ref_channel, scheme_schedule(ref_plan, n),
+                                   symbols, noise_seed=seed)
+    G = [end_to_end(ref_channel, mu, lam) for mu, lam in ref_plan.phase_pairs()]
+    a1_hat, a2_hat = reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], *G)
+    b1_hat, b2_hat = reconstruct_d2(y2[1::3], y2[2::3], y2[3::3], *G)
+    want = [float(np.sum((hat - x) ** 2)) for hat, x in
+            ((a1_hat, a1), (a2_hat, a2), (b1_hat, b1), (b2_hat, b2))]
+    got = [rec.sq_err_a1, rec.sq_err_a2, rec.sq_err_b1, rec.sq_err_b2]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert rec.n_triples == n
 
 
 def test_trial_determinism(ref_channel, ref_plan):
@@ -94,9 +121,13 @@ def test_trial_determinism(ref_channel, ref_plan):
     first = run_scheme_trials(ref_channel, ref_plan, cfg)
     second = run_scheme_trials(ref_channel, ref_plan, cfg)
     assert first == second
-    r0 = run_scheme_trial(ref_channel, ref_plan, 100.0, 50, 9, 0)
-    r1 = run_scheme_trial(ref_channel, ref_plan, 100.0, 50, 9, 1)
-    assert r0 != r1
+    records = [run_scheme_trial(ref_channel, ref_plan, 100.0, 50, 9, t)
+               for t in range(3)]
+    assert records[0] != records[1]
+    # The trials of run_scheme_trials share one schedule; each must equal
+    # its standalone run_scheme_trial.
+    assert first.mse_a1 == sum(r.sq_err_a1 for r in records) / 150
+    assert first.mse_b2 == sum(r.sq_err_b2 for r in records) / 150
 
 
 def test_mse_zero_noise(ref_channel, ref_plan):
@@ -135,9 +166,13 @@ def test_noiseless_reconstruction_at_extreme_power(ref_channel, ref_plan):
 
 
 def test_relay_power_zero_schedule(ref_channel):
-    sched = AfSchedule(pairs=((0.0, 0.0),) * 10)
-    xu, xv = relay_samples(ref_channel, sched, np.ones((9, 2)), noise_seed=0)
-    assert not xu.any() and not xv.any()
+    # All-zero coefficients silence both relays, relay noise included.  The
+    # second hop of the reference channel is invertible, so each destination
+    # hears exactly its own noise only if both relays send zero.
+    sched = AfSchedule.from_pairs(((0.0, 0.0),) * 10)
+    y1, y2 = simulate_block(ref_channel, sched, np.ones((9, 2)), noise_seed=0)
+    assert np.array_equal(y1, _stream(0, 0, _TAG_DEST1).standard_normal(10))
+    assert np.array_equal(y2, _stream(0, 0, _TAG_DEST2).standard_normal(10))
 
 
 def test_relay_power_reference_ratio(ref_channel, ref_plan):
