@@ -35,12 +35,9 @@ from .simulate import (
     InsufficientGrid,
     RateReport,
     SchemeStats,
-    SimConfig,
     SlopeFit,
-    TrialRecord,
     estimate_dof_slope,
     fit_rate_report,
-    run_scheme_trial,
     run_scheme_trials,
     simulate_block,
     simulate_block_matrix,

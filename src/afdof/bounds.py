@@ -119,9 +119,6 @@ class BoundEvaluation:
     argmin_set: str
     residual_note: str = RESIDUAL_NOTE
 
-    def min_bound(self) -> float:
-        return min(self.bound1, self.bound2, self.bound3)
-
     def min_slope_dof(self) -> float:
         return min(self.slope_dof)
 
@@ -164,10 +161,7 @@ def _slot_label_ids(ch: ChannelRealization, schedule: AfSchedule,
 
     A slot's state depends only on its (mu, lambda) index pair, so each
     distinct pair that occurs is classified once and every slot reads its
-    pair's label from that table.  Membership in state A is double-checked
-    through its defining linear form (the (2,1) coefficient as a function of
-    mu, lambda); disagreement with the zero-pattern label means the
-    tolerance split the two computations and raises ImpossiblePattern.
+    pair's label from that table.
     """
     U, V = schedule.alphabet.U, schedule.alphabet.V
     iu, iv = schedule.index.T.astype(np.intp)
@@ -176,17 +170,11 @@ def _slot_label_ids(ch: ChannelRealization, schedule: AfSchedule,
     for mu, lam in ((U[c // len(V)], V[c % len(V)]) for c in codes.tolist()):
         label = StateLabel.ZERO
         if mu != 0.0 or lam != 0.0:
-            G = end_to_end(ch, mu, lam)
-            label = classify_state(G, rel_tol)
+            label = classify_state(end_to_end(ch, mu, lam), rel_tol)
             if label is StateLabel.ZERO:
                 raise ImpossiblePattern(
                     f"pair ({mu}, {lam}): nonzero coefficients produced an "
                     "all-zero matrix")
-            form = mu * ch.h_ud2 * ch.h_s1u + lam * ch.h_vd2 * ch.h_s1v
-            if (abs(form) <= rel_tol * G.max_abs()) != (label is StateLabel.A):
-                raise ImpossiblePattern(
-                    f"pair ({mu}, {lam}): zero-pattern and linear-form tests "
-                    "for state A disagree")
         table.append(_LABELS.index(label))
     return np.array(table, dtype=np.intp)[slot_code]
 

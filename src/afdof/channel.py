@@ -138,16 +138,13 @@ class EndToEndMatrix:
     """The 2x2 source-to-destination matrix for one relay coefficient pair.
 
     Entry layout: [[alpha1, beta1], [alpha2, beta2]], rows indexed by
-    destination and columns by source.  Carries the generating (mu, lam)
-    pair; `lam` is the v-relay coefficient (named to dodge the keyword).
+    destination and columns by source.
     """
 
     alpha1: float
     beta1: float
     alpha2: float
     beta2: float
-    mu: float
-    lam: float
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.beta1, self.alpha2, self.beta2)
@@ -162,8 +159,7 @@ def end_to_end(ch: ChannelRealization, mu: float, lam: float) -> EndToEndMatrix:
         alpha1=mu * ch.h_ud1 * ch.h_s1u + lam * ch.h_vd1 * ch.h_s1v,
         beta1=mu * ch.h_ud1 * ch.h_s2u + lam * ch.h_vd1 * ch.h_s2v,
         alpha2=mu * ch.h_ud2 * ch.h_s1u + lam * ch.h_vd2 * ch.h_s1v,
-        beta2=mu * ch.h_ud2 * ch.h_s2u + lam * ch.h_vd2 * ch.h_s2v,
-        mu=float(mu), lam=float(lam))
+        beta2=mu * ch.h_ud2 * ch.h_s2u + lam * ch.h_vd2 * ch.h_s2v)
 
 
 def effective_noise_variance(ch: ChannelRealization, mu: float, lam: float,

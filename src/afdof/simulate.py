@@ -36,38 +36,6 @@ class InsufficientGrid(Exception):
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Monte Carlo run parameters: power, block count, trials, seed."""
-
-    P: float
-    n_triples: int
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.P < 1:
-            raise InvalidPower(f"P must be >= 1, got {self.P}")
-        if self.n_triples < 1 or self.trials < 1:
-            raise ValueError("n_triples and trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Aggregates of one trial: summed squared reconstruction errors per
-    stream and the relays' empirical transmit second moments."""
-
-    sq_err_a1: float
-    sq_err_a2: float
-    sq_err_b1: float
-    sq_err_b2: float
-    relay_u_second_moment: float
-    relay_v_second_moment: float
-    n_triples: int
-
-
-@dataclass(frozen=True)
 class SchemeStats:
     """Trial-averaged reconstruction MSEs and relay powers at power P."""
 
@@ -215,65 +183,54 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     return y1, y2
 
 
-def run_scheme_trial(ch: ChannelRealization, plan: PhasePlan, P: float,
-                     n_triples: int, seed: int, trial: int,
-                     noise_scale: float = 1.0) -> TrialRecord:
-    """Simulate one trial of n_triples three-phase blocks and decode them.
+def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
+                      n_triples: int, trials: int, seed: int,
+                      noise_scale: float = 1.0) -> SchemeStats:
+    """Simulate trials of n_triples three-phase blocks, decode and aggregate.
 
     Source symbols are zero-mean Gaussian with variance P.  Within each
     block, both sources repeat their phase-3 symbols as the scheme
     requires (user 1 resends its first symbol, user 2 its second): a block
-    sends (a1, b1), (a2, b2), (a1, b2).  The relays run
-    scheme_schedule(plan, n_triples) through simulate_block's chain path.
+    sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on one
+    shared scheme_schedule(plan, n_triples) through simulate_block's chain
+    path, drawing from its own (seed, trial, tag) streams.
     """
-    return _trial(ch, plan, scheme_schedule(plan, n_triples), P, seed, trial, noise_scale)
-
-
-def _trial(ch: ChannelRealization, plan: PhasePlan, schedule: AfSchedule, P: float,
-           seed: int, trial: int, noise_scale: float) -> TrialRecord:
-    sym = _stream(seed, trial, _TAG_SYMBOLS).standard_normal((len(schedule) // 3, 4))
-    sym *= math.sqrt(P)
-    a1, a2, b1, b2 = sym.T
-    x1, x2 = sources = np.empty((2, len(schedule) - 1))  # contiguous per source
-    x1[0::3], x1[1::3], x1[2::3] = a1, a2, a1
-    x2[0::3], x2[1::3], x2[2::3] = b1, b2, b2
-    y1, y2, xu, xv = _chain(ch, *_block_inputs(schedule, sources.T, seed, trial,
-                                               noise_scale))
-
-    G1, G2, G3 = (end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs())
-    a1_hat, a2_hat = reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], G1, G2, G3)
-    b1_hat, b2_hat = reconstruct_d2(y2[1::3], y2[2::3], y2[3::3], G1, G2, G3)
-
-    return TrialRecord(
-        sq_err_a1=float(np.sum((a1_hat - a1) ** 2)),
-        sq_err_a2=float(np.sum((a2_hat - a2) ** 2)),
-        sq_err_b1=float(np.sum((b1_hat - b1) ** 2)),
-        sq_err_b2=float(np.sum((b2_hat - b2) ** 2)),
-        relay_u_second_moment=float(np.mean(xu[1:] ** 2)),
-        relay_v_second_moment=float(np.mean(xv[1:] ** 2)),
-        n_triples=len(sym))
-
-
-def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan,
-                      config: SimConfig, noise_scale: float = 1.0) -> SchemeStats:
-    """Run config.trials trials of one shared schedule and aggregate them."""
-    schedule = scheme_schedule(plan, config.n_triples)
-    records = [_trial(ch, plan, schedule, config.P, config.seed, t, noise_scale)
-               for t in range(config.trials)]
-    n_samples = config.trials * config.n_triples
-    pu = np.array([r.relay_u_second_moment for r in records])
-    pv = np.array([r.relay_v_second_moment for r in records])
-    se_u = float(np.std(pu, ddof=1) / math.sqrt(len(pu))) if len(pu) > 1 else 0.0
-    se_v = float(np.std(pv, ddof=1) / math.sqrt(len(pv))) if len(pv) > 1 else 0.0
+    if P < 1:
+        raise InvalidPower(f"P must be >= 1, got {P}")
+    if n_triples < 1 or trials < 1:
+        raise ValueError("n_triples and trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    schedule = scheme_schedule(plan, n_triples)
+    G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
+    sq_errs, pu, pv = [], [], []  # per trial; sq_errs rows are (a1, a2, b1, b2)
+    for t in range(trials):
+        sym = _stream(seed, t, _TAG_SYMBOLS).standard_normal((n_triples, 4))
+        sym *= math.sqrt(P)
+        a1, a2, b1, b2 = sym.T
+        x1, x2 = sources = np.empty((2, 3 * n_triples))  # contiguous per source
+        x1[0::3], x1[1::3], x1[2::3] = a1, a2, a1
+        x2[0::3], x2[1::3], x2[2::3] = b1, b2, b2
+        y1, y2, xu, xv = _chain(ch, *_block_inputs(schedule, sources.T, seed, t,
+                                                   noise_scale))
+        hats = (*reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], *G),
+                *reconstruct_d2(y2[1::3], y2[2::3], y2[3::3], *G))
+        sq_errs.append([float(np.sum((hat - x) ** 2))
+                        for hat, x in zip(hats, (a1, a2, b1, b2))])
+        pu.append(float(np.mean(xu[1:] ** 2)))
+        pv.append(float(np.mean(xv[1:] ** 2)))
+        # Free this trial's arrays before the next trial allocates its own,
+        # so peak memory holds one trial's arrays, not two.
+        del sym, a1, a2, b1, b2, sources, x1, x2, y1, y2, xu, xv, hats
+    n_samples = trials * n_triples
+    mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / n_samples for col in zip(*sq_errs))
+    pu, pv = np.array(pu), np.array(pv)
+    se_u = float(np.std(pu, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se_v = float(np.std(pv, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SchemeStats(
-        P=config.P,
-        mse_a1=sum(r.sq_err_a1 for r in records) / n_samples,
-        mse_a2=sum(r.sq_err_a2 for r in records) / n_samples,
-        mse_b1=sum(r.sq_err_b1 for r in records) / n_samples,
-        mse_b2=sum(r.sq_err_b2 for r in records) / n_samples,
+        P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1, mse_b2=mse_b2,
         relay_pu=float(np.mean(pu)), relay_pv=float(np.mean(pv)),
-        relay_pu_se=se_u, relay_pv_se=se_v,
-        n_samples=n_samples)
+        relay_pu_se=se_u, relay_pv_se=se_v, n_samples=n_samples)
 
 
 def estimate_dof_slope(rates) -> SlopeFit:
@@ -305,11 +262,10 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     """Measure rates over a power grid, one SchemeStats per power.
 
     Rates come from the analytic formula fed by the empirical stream MSEs,
-    not from bit-error counting.  Each grid point gets its own derived
-    seed, keeping the sweep deterministic.
+    not from bit-error counting.  Grid point i runs with seed + i, so point
+    i of seed s replays every stream of point i - 1 of seed s + 1.
     """
-    return [run_scheme_trials(ch, plan, SimConfig(P=float(P), n_triples=n_triples,
-                                                  trials=trials, seed=seed + idx))
+    return [run_scheme_trials(ch, plan, float(P), n_triples, trials, seed + idx)
             for idx, P in enumerate(grid)]
 
 

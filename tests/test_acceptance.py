@@ -45,7 +45,6 @@ from afdof import (
     simulate_block_matrix,
     sweep_power_grid,
     ChannelRealization,
-    SimConfig,
 )
 from afdof.cli import SCHEME_SLOPE_WINDOW, TDMA_SLOPE_WINDOW, USER_SLOPE_WINDOW
 from conftest import reference_channel
@@ -135,8 +134,8 @@ def test_criterion_04_variance_power_independence():
     analytic = (s1, s2, t2, t1)  # (a1, a2, b1, b2) stream order
     worst = 0.0
     for P, seed in ((1e2, 21), (1e6, 22)):
-        cfg = SimConfig(P=P, n_triples=10_000, trials=100, seed=seed)
-        stats = run_scheme_trials(ch, plan, cfg)
+        stats = run_scheme_trials(ch, plan, P=P, n_triples=10_000, trials=100,
+                                  seed=seed)
         empirical = (stats.mse_a1, stats.mse_a2, stats.mse_b1, stats.mse_b2)
         worst = max(worst, max(abs(e - a) / a
                                for e, a in zip(empirical, analytic)))
@@ -152,8 +151,8 @@ def test_criterion_05_relay_power_feasibility(panel):
     for tag, ch in cases:
         plan = plan_achievability(ch)
         for P in (1.0, 1e3, 1e6):
-            cfg = SimConfig(P=P, n_triples=500, trials=20, seed=31)
-            stats = run_scheme_trials(ch, plan, cfg)
+            stats = run_scheme_trials(ch, plan, P=P, n_triples=500, trials=20,
+                                      seed=31)
             ok_u = stats.relay_pu <= P + 3 * stats.relay_pu_se
             ok_v = stats.relay_pv <= P + 3 * stats.relay_pv_se
             ok = ok and ok_u and ok_v

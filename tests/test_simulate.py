@@ -7,7 +7,6 @@ from afdof import (
     AfSchedule,
     InsufficientGrid,
     InvalidPower,
-    SimConfig,
     analytic_noise_variances,
     baseline_tdma_rate,
     end_to_end,
@@ -16,7 +15,6 @@ from afdof import (
     plan_achievability,
     reconstruct_d1,
     reconstruct_d2,
-    run_scheme_trial,
     run_scheme_trials,
     sample_channel,
     scheme_schedule,
@@ -96,11 +94,11 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
-    # run_scheme_trial runs scheme_schedule through the chain; the matrix
-    # oracle on that schedule, with the trial's symbols and noise streams,
-    # must decode to the same stream errors.
+    # A trial runs scheme_schedule through the chain; the matrix oracle on
+    # that schedule, with the trial's symbols and noise streams, must decode
+    # to the same stream errors.  One trial's error sum is n * mse.
     P, n = 100.0, 200
-    rec = run_scheme_trial(ref_channel, ref_plan, P, n, seed=seed, trial=0)
+    s = run_scheme_trials(ref_channel, ref_plan, P, n, trials=1, seed=seed)
     sym = _stream(seed, 0, _TAG_SYMBOLS).standard_normal((n, 4)) * math.sqrt(P)
     a1, a2, b1, b2 = sym.T
     symbols = np.stack([a1, b1, a2, b2, a1, b2], axis=1).reshape(3 * n, 2)
@@ -111,34 +109,33 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     b1_hat, b2_hat = reconstruct_d2(y2[1::3], y2[2::3], y2[3::3], *G)
     want = [float(np.sum((hat - x) ** 2)) for hat, x in
             ((a1_hat, a1), (a2_hat, a2), (b1_hat, b1), (b2_hat, b2))]
-    got = [rec.sq_err_a1, rec.sq_err_a2, rec.sq_err_b1, rec.sq_err_b2]
+    got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
     assert got == pytest.approx(want, rel=1e-12)
-    assert rec.n_triples == n
+    assert s.n_samples == n
 
 
 def test_trial_determinism(ref_channel, ref_plan):
-    cfg = SimConfig(P=100.0, n_triples=50, trials=3, seed=9)
-    first = run_scheme_trials(ref_channel, ref_plan, cfg)
-    second = run_scheme_trials(ref_channel, ref_plan, cfg)
+    kw = dict(P=100.0, n_triples=50, seed=9)
+    first = run_scheme_trials(ref_channel, ref_plan, trials=3, **kw)
+    second = run_scheme_trials(ref_channel, ref_plan, trials=3, **kw)
     assert first == second
-    records = [run_scheme_trial(ref_channel, ref_plan, 100.0, 50, 9, t)
-               for t in range(3)]
-    assert records[0] != records[1]
-    # The trials of run_scheme_trials share one schedule; each must equal
-    # its standalone run_scheme_trial.
-    assert first.mse_a1 == sum(r.sq_err_a1 for r in records) / 150
-    assert first.mse_b2 == sum(r.sq_err_b2 for r in records) / 150
+    # Trial 1 draws its own streams: had it replayed trial 0, two trials
+    # would average to exactly the one-trial MSEs.
+    one = run_scheme_trials(ref_channel, ref_plan, trials=1, **kw)
+    two = run_scheme_trials(ref_channel, ref_plan, trials=2, **kw)
+    names = ("mse_a1", "mse_a2", "mse_b1", "mse_b2")
+    assert [getattr(one, n) for n in names] != [getattr(two, n) for n in names]
 
 
 def test_mse_zero_noise(ref_channel, ref_plan):
-    cfg = SimConfig(P=100.0, n_triples=200, trials=2, seed=1)
-    s = run_scheme_trials(ref_channel, ref_plan, cfg, noise_scale=0.0)
+    s = run_scheme_trials(ref_channel, ref_plan, P=100.0, n_triples=200,
+                          trials=2, seed=1, noise_scale=0.0)
     assert max(s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2) <= 1e-18 * 100.0
 
 
 def test_mse_matches_analytic(ref_channel, ref_plan):
-    cfg = SimConfig(P=100.0, n_triples=5000, trials=20, seed=3)
-    s = run_scheme_trials(ref_channel, ref_plan, cfg)
+    s = run_scheme_trials(ref_channel, ref_plan, P=100.0, n_triples=5000,
+                          trials=20, seed=3)
     (s1, s2), (t1, t2) = analytic_noise_variances(ref_channel, ref_plan)
     assert s.mse_a1 == pytest.approx(s1, rel=0.02)
     assert s.mse_a2 == pytest.approx(s2, rel=0.02)
@@ -147,10 +144,10 @@ def test_mse_matches_analytic(ref_channel, ref_plan):
 
 
 def test_mse_power_independent(ref_channel, ref_plan):
-    lo = run_scheme_trials(ref_channel, ref_plan,
-                           SimConfig(P=1e2, n_triples=5000, trials=10, seed=4))
-    hi = run_scheme_trials(ref_channel, ref_plan,
-                           SimConfig(P=1e6, n_triples=5000, trials=10, seed=5))
+    lo = run_scheme_trials(ref_channel, ref_plan, P=1e2, n_triples=5000,
+                           trials=10, seed=4)
+    hi = run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=5000,
+                           trials=10, seed=5)
     for name in ("mse_a1", "mse_a2", "mse_b1", "mse_b2"):
         assert getattr(lo, name) == pytest.approx(getattr(hi, name), rel=0.05)
 
@@ -159,9 +156,9 @@ def test_noiseless_reconstruction_at_extreme_power(ref_channel, ref_plan):
     # Round trip stays exact (1e-9 relative) for symbols up to sqrt(P),
     # P = 1e12.
     P = 1e12
-    rec = run_scheme_trial(ref_channel, ref_plan, P, 500, seed=8, trial=0,
-                           noise_scale=0.0)
-    worst = max(rec.sq_err_a1, rec.sq_err_a2, rec.sq_err_b1, rec.sq_err_b2)
+    s = run_scheme_trials(ref_channel, ref_plan, P, 500, trials=1, seed=8,
+                          noise_scale=0.0)
+    worst = 500 * max(s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2)
     assert math.sqrt(worst / 500) <= 1e-9 * math.sqrt(P)
 
 
@@ -179,8 +176,8 @@ def test_relay_power_reference_ratio(ref_channel, ref_plan):
     # u-relay second moment: c^2 ((h_s1u^2 + h_s2u^2) P + 1), so the ratio
     # to P converges to 5 c^2 on the reference gains.
     P = 1e6
-    stats = run_scheme_trials(ref_channel, ref_plan,
-                              SimConfig(P=P, n_triples=4000, trials=10, seed=2))
+    stats = run_scheme_trials(ref_channel, ref_plan, P=P, n_triples=4000,
+                              trials=10, seed=2)
     pu, pv = stats.relay_pu, stats.relay_pv
     c = ref_plan.c
     assert pu / P == pytest.approx(5 * c * c, rel=0.01)
@@ -190,17 +187,22 @@ def test_relay_power_reference_ratio(ref_channel, ref_plan):
 
 def test_relay_power_within_constraint(ref_channel, ref_plan):
     for P in (1.0, 1e3):
-        stats = run_scheme_trials(ref_channel, ref_plan,
-                                  SimConfig(P=P, n_triples=500, trials=10, seed=6))
+        stats = run_scheme_trials(ref_channel, ref_plan, P=P, n_triples=500,
+                                  trials=10, seed=6)
         assert stats.relay_pu <= P + 3 * stats.relay_pu_se
         assert stats.relay_pv <= P + 3 * stats.relay_pv_se
 
 
-def test_simconfig_validation():
-    with pytest.raises(InvalidPower):
-        SimConfig(P=0.5, n_triples=1, trials=1, seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(P=1.0, n_triples=0, trials=1, seed=0)
+@pytest.mark.parametrize("bad,exc", [
+    ({"P": 0.5}, InvalidPower),
+    ({"n_triples": 0}, ValueError),
+    ({"trials": 0}, ValueError),
+    ({"seed": -1}, ValueError),
+], ids=["P", "n_triples", "trials", "seed"])
+def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
+    args = {"P": 1.0, "n_triples": 1, "trials": 1, "seed": 0, **bad}
+    with pytest.raises(exc):
+        run_scheme_trials(ref_channel, ref_plan, **args)
 
 
 def test_slope_fit_exact_line():
