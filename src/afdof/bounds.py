@@ -21,13 +21,17 @@ from .channel import (
     effective_noise_variance,
     end_to_end,
 )
-from .scheme import AfAlphabet, AfSchedule, InvalidPower, PhasePlan
+from .scheme import AfAlphabet, AfSchedule, PhasePlan, check_power
 
 # Looser than the coefficient-construction precision (1e-12) so state
 # labels never flap, still far tighter than any generic nonzero entry.
 DEFAULT_STATE_TOL = 1e-9
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
+
+# check_lemma2 compares lhs <= rhs + LEMMA2_SLACK, absorbing rounding in
+# the entropy evaluations.
+LEMMA2_SLACK = 1e-9
 
 RESIDUAL_NOTE = ("bound constants omit entropy-difference remainders that "
                  "have no closed form; compare slope terms only")
@@ -82,11 +86,6 @@ class StateCensus:
     def nS(self) -> int:
         return self.n - self.nZero
 
-    def to_dict(self) -> dict:
-        return {"nA": self.nA, "nB": self.nB, "nC1": self.nC1,
-                "nC2": self.nC2, "nC3": self.nC3, "nZero": self.nZero,
-                "n": self.n}
-
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -97,10 +96,6 @@ class BoundConstants:
     N: float
     M_ij: tuple[tuple[float, float], tuple[float, float]]
 
-    def to_dict(self) -> dict:
-        return {"M": self.M, "N": self.N,
-                "M_ij": [list(row) for row in self.M_ij]}
-
 
 @dataclass(frozen=True)
 class BoundEvaluation:
@@ -108,25 +103,14 @@ class BoundEvaluation:
 
     Each bound is its slope term (1/2)(1 + |L|/n) log2 P plus the
     explicitly computable constant component; slope_dof holds the three
-    prelog coefficients 1 + |L|/n in the same order.  residual_note records
-    that further constant remainders exist but are not closed-form.
+    prelog coefficients 1 + |L|/n in the same order.  Further constant
+    remainders exist but are not closed-form (RESIDUAL_NOTE).
     """
 
     bound1: float
     bound2: float
     bound3: float
     slope_dof: tuple[float, float, float]
-    argmin_set: str
-    residual_note: str = RESIDUAL_NOTE
-
-    def min_slope_dof(self) -> float:
-        return min(self.slope_dof)
-
-    def to_dict(self) -> dict:
-        return {"bound1": self.bound1, "bound2": self.bound2,
-                "bound3": self.bound3, "slope_dof": list(self.slope_dof),
-                "argmin_set": self.argmin_set,
-                "residual_note": self.residual_note}
 
 
 def classify_state(G: EndToEndMatrix,
@@ -214,10 +198,9 @@ def evaluate_bounds(census_counts: StateCensus, P: float,
     a packing constant (1/2) log2(1 + 2M/N); counted slots additionally
     contribute half of log2(N) plus half of log2(2 pi e).  All computable
     parts are functions of the census and constants alone; the remainders
-    live behind residual_note.
+    are the ones RESIDUAL_NOTE names.
     """
-    if P < 1:
-        raise InvalidPower(f"P must be >= 1, got {P}")
+    check_power(P)
     n = census_counts.n
     log2_p = math.log2(P)
     packing = 0.5 * math.log2(1.0 + 2.0 * constants.M / constants.N)
@@ -234,9 +217,7 @@ def evaluate_bounds(census_counts: StateCensus, P: float,
     s1, b1 = one(c_c, c_a + c_b + 2 * c_c, 4)
     s2, b2 = one(c_b, c_s + c_b, 2)
     s3, b3 = one(c_a, c_s + c_a, 2)
-    argmin_set, _ = min_census_fraction(census_counts)
-    return BoundEvaluation(bound1=b1, bound2=b2, bound3=b3,
-                           slope_dof=(s1, s2, s3), argmin_set=argmin_set)
+    return BoundEvaluation(bound1=b1, bound2=b2, bound3=b3, slope_dof=(s1, s2, s3))
 
 
 def min_census_fraction(census_counts: StateCensus) -> tuple[str, float]:
@@ -273,7 +254,7 @@ def _symmetrized(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def check_lemma2(M, Mp, cov_x, cov_yz, slack: float = 1e-9):
+def check_lemma2(M, Mp, cov_x, cov_yz):
     """Evaluate both sides of the entropy-difference inequality
 
         h(M X + Y) - h(M' X + Z)
@@ -286,7 +267,6 @@ def check_lemma2(M, Mp, cov_x, cov_yz, slack: float = 1e-9):
     M, Mp : (d, d) invertible mixing matrices
     cov_x : (d, d) covariance of X
     cov_yz : (2d, 2d) joint covariance of (Y, Z)
-    slack : tolerance added to the right side before comparing
 
     Returns
     -------
@@ -320,13 +300,13 @@ def check_lemma2(M, Mp, cov_x, cov_yz, slack: float = 1e-9):
     h_z_given_y = gaussian_entropy(cov_yz) - gaussian_entropy(cov_y)
     log2_det_w = (logabs_mp - logabs_m) / math.log(2.0)
     rhs = h_diff - h_z_given_y - log2_det_w
-    return float(lhs), float(rhs), bool(lhs <= rhs + slack)
+    return float(lhs), float(rhs), bool(lhs <= rhs + LEMMA2_SLACK)
 
 
-def random_spd(rng: np.random.Generator, dim: int, jitter: float = 0.5) -> np.ndarray:
+def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random symmetric positive definite matrix, comfortably conditioned."""
     a = rng.standard_normal((dim, dim))
-    return a @ a.T + jitter * np.eye(dim)
+    return a @ a.T + 0.5 * np.eye(dim)
 
 
 def random_lemma2_instance(rng: np.random.Generator, max_dim: int = 4):

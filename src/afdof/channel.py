@@ -17,6 +17,9 @@ import numpy as np
 
 DEFAULT_REL_TOL = 1e-12
 
+# sample_channel gives up after this many consecutive non-generic draws.
+MAX_REJECTS = 100
+
 _GAIN_KEYS = ("s1u", "s2u", "s1v", "s2v", "ud1", "vd1", "ud2", "vd2")
 
 
@@ -113,23 +116,21 @@ def check_conditions(ch: ChannelRealization,
         det_h1=det_h1, det_h2=det_h2, det_hsup1=det_x1, det_hsup2=det_x2)
 
 
-def sample_channel(seed: int, max_rejects: int = 100,
+def sample_channel(seed: int,
                    rel_tol: float = DEFAULT_REL_TOL) -> ChannelRealization:
     """Draw a generic channel with i.i.d. standard normal gains.
 
     Non-generic draws are rejected and redrawn; they occur with probability
-    ~0, so hitting ``max_rejects`` indicates a tolerance bug rather than bad
+    ~0, so hitting ``MAX_REJECTS`` indicates a tolerance bug rather than bad
     luck and raises GenericityFailure.  Deterministic given ``seed``.
     """
-    if max_rejects < 1:
-        raise ValueError("max_rejects must be >= 1")
     rng = np.random.default_rng(seed)
-    for _ in range(max_rejects):
+    for _ in range(MAX_REJECTS):
         ch = ChannelRealization(*(float(g) for g in rng.standard_normal(8)))
         if check_conditions(ch, rel_tol).generic:
             return ch
     raise GenericityFailure(
-        f"seed {seed}: {max_rejects} consecutive draws failed the genericity "
+        f"seed {seed}: {MAX_REJECTS} consecutive draws failed the genericity "
         "check; this points at a tolerance bug, not at the distribution")
 
 

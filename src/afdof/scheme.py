@@ -37,7 +37,14 @@ class DegenerateCoefficients(Exception):
 
 
 class InvalidPower(Exception):
-    """Power argument below 1; the relay power constant assumes P >= 1."""
+    """Power argument below 1 or not finite; the relay power constant
+    assumes P >= 1."""
+
+
+def check_power(P: float) -> None:
+    """Raise InvalidPower unless 1 <= P < inf (so nan fails too)."""
+    if not 1 <= P < math.inf:
+        raise InvalidPower(f"P must be finite and >= 1, got {P}")
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,6 @@ class PhasePlan:
         return AfAlphabet(U=(self.mu_all,), V=tuple(dict.fromkeys(
             (self.lambda_phase3, self.lambda_phase1, self.lambda_phase2))))
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c, "l": self.l,
-            "lambda_phase1": self.lambda_phase1,
-            "lambda_phase2": self.lambda_phase2,
-            "lambda_phase3": self.lambda_phase3,
-            "mu_all": self.mu_all,
-        }
-
 
 def plan_achievability(ch: ChannelRealization,
                        rel_tol: float = DEFAULT_REL_TOL) -> PhasePlan:
@@ -182,19 +180,18 @@ def _coef_scale(*matrices: EndToEndMatrix) -> float:
     return max(g.max_abs() for g in matrices)
 
 
-def _need_nonzero(value: float, scale: float, rel_tol: float, name: str) -> None:
-    if abs(value) <= rel_tol * scale:
+def _need_nonzero(value: float, scale: float, name: str) -> None:
+    if abs(value) <= DEFAULT_COEF_TOL * scale:
         raise DegenerateCoefficients(f"{name} is below tolerance ({value!r})")
 
 
-def _need_zero(value: float, scale: float, rel_tol: float, name: str) -> None:
-    if abs(value) > rel_tol * scale:
+def _need_zero(value: float, scale: float, name: str) -> None:
+    if abs(value) > DEFAULT_COEF_TOL * scale:
         raise DegenerateCoefficients(f"{name} must vanish but is {value!r}")
 
 
 def reconstruct_d1(y11, y12, y13,
-                   G1: EndToEndMatrix, G2: EndToEndMatrix, G3: EndToEndMatrix,
-                   rel_tol: float = DEFAULT_COEF_TOL):
+                   G1: EndToEndMatrix, G2: EndToEndMatrix, G3: EndToEndMatrix):
     """Decode destination 1's two streams from its three block samples.
 
     Slot 1 carries the first stream alone (the cross coefficient is
@@ -203,18 +200,17 @@ def reconstruct_d1(y11, y12, y13,
     may be scalars or equal-length arrays.
     """
     scale = _coef_scale(G1, G2, G3)
-    _need_nonzero(G1.alpha1, scale, rel_tol, "G1.alpha1")
-    _need_nonzero(G2.alpha1, scale, rel_tol, "G2.alpha1")
-    _need_nonzero(G3.beta1, scale, rel_tol, "G3.beta1")
-    _need_zero(G1.beta1, scale, rel_tol, "G1.beta1")
+    _need_nonzero(G1.alpha1, scale, "G1.alpha1")
+    _need_nonzero(G2.alpha1, scale, "G2.alpha1")
+    _need_nonzero(G3.beta1, scale, "G3.beta1")
+    _need_zero(G1.beta1, scale, "G1.beta1")
     a1_hat = y11 / G1.alpha1
     a2_hat = (y12 - (G2.beta1 / G3.beta1) * (y13 - G3.alpha1 * a1_hat)) / G2.alpha1
     return a1_hat, a2_hat
 
 
 def reconstruct_d2(y21, y22, y23,
-                   G1: EndToEndMatrix, G2: EndToEndMatrix, G3: EndToEndMatrix,
-                   rel_tol: float = DEFAULT_COEF_TOL):
+                   G1: EndToEndMatrix, G2: EndToEndMatrix, G3: EndToEndMatrix):
     """Decode destination 2's two streams; mirror image of reconstruct_d1.
 
     Slot 2 carries the second stream alone; slot 3 recovers the other
@@ -222,18 +218,17 @@ def reconstruct_d2(y21, y22, y23,
     stream.
     """
     scale = _coef_scale(G1, G2, G3)
-    _need_nonzero(G2.beta2, scale, rel_tol, "G2.beta2")
-    _need_nonzero(G3.alpha2, scale, rel_tol, "G3.alpha2")
-    _need_nonzero(G1.beta2, scale, rel_tol, "G1.beta2")
-    _need_zero(G2.alpha2, scale, rel_tol, "G2.alpha2")
+    _need_nonzero(G2.beta2, scale, "G2.beta2")
+    _need_nonzero(G3.alpha2, scale, "G3.alpha2")
+    _need_nonzero(G1.beta2, scale, "G1.beta2")
+    _need_zero(G2.alpha2, scale, "G2.alpha2")
     b2_hat = y22 / G2.beta2
     a1_mid = (y23 - G3.beta2 * b2_hat) / G3.alpha2
     b1_hat = (y21 - G1.alpha2 * a1_mid) / G1.beta2
     return b1_hat, b2_hat
 
 
-def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan,
-                             rel_tol: float = DEFAULT_COEF_TOL):
+def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan):
     """Noise variances of the four decoded streams, independent of P.
 
     Returns ((sigma1_sq, sigma2_sq), (sigma1_sq_d2, sigma2_sq_d2)) where the
@@ -249,7 +244,7 @@ def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan,
     variances = []
     for dest, decode in ((1, reconstruct_d1), (2, reconstruct_d2)):
         noise = [effective_noise_variance(ch, mu, lam, dest) for mu, lam in pairs]
-        weights = np.square(decode(*np.eye(3), *G, rel_tol))
+        weights = np.square(decode(*np.eye(3), *G))
         variances.append([float(w @ noise) for w in weights])
     (a1, a2), (b1, b2) = variances
     return (a1, a2), (b2, b1)
@@ -258,8 +253,7 @@ def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan,
 def achievable_rate(P: float, sigma1_sq: float, sigma2_sq: float) -> float:
     """Per-user rate in bits per channel use: two decoded streams every
     three slots, each behind its own effective noise variance."""
-    if P < 1:
-        raise InvalidPower(f"P must be >= 1, got {P}")
+    check_power(P)
     if sigma1_sq <= 0 or sigma2_sq <= 0:
         raise ValueError("noise variances must be positive")
     return (math.log2(1.0 + P / sigma1_sq) + math.log2(1.0 + P / sigma2_sq)) / 6.0
@@ -276,7 +270,6 @@ def baseline_tdma_rate(ch: ChannelRealization, P: float,
     (1/4) log2(1 + P / sigma_sq) with sigma_sq that direct stream's
     variance; the sum scales like a single interference-free user.
     """
-    if P < 1:
-        raise InvalidPower(f"P must be >= 1, got {P}")
+    check_power(P)
     (s1, _), (t1, _) = analytic_noise_variances(ch, plan)
     return 0.25 * math.log2(1.0 + P / s1), 0.25 * math.log2(1.0 + P / t1)

@@ -17,9 +17,9 @@ import numpy as np
 from .channel import ChannelRealization, end_to_end
 from .scheme import (
     AfSchedule,
-    InvalidPower,
     PhasePlan,
     achievable_rate,
+    check_power,
     reconstruct_d1,
     reconstruct_d2,
     scheme_schedule,
@@ -48,7 +48,6 @@ class SchemeStats:
     relay_pv: float
     relay_pu_se: float
     relay_pv_se: float
-    n_samples: int
 
     # Properties, not fields: a noise_scale=0 run has zero MSE, which
     # achievable_rate rejects.
@@ -70,11 +69,6 @@ class SlopeFit:
     slope: float
     intercept: float
     residual: float
-
-    def to_dict(self) -> dict:
-        return {"grid": list(self.grid), "sum_rates": list(self.sum_rates),
-                "slope": self.slope, "intercept": self.intercept,
-                "residual": self.residual}
 
 
 @dataclass(frozen=True)
@@ -195,8 +189,7 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     shared scheme_schedule(plan, n_triples) through simulate_block's chain
     path, drawing from its own (seed, trial, tag) streams.
     """
-    if P < 1:
-        raise InvalidPower(f"P must be >= 1, got {P}")
+    check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     if seed < 0:
@@ -222,28 +215,28 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
         # Free this trial's arrays before the next trial allocates its own,
         # so peak memory holds one trial's arrays, not two.
         del sym, a1, a2, b1, b2, sources, x1, x2, y1, y2, xu, xv, hats
-    n_samples = trials * n_triples
-    mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / n_samples for col in zip(*sq_errs))
+    mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
+                                      for col in zip(*sq_errs))
     pu, pv = np.array(pu), np.array(pv)
     se_u = float(np.std(pu, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     se_v = float(np.std(pv, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SchemeStats(
         P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1, mse_b2=mse_b2,
         relay_pu=float(np.mean(pu)), relay_pv=float(np.mean(pv)),
-        relay_pu_se=se_u, relay_pv_se=se_v, n_samples=n_samples)
+        relay_pu_se=se_u, relay_pv_se=se_v)
 
 
 def estimate_dof_slope(rates) -> SlopeFit:
     """OLS fit of sum rate against (1/2) log2 P; the slope is the empirical
-    sum-DoF.  Requires at least 4 strictly increasing powers >= 1 spanning
-    at least 4 decades.
+    sum-DoF.  Requires at least 4 strictly increasing finite powers >= 1
+    spanning at least 4 decades.
     """
     pts = [(float(p), float(r)) for p, r in rates]
     if len(pts) < 4:
         raise InsufficientGrid("need at least 4 grid points")
     powers = [p for p, _ in pts]
-    if any(p < 1 for p in powers):
-        raise InsufficientGrid("grid powers must be >= 1")
+    if not all(1 <= p < math.inf for p in powers):
+        raise InsufficientGrid("grid powers must be finite and >= 1")
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise InsufficientGrid("grid must be strictly increasing")
     if math.log10(powers[-1] / powers[0]) < 4 - 1e-9:

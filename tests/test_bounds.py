@@ -186,8 +186,9 @@ def test_evaluate_bounds_empty_c_set(ref_channel, ref_plan):
 def test_evaluate_bounds_validates_power(ref_channel, ref_plan):
     cens = StateCensus(nA=1, nB=1, nC1=1, nC2=0, nC3=0, nZero=0, n=3)
     constants = bound_constants(ref_channel, ref_plan.alphabet())
-    with pytest.raises(InvalidPower):
-        evaluate_bounds(cens, 0.5, constants)
+    for P in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidPower):
+            evaluate_bounds(cens, P, constants)
 
 
 def test_achieved_rate_below_all_bounds(ref_channel, ref_plan):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import afdof.bounds
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
@@ -55,13 +56,21 @@ def test_run_achievability(tmp_path):
     assert set(rows[0]) == {"P", "R1", "R2", "R_sum", "mse_a1", "mse_a2",
                             "mse_b1", "mse_b2", "relay_pu", "relay_pv"}
 
+    # Record field names are the JSON schema; a renamed field fails here.
+    fit_keys = {"grid", "sum_rates", "slope", "intercept", "residual"}
     slope = json.loads((out / "slope.json").read_text())
+    assert set(slope) == {"scheme", "tdma"}
+    assert set(slope["scheme"]) == fit_keys | {"slope_user1", "slope_user2"}
+    assert set(slope["tdma"]) == fit_keys
     assert SCHEME_SLOPE_WINDOW[0] <= slope["scheme"]["slope"] <= SCHEME_SLOPE_WINDOW[1]
     assert TDMA_SLOPE_WINDOW[0] <= slope["tdma"]["slope"] <= TDMA_SLOPE_WINDOW[1]
     for user in ("slope_user1", "slope_user2"):
         assert USER_SLOPE_WINDOW[0] <= slope["scheme"][user] <= USER_SLOPE_WINDOW[1]
 
     plan = json.loads((out / "plan.json").read_text())
+    assert set(plan) == {"c", "l", "lambda_phase1", "lambda_phase2",
+                         "lambda_phase3", "mu_all", "alphabet", "channel"}
+    assert set(plan["alphabet"]) == {"U", "V"}
     assert plan["c"] == pytest.approx(0.15075567228888181)
     assert plan["channel"]["s1u"] == 1.0
 
@@ -105,7 +114,15 @@ def test_verify_bounds(tmp_path):
     assert bounds["min_fraction"]["fraction"] == pytest.approx(1 / 3)
     assert bounds["fuzz"] == {"schedules": 50, "violations": 0}
     assert bounds["achieved_sum_slope"] <= bounds["min_bound_slope"] + 0.05
-    assert len(bounds["per_P"]) == 5
+    assert set(bounds["constants"]) == {"M", "N", "M_ij"}
+    per_P = bounds["per_P"]
+    assert len(per_P) == 5
+    for entry in per_P:
+        assert set(entry) == {"P", "bound1", "bound2", "bound3", "slope_dof",
+                              "argmin_set", "residual_note"}
+        assert entry["argmin_set"] == bounds["min_fraction"]["set"]
+        assert entry["residual_note"] == afdof.bounds.RESIDUAL_NOTE
+    assert bounds["min_bound_slope"] == min(min(e["slope_dof"]) for e in per_P)
 
 
 @pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"],

@@ -274,8 +274,9 @@ def test_achievable_rate_asymptote():
 
 
 def test_achievable_rate_validates_inputs():
-    with pytest.raises(InvalidPower):
-        achievable_rate(0.5, 1.0, 1.0)
+    for P in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidPower):
+            achievable_rate(P, 1.0, 1.0)
     with pytest.raises(ValueError):
         achievable_rate(2.0, 0.0, 1.0)
 
@@ -283,8 +284,9 @@ def test_achievable_rate_validates_inputs():
 def test_baseline_rates(ref_channel, ref_plan):
     r1, r2 = baseline_tdma_rate(ref_channel, 1.0, ref_plan)
     assert r1 > 0 and r2 > 0
-    with pytest.raises(InvalidPower):
-        baseline_tdma_rate(ref_channel, 0.5, ref_plan)
+    for P in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidPower):
+            baseline_tdma_rate(ref_channel, P, ref_plan)
     # direct coefficient reading: user 1 sees the phase-1 (1,1) entry
     c = ref_plan.c
     v1 = effective_noise_variance(ref_channel, c, ref_plan.lambda_phase1, 1)
