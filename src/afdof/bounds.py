@@ -21,11 +21,7 @@ from .channel import (
     effective_noise_variance,
     end_to_end,
 )
-from .scheme import AfAlphabet, AfSchedule, PhasePlan, check_power
-
-# Looser than the coefficient-construction precision (1e-12) so state
-# labels never flap, still far tighter than any generic nonzero entry.
-DEFAULT_STATE_TOL = 1e-9
+from .scheme import COEF_TOL, AfAlphabet, AfSchedule, PhasePlan, check_power
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -113,21 +109,19 @@ class BoundEvaluation:
     slope_dof: tuple[float, float, float]
 
 
-def classify_state(G: EndToEndMatrix,
-                   rel_tol: float = DEFAULT_STATE_TOL) -> StateLabel:
+def classify_state(G: EndToEndMatrix) -> StateLabel:
     """Label a slot matrix by the position of its zero entry, if any.
 
-    Entries are zero-tested against rel_tol times the largest-magnitude
-    entry.  Two or three zeros cannot happen over a generic channel, so
-    that pattern raises ImpossiblePattern (a tolerance or genericity bug).
+    Entries are zero-tested against COEF_TOL times the largest-magnitude
+    entry, the decoders' rule.  Two or three zeros cannot happen over a
+    generic channel, so that pattern raises ImpossiblePattern (a tolerance
+    or genericity bug).
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     entries = G.entries()
     scale = max(abs(e) for e in entries)
     if scale == 0.0:
         return StateLabel.ZERO
-    zero = [abs(e) <= rel_tol * scale for e in entries]
+    zero = [abs(e) <= COEF_TOL * scale for e in entries]
     n_zero = sum(zero)
     if n_zero == 0:
         return StateLabel.C1
@@ -139,8 +133,8 @@ def classify_state(G: EndToEndMatrix,
         f"{n_zero} zero entries with a nonzero entry present: {entries}")
 
 
-def _slot_label_ids(ch: ChannelRealization, schedule: AfSchedule,
-                    rel_tol: float) -> np.ndarray:
+def _slot_label_ids(ch: ChannelRealization,
+                    schedule: AfSchedule) -> np.ndarray:
     """Each slot's state as a position in StateLabel order.
 
     A slot's state depends only on its (mu, lambda) index pair, so each
@@ -154,7 +148,7 @@ def _slot_label_ids(ch: ChannelRealization, schedule: AfSchedule,
     for mu, lam in ((U[c // len(V)], V[c % len(V)]) for c in codes.tolist()):
         label = StateLabel.ZERO
         if mu != 0.0 or lam != 0.0:
-            label = classify_state(end_to_end(ch, mu, lam), rel_tol)
+            label = classify_state(end_to_end(ch, mu, lam))
             if label is StateLabel.ZERO:
                 raise ImpossiblePattern(
                     f"pair ({mu}, {lam}): nonzero coefficients produced an "
@@ -163,16 +157,15 @@ def _slot_label_ids(ch: ChannelRealization, schedule: AfSchedule,
     return np.array(table, dtype=np.intp)[slot_code]
 
 
-def slot_states(ch: ChannelRealization, schedule: AfSchedule,
-                rel_tol: float = DEFAULT_STATE_TOL) -> list[StateLabel]:
+def slot_states(ch: ChannelRealization,
+                schedule: AfSchedule) -> list[StateLabel]:
     """Per-slot state labels for a schedule."""
-    return [_LABELS[i] for i in _slot_label_ids(ch, schedule, rel_tol).tolist()]
+    return [_LABELS[i] for i in _slot_label_ids(ch, schedule).tolist()]
 
 
-def census(ch: ChannelRealization, schedule: AfSchedule,
-           rel_tol: float = DEFAULT_STATE_TOL) -> StateCensus:
+def census(ch: ChannelRealization, schedule: AfSchedule) -> StateCensus:
     """Classify every slot of a schedule and count the states."""
-    ids = _slot_label_ids(ch, schedule, rel_tol)
+    ids = _slot_label_ids(ch, schedule)
     return StateCensus(*np.bincount(ids, minlength=len(_LABELS)).tolist(), n=len(ids))
 
 

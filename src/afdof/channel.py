@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_REL_TOL = 1e-12
+# Genericity tests: a gain or a 2x2 determinant counts as zero at or below
+# GENERIC_TOL times its scale.
+GENERIC_TOL = 1e-12
 
 # sample_channel gives up after this many consecutive non-generic draws.
 MAX_REJECTS = 100
@@ -81,34 +83,31 @@ class ConditionReport:
                 and self.rank_hsup1_full and self.rank_hsup2_full)
 
 
-def _det_and_rank(m11: float, m12: float, m21: float, m22: float,
-                  rel_tol: float) -> tuple[float, bool]:
+def _det_and_rank(m11: float, m12: float, m21: float,
+                  m22: float) -> tuple[float, bool]:
     # Rank test is relative to the product of largest-magnitude row entries,
     # so it is invariant to rescaling either row.
     det = m11 * m22 - m12 * m21
     scale = max(abs(m11), abs(m12)) * max(abs(m21), abs(m22))
-    return det, abs(det) > rel_tol * scale
+    return det, abs(det) > GENERIC_TOL * scale
 
 
-def check_conditions(ch: ChannelRealization,
-                     rel_tol: float = DEFAULT_REL_TOL) -> ConditionReport:
+def check_conditions(ch: ChannelRealization) -> ConditionReport:
     """Evaluate the genericity conditions for a channel realization.
 
     Checks that every gain is nonzero and that both hop matrices and both
-    cross matrices have full rank, all relative to ``rel_tol``.  Never
+    cross matrices have full rank, all relative to ``GENERIC_TOL``.  Never
     raises; consumers decide what to do with a non-generic report.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    det_h1, r_h1 = _det_and_rank(ch.h_s1u, ch.h_s2u, ch.h_s1v, ch.h_s2v, rel_tol)
-    det_h2, r_h2 = _det_and_rank(ch.h_ud1, ch.h_vd1, ch.h_ud2, ch.h_vd2, rel_tol)
+    det_h1, r_h1 = _det_and_rank(ch.h_s1u, ch.h_s2u, ch.h_s1v, ch.h_s2v)
+    det_h2, r_h2 = _det_and_rank(ch.h_ud1, ch.h_vd1, ch.h_ud2, ch.h_vd2)
     det_x1, r_x1 = _det_and_rank(ch.h_ud1 * ch.h_s1u, ch.h_vd1 * ch.h_s1v,
-                                 ch.h_ud2 * ch.h_s2u, ch.h_vd2 * ch.h_s2v, rel_tol)
+                                 ch.h_ud2 * ch.h_s2u, ch.h_vd2 * ch.h_s2v)
     det_x2, r_x2 = _det_and_rank(ch.h_ud1 * ch.h_s2u, ch.h_vd1 * ch.h_s2v,
-                                 ch.h_ud2 * ch.h_s1u, ch.h_vd2 * ch.h_s1v, rel_tol)
+                                 ch.h_ud2 * ch.h_s1u, ch.h_vd2 * ch.h_s1v)
     gains = ch.gains()
     gmax = max(abs(g) for g in gains)
-    nonzero = all(abs(g) > rel_tol * gmax for g in gains)
+    nonzero = all(abs(g) > GENERIC_TOL * gmax for g in gains)
     return ConditionReport(
         all_nonzero=nonzero,
         rank_h1_full=r_h1, rank_h2_full=r_h2,
@@ -116,8 +115,7 @@ def check_conditions(ch: ChannelRealization,
         det_h1=det_h1, det_h2=det_h2, det_hsup1=det_x1, det_hsup2=det_x2)
 
 
-def sample_channel(seed: int,
-                   rel_tol: float = DEFAULT_REL_TOL) -> ChannelRealization:
+def sample_channel(seed: int) -> ChannelRealization:
     """Draw a generic channel with i.i.d. standard normal gains.
 
     Non-generic draws are rejected and redrawn; they occur with probability
@@ -127,7 +125,7 @@ def sample_channel(seed: int,
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REJECTS):
         ch = ChannelRealization(*(float(g) for g in rng.standard_normal(8)))
-        if check_conditions(ch, rel_tol).generic:
+        if check_conditions(ch).generic:
             return ch
     raise GenericityFailure(
         f"seed {seed}: {MAX_REJECTS} consecutive draws failed the genericity "

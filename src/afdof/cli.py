@@ -24,7 +24,6 @@ from .channel import (
     ChannelRealization,
     check_conditions,
     sample_channel,
-    DEFAULT_REL_TOL,
 )
 from .scheme import (
     InvalidPower,
@@ -45,7 +44,6 @@ from .bounds import (
     random_lemma2_instance,
     random_schedule,
     slot_states,
-    DEFAULT_STATE_TOL,
     RESIDUAL_NOTE,
 )
 
@@ -72,8 +70,6 @@ class ExperimentConfig:
     n_triples: int = 500
     seed: int = 0
     output_dir: str = "afdof-out"
-    rel_tol: float = DEFAULT_REL_TOL
-    state_tol: float = DEFAULT_STATE_TOL
     schedule_slots: int = 300
     fuzz: int = 0
     samples: int = 100_000
@@ -102,12 +98,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
 def _config_value(key: str, default, value):
     """Type-check one config value against its field's default.  Integers
     are numbers with no fractional part; no number may be a bool."""
-    if isinstance(default, str):
-        return str(value)
     if isinstance(default, tuple):
         return tuple(_config_value(key, default[0], p) for p in value)
-    if default is None:
-        return dict(value)
+    if default is None or isinstance(default, str):
+        if not isinstance(value, dict if default is None else str):
+            kind = "an object" if default is None else "a string"
+            raise ValueError(f"config key {key} must be {kind}, got {value!r}")
+        return value
     integral = isinstance(value, int) or (isinstance(value, float)
                                           and value.is_integer())
     kind = "an integer" if isinstance(default, int) else "a number"
@@ -171,9 +168,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
          cfg.schedule_slots >= 3 and cfg.schedule_slots % 3 == 0),
         ("max_dim must be in [1, 8]", cfg.max_dim, 1 <= cfg.max_dim <= 8),
         ("output_dir must be nonempty", cfg.output_dir, cfg.output_dir != ""),
-        ("rel_tol must be finite and > 0", cfg.rel_tol, 0 < cfg.rel_tol < math.inf),
-        ("state_tol must be finite and > 0", cfg.state_tol,
-         0 < cfg.state_tol < math.inf),
         ("power grid values must be finite", list(grid),
          all(math.isfinite(p) for p in grid)),
         ("power grid must be strictly increasing", list(grid),
@@ -188,7 +182,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def _resolve_channel(cfg: ExperimentConfig) -> ChannelRealization:
     if cfg.channel_gains is not None:
         return ChannelRealization.from_dict(cfg.channel_gains)
-    return sample_channel(cfg.channel_seed, rel_tol=cfg.rel_tol)
+    return sample_channel(cfg.channel_seed)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -211,7 +205,7 @@ def _fmt(x: float) -> str:
 
 def cmd_run_achievability(cfg: ExperimentConfig) -> list:
     ch = _resolve_channel(cfg)
-    plan = plan_achievability(ch, cfg.rel_tol)
+    plan = plan_achievability(ch)
     points = sweep_power_grid(ch, plan, cfg.power_grid,
                               n_triples=cfg.n_triples, trials=cfg.trials,
                               seed=cfg.seed)
@@ -267,10 +261,10 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
 def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     n = cfg.schedule_slots
     ch = _resolve_channel(cfg)
-    plan = plan_achievability(ch, cfg.rel_tol)
+    plan = plan_achievability(ch)
     schedule = scheme_schedule(plan, n // 3)[1:]  # the data slots
-    labels = slot_states(ch, schedule, cfg.state_tol)
-    cens = census(ch, schedule, cfg.state_tol)
+    labels = slot_states(ch, schedule)
+    cens = census(ch, schedule)
     constants = bound_constants(ch, plan.alphabet())
     set_name, fraction = min_census_fraction(cens)
 
@@ -285,7 +279,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.fuzz):
         sched = random_schedule(ch, plan, n, rng)
-        _, frac = min_census_fraction(census(ch, sched, cfg.state_tol))
+        _, frac = min_census_fraction(census(ch, sched))
         if frac > 1.0 / 3.0 + 1e-12:
             fuzz_violations += 1
 
@@ -350,7 +344,7 @@ def cmd_sample_conditions(cfg: ExperimentConfig) -> list:
         rng = np.random.default_rng(cfg.seed)
         channels = (ChannelRealization(*(float(g) for g in rng.standard_normal(8)))
                     for _ in range(cfg.samples))
-    failures = sum(not check_conditions(ch, cfg.rel_tol).generic for ch in channels)
+    failures = sum(not check_conditions(ch).generic for ch in channels)
     samples = 1 if inline else cfg.samples
     report = {"samples": samples, "failures": failures, "fraction": failures / samples}
     print(json.dumps({**report, "generic": failures == 0} if inline else report))
@@ -413,13 +407,14 @@ def main(argv=None) -> int:
     """Run one subcommand.  Each ``cmd_*`` writes its outputs and returns
     its ``(name, ok, detail)`` invariant checks.  Any exception or failed
     check ends in ``error.json`` and exit status 1, in the directory settled
-    first: ``--out``, else the config's nonempty ``output_dir``, else the
-    default."""
+    first: ``--out``, else the config's ``output_dir`` if it is a nonempty
+    string, else the default."""
     args = build_parser().parse_args(argv)
     outdir = args.output_dir or ExperimentConfig.output_dir
     try:
         raw = read_config(args.config)
-        outdir = args.output_dir or str(raw.get("output_dir") or outdir)
+        if not args.output_dir and isinstance(raw.get("output_dir"), str):
+            outdir = raw["output_dir"] or outdir
         checks = _COMMANDS[args.command][0](load_config(args, raw))
     except Exception as exc:  # noqa: BLE001 - every failure maps to error.json
         return _fail(outdir, type(exc).__name__, str(exc))

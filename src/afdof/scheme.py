@@ -20,12 +20,12 @@ from .channel import (
     check_conditions,
     effective_noise_variance,
     end_to_end,
-    DEFAULT_REL_TOL,
 )
 
-# Looser than the construction tolerance (1e-12) so coefficient checks do
+# The one zero test for end-to-end coefficients, used by the decoders and by
+# bounds.classify_state.  Looser than channel.GENERIC_TOL (1e-12) so it does
 # not flap on accumulated rounding, still far below any generic entry.
-DEFAULT_COEF_TOL = 1e-9
+COEF_TOL = 1e-9
 
 
 class NonGenericChannel(Exception):
@@ -132,8 +132,7 @@ class PhasePlan:
             (self.lambda_phase3, self.lambda_phase1, self.lambda_phase2))))
 
 
-def plan_achievability(ch: ChannelRealization,
-                       rel_tol: float = DEFAULT_REL_TOL) -> PhasePlan:
+def plan_achievability(ch: ChannelRealization) -> PhasePlan:
     """Derive the three-phase relay coefficients for a generic channel.
 
     The relay gain magnitude c is the largest value for which both relays
@@ -146,7 +145,7 @@ def plan_achievability(ch: ChannelRealization,
     Raises NonGenericChannel when any gain is zero or a rank condition
     fails, since the cancelling ratios would be undefined or useless.
     """
-    report = check_conditions(ch, rel_tol)
+    report = check_conditions(ch)
     if not report.generic:
         raise NonGenericChannel(f"channel fails genericity: {report}")
     l = min(abs((ch.h_vd1 * ch.h_s2v) / (ch.h_ud1 * ch.h_s2u)),
@@ -181,12 +180,12 @@ def _coef_scale(*matrices: EndToEndMatrix) -> float:
 
 
 def _need_nonzero(value: float, scale: float, name: str) -> None:
-    if abs(value) <= DEFAULT_COEF_TOL * scale:
+    if abs(value) <= COEF_TOL * scale:
         raise DegenerateCoefficients(f"{name} is below tolerance ({value!r})")
 
 
 def _need_zero(value: float, scale: float, name: str) -> None:
-    if abs(value) > DEFAULT_COEF_TOL * scale:
+    if abs(value) > COEF_TOL * scale:
         raise DegenerateCoefficients(f"{name} must vanish but is {value!r}")
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from afdof import (
     AfAlphabet,
     AfSchedule,
+    DegenerateCoefficients,
     EndToEndMatrix,
     ImpossiblePattern,
     InvalidPower,
@@ -26,11 +27,13 @@ from afdof import (
     plan_achievability,
     random_lemma2_instance,
     random_schedule,
+    reconstruct_d1,
     sample_channel,
     scheme_schedule,
     slot_states,
     end_to_end,
 )
+from afdof.scheme import COEF_TOL
 
 
 def G(entries) -> EndToEndMatrix:
@@ -62,8 +65,22 @@ def test_classify_impossible_patterns():
         classify_state(G((0, 1, 1, 0)))
     with pytest.raises(ImpossiblePattern):
         classify_state(G((1, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        classify_state(G((1, 1, 1, 1)), rel_tol=0.0)
+
+
+@pytest.mark.parametrize("factor,label", [(0.9, StateLabel.B),
+                                          (1.1, StateLabel.C1)])
+def test_state_labels_and_decoder_share_zero_rule(factor, label):
+    # beta1 of the phase-1 matrix just inside or just outside the zero
+    # tolerance: the label and the decoder must agree on which side it is.
+    scale = 4.0
+    G1 = G((scale, factor * COEF_TOL * scale, -scale, 2.0))
+    G2, G3 = G((1.0, 2.0, 0.0, 1.0)), G((1.0, 1.0, 2.0, 1.0))
+    assert classify_state(G1) is label
+    if label is StateLabel.B:
+        reconstruct_d1(1.0, 1.0, 1.0, G1, G2, G3)
+    else:
+        with pytest.raises(DegenerateCoefficients):
+            reconstruct_d1(1.0, 1.0, 1.0, G1, G2, G3)
 
 
 def test_census_achievability_schedule(ref_channel, ref_plan):
