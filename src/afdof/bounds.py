@@ -117,11 +117,10 @@ def classify_state(G: EndToEndMatrix) -> StateLabel:
     generic channel, so that pattern raises ImpossiblePattern (a tolerance
     or genericity bug).
     """
-    entries = G.entries()
-    scale = max(abs(e) for e in entries)
+    scale = G.max_abs()
     if scale == 0.0:
         return StateLabel.ZERO
-    zero = [abs(e) <= COEF_TOL * scale for e in entries]
+    zero = [abs(e) <= COEF_TOL * scale for e in G.entries()]
     n_zero = sum(zero)
     if n_zero == 0:
         return StateLabel.C1
@@ -130,7 +129,7 @@ def classify_state(G: EndToEndMatrix) -> StateLabel:
         return (StateLabel.C2, StateLabel.B, StateLabel.A,
                 StateLabel.C3)[zero.index(True)]
     raise ImpossiblePattern(
-        f"{n_zero} zero entries with a nonzero entry present: {entries}")
+        f"{n_zero} zero entries with a nonzero entry present: {G.entries()}")
 
 
 def _slot_label_ids(ch: ChannelRealization,

@@ -54,6 +54,9 @@ class ChannelRealization:
         missing = [k for k in _GAIN_KEYS if k not in d]
         if missing:
             raise ValueError(f"missing channel gains: {missing}")
+        unknown = [k for k in d if k not in _GAIN_KEYS]
+        if unknown:
+            raise ValueError(f"unknown channel gains: {unknown}")
         for k in _GAIN_KEYS:
             g = d[k]
             if (isinstance(g, bool) or not isinstance(g, numbers.Real)

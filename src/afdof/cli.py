@@ -96,9 +96,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _config_value(key: str, default, value):
-    """Type-check one config value against its field's default.  Integers
-    are numbers with no fractional part; no number may be a bool."""
+    """Type-check one config value against its field's default.  The grid
+    is a list; integers are numbers with no fractional part; no number may
+    be a bool."""
     if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"config key {key} must be a list of numbers, "
+                             f"got {value!r}")
         return tuple(_config_value(key, default[0], p) for p in value)
     if default is None or isinstance(default, str):
         if not isinstance(value, dict if default is None else str):
@@ -262,7 +266,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     n = cfg.schedule_slots
     ch = _resolve_channel(cfg)
     plan = plan_achievability(ch)
-    schedule = scheme_schedule(plan, n // 3)[1:]  # the data slots
+    schedule = scheme_schedule(plan, n // 3)
     labels = slot_states(ch, schedule)
     cens = census(ch, schedule)
     constants = bound_constants(ch, plan.alphabet())

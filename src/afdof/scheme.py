@@ -92,9 +92,6 @@ class AfSchedule:
     def __len__(self) -> int:
         return len(self.index)
 
-    def __getitem__(self, slots: slice) -> "AfSchedule":
-        return AfSchedule(self.alphabet, self.index[slots])
-
     @cached_property
     def mu(self) -> np.ndarray:
         return np.asarray(self.alphabet.U)[self.index[:, 0]]
@@ -159,19 +156,15 @@ def plan_achievability(ch: ChannelRealization) -> PhasePlan:
 
 
 def scheme_schedule(plan: PhasePlan, n_triples: int) -> AfSchedule:
-    """The scheme's relay schedule for n_triples blocks: warmup slot 0, then
-    3 n_triples slots cycling phases 1, 2, 3.
-
-    Relay slot t forwards source slot t - 1, so it carries the phase
-    (t - 1) mod 3 coefficients; the warmup slot holds the phase-3 pair and
-    scales a zero input.
-    """
+    """The scheme's relay schedule for n_triples blocks: 3 n_triples slots,
+    slot k carrying plan.phase_pairs()[k % 3], so each block runs phases 1,
+    2, 3."""
     if n_triples < 1:
         raise ValueError("schedule needs at least one block (n_triples >= 1)")
     alphabet = plan.alphabet()
-    index = np.zeros((3 * n_triples + 1, 2), dtype=np.uint8)
+    index = np.zeros((3 * n_triples, 2), dtype=np.uint8)
     for phase, (_, lam) in enumerate(plan.phase_pairs()):
-        index[(phase + 1) % 3::3, 1] = alphabet.V.index(lam)
+        index[phase::3, 1] = alphabet.V.index(lam)
     return AfSchedule(alphabet, index)
 
 

@@ -1,10 +1,10 @@
 """Sample-level Monte Carlo simulation of the two-hop chain.
 
-Relays forward the previous slot's received sample scaled by the schedule
-coefficients, so relay-transmit slot t carries source slot t - 1; the first
-relay slot forwards a zero input and is excluded from statistics.  Trials
-are independent with per-trial random substreams, so results do not depend
-on execution order.
+Relay slot k forwards the relays' slot-k received sample scaled by the
+schedule's slot-k coefficients, so L schedule slots carry L source slots to
+L destination samples; the relays' one-slot latency shifts every sample
+alike and is not modelled.  Trials are independent with per-trial random
+substreams, so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -89,26 +89,25 @@ def _stream(*key: int) -> np.random.Generator:
 
 
 def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
-    """Run the physical chain; relay slot 0 forwards a zero input."""
+    """Run the physical chain: each relay scales its received sample by its
+    slot's coefficient and both relays reach both destinations."""
     yu = ch.h_s1u * x1 + ch.h_s2u * x2 + zu
     yv = ch.h_s1v * x1 + ch.h_s2v * x2 + zv
-    n_slots = len(mu_arr)
-    xu = np.zeros(n_slots)
-    xv = np.zeros(n_slots)
-    xu[1:] = mu_arr[1:] * yu
-    xv[1:] = lam_arr[1:] * yv
+    xu = mu_arr * yu
+    xv = lam_arr * yv
     y1 = ch.h_ud1 * xu + ch.h_vd1 * xv + zd1
     y2 = ch.h_ud2 * xu + ch.h_vd2 * xv + zd2
     return y1, y2, xu, xv
 
 
 def _chain_noise(seed: int, trial: int, n_source: int, noise_scale: float):
-    """Relay noise for n_source source slots and destination noise for the
-    n_source + 1 relay slots, each from its own (seed, trial, tag) stream."""
+    """Relay and destination noise for n_source slots, each from its own
+    (seed, trial, tag) stream."""
     zu = _stream(seed, trial, _TAG_RELAY_U).standard_normal(n_source) * noise_scale
     zv = _stream(seed, trial, _TAG_RELAY_V).standard_normal(n_source) * noise_scale
-    zd1 = _stream(seed, trial, _TAG_DEST1).standard_normal(n_source + 1) * noise_scale
-    zd2 = _stream(seed, trial, _TAG_DEST2).standard_normal(n_source + 1) * noise_scale
+    # Skip each destination stream's first draw so pinned seeded outputs hold.
+    zd1, zd2 = (_stream(seed, trial, tag).standard_normal(n_source + 1)[1:]
+                * noise_scale for tag in (_TAG_DEST1, _TAG_DEST2))
     return zu, zv, zd1, zd2
 
 
@@ -121,10 +120,10 @@ def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int, trial: int,
         symbols = symbols.reshape(0, 2)
     if symbols.ndim != 2 or symbols.shape[1] != 2:
         raise ValueError("symbols must have shape (slots, 2)")
-    if symbols.shape[0] != len(schedule) - 1:
+    if symbols.shape[0] != len(schedule):
         raise ValueError(
-            f"schedule length {len(schedule)} must be symbol slots + 1 "
-            f"(got {symbols.shape[0]} symbol slots)")
+            f"schedule length {len(schedule)} must equal the symbol slots "
+            f"(got {symbols.shape[0]})")
     return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
             *_chain_noise(noise_seed, trial, symbols.shape[0], noise_scale))
 
@@ -135,14 +134,15 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
 
     Parameters
     ----------
-    schedule : relay coefficients per relay-transmit slot, length L
-    symbols : (L - 1, 2) array; row j holds both sources' slot-j symbols
+    schedule : relay coefficients per slot, length L
+    symbols : (L, 2) array; row k holds both sources' slot-k symbols
     noise_seed : seeds the relay and destination noise substreams
     noise_scale : multiplies every noise sample (0 disables noise)
 
     Returns
     -------
-    (y1, y2) : length-L received sample arrays at the two destinations
+    (y1, y2) : length-L received sample arrays at the two destinations;
+               sample k carries the slot-k symbols
     """
     y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
                                              0, noise_scale))
@@ -151,29 +151,23 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
 
 def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
                           noise_seed: int, noise_scale: float = 1.0):
-    """Shortcut evaluation of one block through the per-slot end-to-end
-    matrices plus the explicit effective-noise combination.
+    """Shortcut evaluation of one block: sample k is slot k's end-to-end
+    matrix applied to the slot-k symbols plus that slot's effective noise.
 
-    Consumes the same noise substreams as simulate_block, so with a shared
-    noise_seed the two paths must agree sample for sample.
+    Takes the same (L, 2) symbols and consumes the same noise substreams as
+    simulate_block, so with a shared noise_seed the two paths must agree
+    sample for sample.
     """
     mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
         schedule, symbols, noise_seed, 0, noise_scale)
-    x1_prev = np.concatenate(([0.0], x1))
-    x2_prev = np.concatenate(([0.0], x2))
-    zu_prev = np.concatenate(([0.0], zu))
-    zv_prev = np.concatenate(([0.0], zv))
-
     alpha1 = mu_arr * ch.h_ud1 * ch.h_s1u + lam_arr * ch.h_vd1 * ch.h_s1v
     beta1 = mu_arr * ch.h_ud1 * ch.h_s2u + lam_arr * ch.h_vd1 * ch.h_s2v
     alpha2 = mu_arr * ch.h_ud2 * ch.h_s1u + lam_arr * ch.h_vd2 * ch.h_s1v
     beta2 = mu_arr * ch.h_ud2 * ch.h_s2u + lam_arr * ch.h_vd2 * ch.h_s2v
-    # Zero-padding the previous-slot sequences encodes the warmup: slot 0
-    # forwards no symbols and no relay noise.
-    zt1 = ch.h_ud1 * mu_arr * zu_prev + ch.h_vd1 * lam_arr * zv_prev + zd1
-    zt2 = ch.h_ud2 * mu_arr * zu_prev + ch.h_vd2 * lam_arr * zv_prev + zd2
-    y1 = alpha1 * x1_prev + beta1 * x2_prev + zt1
-    y2 = alpha2 * x1_prev + beta2 * x2_prev + zt2
+    zt1 = ch.h_ud1 * mu_arr * zu + ch.h_vd1 * lam_arr * zv + zd1
+    zt2 = ch.h_ud2 * mu_arr * zu + ch.h_vd2 * lam_arr * zv + zd2
+    y1 = alpha1 * x1 + beta1 * x2 + zt1
+    y2 = alpha2 * x1 + beta2 * x2 + zt2
     return y1, y2
 
 
@@ -206,12 +200,12 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
         x2[0::3], x2[1::3], x2[2::3] = b1, b2, b2
         y1, y2, xu, xv = _chain(ch, *_block_inputs(schedule, sources.T, seed, t,
                                                    noise_scale))
-        hats = (*reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], *G),
-                *reconstruct_d2(y2[1::3], y2[2::3], y2[3::3], *G))
+        hats = (*reconstruct_d1(y1[0::3], y1[1::3], y1[2::3], *G),
+                *reconstruct_d2(y2[0::3], y2[1::3], y2[2::3], *G))
         sq_errs.append([float(np.sum((hat - x) ** 2))
                         for hat, x in zip(hats, (a1, a2, b1, b2))])
-        pu.append(float(np.mean(xu[1:] ** 2)))
-        pv.append(float(np.mean(xv[1:] ** 2)))
+        pu.append(float(np.mean(xu ** 2)))
+        pv.append(float(np.mean(xv ** 2)))
         # Free this trial's arrays before the next trial allocates its own,
         # so peak memory holds one trial's arrays, not two.
         del sym, a1, a2, b1, b2, sources, x1, x2, y1, y2, xu, xv, hats

@@ -85,7 +85,7 @@ def test_state_labels_and_decoder_share_zero_rule(factor, label):
 
 def test_census_achievability_schedule(ref_channel, ref_plan):
     for m in (1, 4, 33):
-        sched = scheme_schedule(ref_plan, m)[1:]
+        sched = scheme_schedule(ref_plan, m)
         cens = census(ref_channel, sched)
         assert (cens.nB, cens.nA, cens.nC1) == (m, m, m)
         assert cens.nC2 == cens.nC3 == cens.nZero == 0
@@ -209,7 +209,7 @@ def test_evaluate_bounds_validates_power(ref_channel, ref_plan):
 
 
 def test_achieved_rate_below_all_bounds(ref_channel, ref_plan):
-    sched = scheme_schedule(ref_plan, 100)[1:]
+    sched = scheme_schedule(ref_plan, 100)
     cens = census(ref_channel, sched)
     constants = bound_constants(ref_channel, ref_plan.alphabet())
     ev = evaluate_bounds(cens, 1e9, constants)

@@ -183,7 +183,8 @@ REF_GAIN_DICT = reference_channel().to_dict()
     ({**REF_GAIN_DICT, "ud2": math.nan}, "ud2"),
     ({**REF_GAIN_DICT, "vd2": math.inf}, "vd2"),
     ({**REF_GAIN_DICT, "s2v": -math.inf}, "s2v"),
-], ids=["missing", "bool", "string", "nan", "inf", "neg-inf"])
+    ({**REF_GAIN_DICT, "extra": 5}, r"unknown channel gains: \['extra'\]"),
+], ids=["missing", "bool", "string", "nan", "inf", "neg-inf", "extra"])
 def test_from_dict_requires_all_gains(gains, detail):
     with pytest.raises(ValueError, match=detail):
         ChannelRealization.from_dict(gains)

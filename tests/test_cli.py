@@ -109,6 +109,9 @@ def test_verify_bounds(tmp_path):
     assert len(rows) == 30
     states = [r["state"] for r in rows]
     assert states[:3] == ["B", "A", "C1"]
+    # Pinned like rates.csv in test_run_achievability_deterministic.
+    assert hashlib.sha256((out / "census.csv").read_bytes()).hexdigest() == (
+        "d398fc321b110d6d22bbd1218f1096c286a5de38cb70194c1c70f364d5d72852")
 
     bounds = json.loads((out / "bounds.json").read_text())
     counts = collections.Counter(states)
@@ -156,8 +159,12 @@ def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     ({"rel_tol": 1e-12}, "unknown config keys"),
     ({"state_tol": 1e-9}, "unknown config keys"),
     ({"power_grid": [1e3, True, 1e6]}, "power_grid must be a number"),
+    ({"power_grid": 1000}, "config key power_grid must be a list"),
+    ({"power_grid": "1e3,1e6"}, "config key power_grid must be a list"),
     ({"channel": {"gains": {**REF_GAIN_JSON, "s1u": float("inf")}}},
      "channel gain s1u must be a finite number"),
+    ({"channel": {"gains": {**REF_GAIN_JSON, "extra": 5}}},
+     "unknown channel gains: ['extra']"),
     ({"output_dir": None}, "output_dir must be a string"),
     ({"output_dir": 7}, "output_dir must be a string"),
     ({"channel": {"gains": [list(kv) for kv in REF_GAIN_JSON.items()]}},
@@ -165,8 +172,8 @@ def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
 ], ids=["top-level", "channel", "float-trials", "bool-trials", "float-fuzz",
         "float-seed", "float-channel-seed", "negative-seed",
         "negative-channel-seed", "removed-rel-tol", "removed-state-tol",
-        "bool-grid-entry", "inf-gain", "null-output-dir", "int-output-dir",
-        "list-gains"])
+        "bool-grid-entry", "int-grid", "string-grid", "inf-gain", "extra-gain",
+        "null-output-dir", "int-output-dir", "list-gains"])
 def test_config_rejects_unknown_key(tmp_path, overrides, detail):
     # Unknown keys and malformed values of known keys both fail up front.
     cfg = write_config(tmp_path / "cfg.json", **overrides)

@@ -87,20 +87,19 @@ def _pairs(sched):
 
 
 def test_schedule_one_period(ref_plan):
-    # Warmup slot 0 holds the phase-3 pair, then phases 1, 2, 3.
+    # One block is phases 1, 2, 3.
     phases = list(ref_plan.phase_pairs())
-    assert _pairs(scheme_schedule(ref_plan, 1)) == [phases[2]] + phases
+    assert _pairs(scheme_schedule(ref_plan, 1)) == phases
 
 
 def test_scheme_schedule_periodic(ref_plan):
-    # Relay slot t carries phase (t - 1) mod 3, stored as narrow indices into
-    # the plan's alphabet.
+    # Slot k carries phase pair k mod 3, stored as narrow indices into the
+    # plan's alphabet.
     sched = scheme_schedule(ref_plan, 5)
     phases = ref_plan.phase_pairs()
-    assert len(sched) == 16 and sched.index.dtype == np.uint8
+    assert len(sched) == 15 and sched.index.dtype == np.uint8
     assert sched.alphabet == ref_plan.alphabet()
-    assert _pairs(sched) == [phases[(t - 1) % 3] for t in range(16)]
-    assert _pairs(sched[1:]) == list(phases) * 5
+    assert _pairs(sched) == [phases[k % 3] for k in range(15)]
 
 
 def test_schedule_too_short(ref_plan):
@@ -110,7 +109,7 @@ def test_schedule_too_short(ref_plan):
 
 def test_schedule_state_sequence(ref_channel, ref_plan):
     # Phase 1 nulls (1,2), phase 2 nulls (2,1), phase 3 has no zeros.
-    labels = slot_states(ref_channel, scheme_schedule(ref_plan, 2)[1:])
+    labels = slot_states(ref_channel, scheme_schedule(ref_plan, 2))
     assert labels == [StateLabel.B, StateLabel.A, StateLabel.C1] * 2
 
 

@@ -35,7 +35,7 @@ GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
 def test_zero_noise_zero_symbols(ref_channel, ref_plan):
     sched = AfSchedule.from_pairs(ref_plan.phase_pairs() * 2)
-    symbols = np.zeros((len(sched) - 1, 2))
+    symbols = np.zeros((len(sched), 2))
     y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
                             noise_scale=0.0)
     assert not y1.any() and not y2.any()
@@ -45,18 +45,20 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
     # One forwarded slot with phase-1 coefficients and unit symbols: d1 sees
     # only the (1,1) entry -5c, d2 sees -4c + 2c.
     pair = ref_plan.phase_pairs()[0]
-    sched = AfSchedule.from_pairs((pair, pair))
+    sched = AfSchedule.from_pairs((pair,))
     y1, y2 = simulate_block(ref_channel, sched, [[1.0, 1.0]], noise_seed=0,
                             noise_scale=0.0)
     c = ref_plan.c
-    assert y1[1] == pytest.approx(-5 * c, rel=1e-12)
-    assert y2[1] == pytest.approx(-2 * c, rel=1e-12)
+    assert y1[0] == pytest.approx(-5 * c, rel=1e-12)
+    assert y2[0] == pytest.approx(-2 * c, rel=1e-12)
 
 
 def test_schedule_symbol_length_mismatch(ref_channel, ref_plan):
+    # A schedule of L slots takes exactly L symbol rows: L - 1 fails too.
     sched = AfSchedule.from_pairs(ref_plan.phase_pairs())
-    with pytest.raises(ValueError):
-        simulate_block(ref_channel, sched, np.zeros((5, 2)), noise_seed=0)
+    for rows in (5, len(sched) - 1):
+        with pytest.raises(ValueError, match="must equal the symbol slots"):
+            simulate_block(ref_channel, sched, np.zeros((rows, 2)), noise_seed=0)
 
 
 @pytest.mark.parametrize("make_schedule", [
@@ -68,7 +70,7 @@ def test_chain_matches_matrix_shortcut(ref_channel, ref_plan, make_schedule):
     # oracles, sample for sample.
     rng = np.random.default_rng(5)
     sched = make_schedule(ref_channel, ref_plan, rng)
-    symbols = rng.normal(0.0, 10.0, size=(len(sched) - 1, 2))
+    symbols = rng.normal(0.0, 10.0, size=(len(sched), 2))
     y1a, y2a = simulate_block(ref_channel, sched, symbols, noise_seed=11)
     y1b, y2b = simulate_block_matrix(ref_channel, sched, symbols, noise_seed=11)
     scale = max(np.max(np.abs(y1a)), np.max(np.abs(y2a)), 1.0)
@@ -77,19 +79,19 @@ def test_chain_matches_matrix_shortcut(ref_channel, ref_plan, make_schedule):
 
 
 def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
-    # Received sample t must equal G(sched[t]) applied to symbols of t - 1
+    # Received sample k must equal slot k's G applied to the slot-k symbols
     # plus effective noise; with zero noise it is the pure matrix action.
     rng = np.random.default_rng(0)
     sched = random_schedule(ref_channel, ref_plan, 50, rng)
-    symbols = rng.normal(size=(49, 2))
+    symbols = rng.normal(size=(50, 2))
     y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
                             noise_scale=0.0)
-    for t in (1, 7, 23, 49):
-        G = end_to_end(ref_channel, sched.mu[t], sched.lam[t])
-        want1 = G.alpha1 * symbols[t - 1, 0] + G.beta1 * symbols[t - 1, 1]
-        assert y1[t] == pytest.approx(want1, rel=1e-12, abs=1e-15)
-        want2 = G.alpha2 * symbols[t - 1, 0] + G.beta2 * symbols[t - 1, 1]
-        assert y2[t] == pytest.approx(want2, rel=1e-12, abs=1e-15)
+    for k in (0, 7, 23, 49):
+        G = end_to_end(ref_channel, sched.mu[k], sched.lam[k])
+        want1 = G.alpha1 * symbols[k, 0] + G.beta1 * symbols[k, 1]
+        assert y1[k] == pytest.approx(want1, rel=1e-12, abs=1e-15)
+        want2 = G.alpha2 * symbols[k, 0] + G.beta2 * symbols[k, 1]
+        assert y2[k] == pytest.approx(want2, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -105,8 +107,8 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     y1, y2 = simulate_block_matrix(ref_channel, scheme_schedule(ref_plan, n),
                                    symbols, noise_seed=seed)
     G = [end_to_end(ref_channel, mu, lam) for mu, lam in ref_plan.phase_pairs()]
-    a1_hat, a2_hat = reconstruct_d1(y1[1::3], y1[2::3], y1[3::3], *G)
-    b1_hat, b2_hat = reconstruct_d2(y2[1::3], y2[2::3], y2[3::3], *G)
+    a1_hat, a2_hat = reconstruct_d1(y1[0::3], y1[1::3], y1[2::3], *G)
+    b1_hat, b2_hat = reconstruct_d2(y2[0::3], y2[1::3], y2[2::3], *G)
     want = [float(np.sum((hat - x) ** 2)) for hat, x in
             ((a1_hat, a1), (a2_hat, a2), (b1_hat, b1), (b2_hat, b2))]
     got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
@@ -166,9 +168,9 @@ def test_relay_power_zero_schedule(ref_channel):
     # second hop of the reference channel is invertible, so each destination
     # hears exactly its own noise only if both relays send zero.
     sched = AfSchedule.from_pairs(((0.0, 0.0),) * 10)
-    y1, y2 = simulate_block(ref_channel, sched, np.ones((9, 2)), noise_seed=0)
-    assert np.array_equal(y1, _stream(0, 0, _TAG_DEST1).standard_normal(10))
-    assert np.array_equal(y2, _stream(0, 0, _TAG_DEST2).standard_normal(10))
+    y1, y2 = simulate_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
+    assert np.array_equal(y1, _stream(0, 0, _TAG_DEST1).standard_normal(11)[1:])
+    assert np.array_equal(y2, _stream(0, 0, _TAG_DEST2).standard_normal(11)[1:])
 
 
 def test_relay_power_reference_ratio(ref_channel, ref_plan):
