@@ -54,6 +54,17 @@ class StateLabel(str, Enum):
 # Label order is StateCensus's count order: nA, nB, nC1, nC2, nC3, nZero.
 _LABELS = tuple(StateLabel)
 
+# The label of a matrix whose only zero is entry e, in entry order
+# (alpha1, beta1, alpha2, beta2).
+_ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
+_ZERO_ID = _LABELS.index(StateLabel.ZERO)
+# Label position by zero pattern, bit e set when entry e is zero.  Two or
+# more zeros (-1) are impossible unless both coefficients are zero, which
+# _slot_label_ids labels Zero apart.
+_PATTERN_IDS = np.full(16, -1)
+_PATTERN_IDS[0] = _LABELS.index(StateLabel.C1)
+_PATTERN_IDS[[1, 2, 4, 8]] = [_LABELS.index(s) for s in _ONE_ZERO_LABELS]
+
 
 @dataclass(frozen=True)
 class StateCensus:
@@ -125,9 +136,7 @@ def classify_state(G: EndToEndMatrix) -> StateLabel:
     if n_zero == 0:
         return StateLabel.C1
     if n_zero == 1:
-        # entry order: alpha1, beta1, alpha2, beta2
-        return (StateLabel.C2, StateLabel.B, StateLabel.A,
-                StateLabel.C3)[zero.index(True)]
+        return _ONE_ZERO_LABELS[zero.index(True)]
     raise ImpossiblePattern(
         f"{n_zero} zero entries with a nonzero entry present: {G.entries()}")
 
@@ -136,24 +145,32 @@ def _slot_label_ids(ch: ChannelRealization,
                     schedule: AfSchedule) -> np.ndarray:
     """Each slot's state as a position in StateLabel order.
 
-    A slot's state depends only on its (mu, lambda) index pair, so each
-    distinct pair that occurs is classified once and every slot reads its
-    pair's label from that table.
+    A slot's state depends only on its (mu, lambda) index pair, so the four
+    end_to_end entries of the whole U x V alphabet grid are computed as
+    arrays, in end_to_end's operation order, and labelled by classify_state's
+    zero rule; every slot reads its pair's label from that table.  Only the
+    pairs the schedule uses can raise ImpossiblePattern.
     """
-    U, V = schedule.alphabet.U, schedule.alphabet.V
-    iu, iv = schedule.index.T.astype(np.intp)
-    codes, slot_code = np.unique(iu * len(V) + iv, return_inverse=True)
-    table = []
-    for mu, lam in ((U[c // len(V)], V[c % len(V)]) for c in codes.tolist()):
-        label = StateLabel.ZERO
-        if mu != 0.0 or lam != 0.0:
-            label = classify_state(end_to_end(ch, mu, lam))
-            if label is StateLabel.ZERO:
-                raise ImpossiblePattern(
-                    f"pair ({mu}, {lam}): nonzero coefficients produced an "
-                    "all-zero matrix")
-        table.append(_LABELS.index(label))
-    return np.array(table, dtype=np.intp)[slot_code]
+    mu = np.array(schedule.alphabet.U)[:, None]
+    lam = np.array(schedule.alphabet.V)
+    hu, hv, su, sv = np.array((
+        (ch.h_ud1, ch.h_ud1, ch.h_ud2, ch.h_ud2),
+        (ch.h_vd1, ch.h_vd1, ch.h_vd2, ch.h_vd2),
+        (ch.h_s1u, ch.h_s2u, ch.h_s1u, ch.h_s2u),
+        (ch.h_s1v, ch.h_s2v, ch.h_s1v, ch.h_s2v)))[:, :, None, None]
+    magnitude = np.abs(mu * hu * su + lam * hv * sv)    # (4, |U|, |V|)
+    zero = magnitude <= COEF_TOL * magnitude.max(axis=0)
+    table = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
+    table[(mu == 0.0) & (lam == 0.0)] = _ZERO_ID
+    iu, iv = schedule.index.T
+    ids = table[iu, iv]
+    if table.min() < 0 and (ids < 0).any():
+        i, j = schedule.index[np.argmax(ids < 0)]
+        raise ImpossiblePattern(
+            f"pair ({schedule.alphabet.U[i]}, {schedule.alphabet.V[j]}): "
+            f"{np.count_nonzero(zero[:, i, j])} zero entries with nonzero "
+            "coefficients")
+    return ids
 
 
 def slot_states(ch: ChannelRealization,
@@ -223,27 +240,45 @@ def min_census_fraction(census_counts: StateCensus) -> tuple[str, float]:
     return name, count / census_counts.n
 
 
-def gaussian_entropy(cov) -> float:
-    """Differential entropy of a Gaussian with the given covariance, in bits."""
+def _transposed(mat: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a (..., m, n) stack."""
+    return np.swapaxes(mat, -1, -2)
+
+
+def gaussian_entropy(cov):
+    """Differential entropy of a Gaussian with the given covariance, in bits.
+
+    ``cov`` is one (d, d) covariance, which gives a float, or a (..., d, d)
+    stack of them, which gives an array of the leading shape.  Every matrix
+    must be finite and symmetric; SingularCovariance is raised if any one of
+    them is not numerically positive definite.
+    """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
+    dim = cov.shape[-1]
+    if cov.shape[-2] != dim or dim < 1:
         raise ValueError("covariance must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12 * scale):
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance must be finite")
+    cov_t = _transposed(cov)
+    # np.allclose's rule per matrix: rtol 1e-9, atol 1e-12 * max(1, max|cov|)
+    atol = 1e-12 * np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if not np.all(np.abs(cov - cov_t)
+                  <= atol[..., None, None] + 1e-9 * np.abs(cov_t)):
         raise ValueError("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"covariance not positive definite: {exc}") from exc
-    diag = np.diag(chol)
-    if float(np.min(diag)) ** 2 <= 1e-12 * float(np.max(np.diag(cov))):
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    if np.any(diag.min(axis=-1) ** 2
+              <= 1e-12 * np.diagonal(cov, axis1=-2, axis2=-1).max(axis=-1)):
         raise SingularCovariance("covariance determinant below tolerance")
-    dim = cov.shape[0]
-    return 0.5 * dim * _LOG2_2PIE + float(np.sum(np.log2(diag)))
+    h = 0.5 * dim * _LOG2_2PIE + np.sum(np.log2(diag), axis=-1)
+    return float(h) if cov.ndim == 2 else h
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + _transposed(mat))
 
 
 def check_lemma2(M, Mp, cov_x, cov_yz):
@@ -256,43 +291,56 @@ def check_lemma2(M, Mp, cov_x, cov_yz):
 
     Parameters
     ----------
-    M, Mp : (d, d) invertible mixing matrices
-    cov_x : (d, d) covariance of X
-    cov_yz : (2d, 2d) joint covariance of (Y, Z)
+    M, Mp : (d, d) invertible mixing matrices, or (k, d, d) stacks of k
+    cov_x : (d, d) covariance of X, or a (k, d, d) stack
+    cov_yz : (2d, 2d) joint covariance of (Y, Z), or a (k, 2d, 2d) stack
 
     Returns
     -------
-    (lhs, rhs, holds) with everything in bits.
+    (lhs, rhs, holds) with everything in bits: a float, a float and a bool
+    for one instance, or three (k,) arrays for a stack.  SingularCovariance
+    is raised if any instance of a stack is singular.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    Mp = np.atleast_2d(np.asarray(Mp, dtype=float))
-    cov_x = np.atleast_2d(np.asarray(cov_x, dtype=float))
-    cov_yz = np.atleast_2d(np.asarray(cov_yz, dtype=float))
-    d = M.shape[0]
-    if M.shape != (d, d) or Mp.shape != (d, d) or cov_x.shape != (d, d):
-        raise ValueError("M, Mp and cov_x must all be (d, d)")
-    if cov_yz.shape != (2 * d, 2 * d):
+    M, Mp, cov_x, cov_yz = (np.asarray(a, dtype=float)
+                            for a in (M, Mp, cov_x, cov_yz))
+    single = M.ndim <= 2
+    if single:
+        M, Mp, cov_x, cov_yz = (np.atleast_2d(a)[None]
+                                for a in (M, Mp, cov_x, cov_yz))
+    k, d = M.shape[0], M.shape[-1]
+    if M.shape != (k, d, d) or Mp.shape != M.shape or cov_x.shape != M.shape:
+        raise ValueError("M, Mp and cov_x must all be (d, d), or (k, d, d) stacks")
+    if cov_yz.shape != (k, 2 * d, 2 * d):
         raise ValueError("cov_yz must be the (2d, 2d) joint covariance of (Y, Z)")
+    for name, a in (("M", M), ("Mp", Mp), ("cov_x", cov_x), ("cov_yz", cov_yz)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
 
     sign_m, logabs_m = np.linalg.slogdet(M)
     sign_mp, logabs_mp = np.linalg.slogdet(Mp)
-    if sign_m == 0 or sign_mp == 0:
+    if np.any(sign_m == 0) or np.any(sign_mp == 0):
         raise SingularCovariance("mixing matrices must be invertible")
 
-    cov_y = cov_yz[:d, :d]
-    cov_z = cov_yz[d:, d:]
-    cov_cross = cov_yz[:d, d:]          # Cov(Y, Z)
+    cov_y = cov_yz[:, :d, :d]
+    cov_z = cov_yz[:, d:, d:]
+    cov_cross = cov_yz[:, :d, d:]       # Cov(Y, Z)
 
-    lhs = (gaussian_entropy(_symmetrized(M @ cov_x @ M.T + cov_y))
-           - gaussian_entropy(_symmetrized(Mp @ cov_x @ Mp.T + cov_z)))
+    lhs = (gaussian_entropy(_symmetrized(M @ cov_x @ _transposed(M) + cov_y))
+           - gaussian_entropy(
+               _symmetrized(Mp @ cov_x @ _transposed(Mp) + cov_z)))
 
     w = Mp @ np.linalg.inv(M)
-    diff_cov = (w @ cov_y @ w.T - w @ cov_cross - cov_cross.T @ w.T + cov_z)
+    w_t = _transposed(w)
+    diff_cov = (w @ cov_y @ w_t - w @ cov_cross - _transposed(cov_cross) @ w_t
+                + cov_z)
     h_diff = gaussian_entropy(_symmetrized(diff_cov))
     h_z_given_y = gaussian_entropy(cov_yz) - gaussian_entropy(cov_y)
     log2_det_w = (logabs_mp - logabs_m) / math.log(2.0)
     rhs = h_diff - h_z_given_y - log2_det_w
-    return float(lhs), float(rhs), bool(lhs <= rhs + LEMMA2_SLACK)
+    holds = lhs <= rhs + LEMMA2_SLACK
+    if single:
+        return float(lhs[0]), float(rhs[0]), bool(holds[0])
+    return lhs, rhs, holds
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:

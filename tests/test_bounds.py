@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from afdof import (
     AfAlphabet,
     AfSchedule,
+    ChannelRealization,
     DegenerateCoefficients,
     EndToEndMatrix,
     ImpossiblePattern,
@@ -33,6 +34,7 @@ from afdof import (
     slot_states,
     end_to_end,
 )
+from afdof.bounds import random_spd
 from afdof.scheme import COEF_TOL
 
 
@@ -136,6 +138,54 @@ def test_slot_states_scale_invariant(seed, k):
     scaled = AfSchedule.from_pairs(np.column_stack([s * sched.mu,
                                                     s * sched.lam]))
     assert slot_states(ch, scaled) == slot_states(ch, sched)
+
+
+def ratio_map_label(ch, mu, lam) -> StateLabel:
+    # Entry e of end_to_end is mu * a_e + lam * b_e, so with both
+    # coefficients nonzero it vanishes exactly when lam / mu = -a_e / b_e.
+    if mu == 0.0 and lam == 0.0:
+        return StateLabel.ZERO
+    if mu == 0.0 or lam == 0.0:
+        return StateLabel.C1
+    a = (ch.h_ud1 * ch.h_s1u, ch.h_ud1 * ch.h_s2u,
+         ch.h_ud2 * ch.h_s1u, ch.h_ud2 * ch.h_s2u)
+    b = (ch.h_vd1 * ch.h_s1v, ch.h_vd1 * ch.h_s2v,
+         ch.h_vd2 * ch.h_s1v, ch.h_vd2 * ch.h_s2v)
+    hits = [e for e in range(4)
+            if math.isclose(lam / mu, -a[e] / b[e], rel_tol=1e-9)]
+    assert len(hits) <= 1, (mu, lam, hits)
+    if not hits:
+        return StateLabel.C1
+    return (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)[hits[0]]
+
+
+def test_slot_states_match_critical_ratio_map():
+    # The grid-table labels against an oracle that never forms the matrix.
+    for seed in range(100):
+        ch = sample_channel(seed)
+        plan = plan_achievability(ch)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            sched = random_schedule(ch, plan, 100, rng)
+            assert slot_states(ch, sched) == [
+                ratio_map_label(ch, mu, lam)
+                for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
+
+
+def test_impossible_pattern_only_for_scheduled_pairs():
+    # Every gain 1 except h_vd2 = 2: alpha1 = beta1 = mu + lam and
+    # alpha2 = beta2 = mu + 2 lam, so (1, -1) zeroes two entries and
+    # (2, -1) the other two; (1, 1) and (2, 1) are C1.
+    ch = ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+    alphabet = AfAlphabet(U=(1.0, 2.0), V=(1.0, -1.0))
+    fine = AfSchedule(alphabet, np.array([[0, 0], [1, 0], [0, 0]]))
+    assert slot_states(ch, fine) == [StateLabel.C1] * 3
+    two_zeros = AfSchedule(alphabet, np.array([[0, 0], [0, 1]]))
+    with pytest.raises(ImpossiblePattern, match=r"pair \(1.0, -1.0\): 2 zero"):
+        census(ch, two_zeros)
+    all_zero = ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ImpossiblePattern, match=r"pair \(1.0, -1.0\): 4 zero"):
+        census(all_zero, two_zeros)
 
 
 def test_random_schedule_draw_order(ref_channel, ref_plan):
@@ -261,6 +311,22 @@ def test_gaussian_entropy_rejects_bad_input():
         gaussian_entropy([[1.0, 0.5], [0.1, 1.0]])
     with pytest.raises(ValueError):
         gaussian_entropy(np.ones((2, 3)))
+    for bad in ([[math.nan]], [[math.inf]], [[1.0, math.nan], [math.nan, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_entropy(bad)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_entropy(np.stack([np.eye(2), np.full((2, 2), math.inf)]))
+
+
+def test_gaussian_entropy_stack_matches_single():
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_spd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    h = gaussian_entropy(stack)
+    assert h.shape == (2, 3)
+    assert h.tolist() == [[gaussian_entropy(c) for c in row] for row in stack]
+    assert isinstance(gaussian_entropy(stack[0, 0]), float)
+    with pytest.raises(SingularCovariance):
+        gaussian_entropy(np.stack([np.eye(2), np.ones((2, 2))]))
 
 
 def test_lemma2_identity_case():
@@ -279,6 +345,44 @@ def test_lemma2_degenerate_difference():
         check_lemma2([[1.0]], [[1.0]], [[1.0]], cov_yz)
 
 
+def stacks(instances):
+    return [np.stack(arrays) for arrays in zip(*instances)]
+
+
+def test_lemma2_stack_matches_single_calls():
+    rng = np.random.default_rng(11)
+    instances = [random_lemma2_instance(rng, max_dim=4) for _ in range(120)]
+    dims = {inst[0].shape[0] for inst in instances}
+    assert dims == {1, 2, 3, 4}
+    for d in dims:
+        group = [inst for inst in instances if inst[0].shape[0] == d]
+        lhs, rhs, holds = check_lemma2(*stacks(group))
+        assert lhs.shape == rhs.shape == holds.shape == (len(group),)
+        for inst, l, r, h in zip(group, lhs, rhs, holds):
+            single = check_lemma2(*inst)
+            assert type(single[0]) is float and type(single[2]) is bool
+            assert l == pytest.approx(single[0], rel=1e-12, abs=1e-12)
+            assert r == pytest.approx(single[1], rel=1e-12, abs=1e-12)
+            assert h == single[2]
+
+
+def test_lemma2_stack_with_degenerate_member():
+    # One member with Y = Z almost surely makes the whole stack singular;
+    # one at a time, only that member is.
+    rng = np.random.default_rng(2)
+    group = [random_lemma2_instance(rng, max_dim=1) for _ in range(5)]
+    group[2] = (*group[2][:3], np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularCovariance):
+        check_lemma2(*stacks(group))
+    singular = []
+    for k, inst in enumerate(group):
+        try:
+            check_lemma2(*inst)
+        except SingularCovariance:
+            singular.append(k)
+    assert singular == [2]
+
+
 def test_lemma2_random_instances_hold():
     rng = np.random.default_rng(77)
     for _ in range(150):
@@ -290,6 +394,19 @@ def test_lemma2_random_instances_hold():
 def test_lemma2_shape_validation():
     with pytest.raises(ValueError):
         check_lemma2(np.eye(2), np.eye(2), np.eye(2), np.eye(3))
+    with pytest.raises(ValueError):
+        check_lemma2(np.ones((2, 1, 1)), np.ones((3, 1, 1)),
+                     np.ones((2, 1, 1)), np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        check_lemma2(np.ones((2, 1, 1)), np.ones((2, 1, 1)),
+                     np.ones((2, 1, 1)), np.eye(2))
+    args = [[[1.0]], [[1.0]], [[1.0]], np.eye(2)]
+    for position, name in enumerate(("M", "Mp", "cov_x", "cov_yz")):
+        for value in (math.nan, math.inf):
+            bad = list(args)
+            bad[position] = np.where(np.eye(len(args[position])) > 0, value, 0.0)
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                check_lemma2(*bad)
     with pytest.raises(SingularCovariance):
         check_lemma2([[0.0]], [[1.0]], [[1.0]], np.eye(2))
 

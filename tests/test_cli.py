@@ -5,9 +5,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import afdof.bounds
+import afdof.cli
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
@@ -112,6 +114,8 @@ def test_verify_bounds(tmp_path):
     # Pinned like rates.csv in test_run_achievability_deterministic.
     assert hashlib.sha256((out / "census.csv").read_bytes()).hexdigest() == (
         "d398fc321b110d6d22bbd1218f1096c286a5de38cb70194c1c70f364d5d72852")
+    assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
+        "63e8aa151a4a1063634635e533ac3e94168865b4f126434fad44f7276320a2e5")
 
     bounds = json.loads((out / "bounds.json").read_text())
     counts = collections.Counter(states)
@@ -231,6 +235,45 @@ def test_check_lemma2_command(capsys):
                  "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report == {"count": 50, "violations": 0}
+
+
+def scripted_draws(monkeypatch, instances):
+    """Make check-lemma2 draw the given instances in order; returns the
+    list of instances drawn so far."""
+    drawn = []
+
+    def draw(rng, max_dim):
+        drawn.append(instances[len(drawn)])
+        return drawn[-1]
+
+    monkeypatch.setattr(afdof.cli, "random_lemma2_instance", draw)
+    return drawn
+
+
+def test_check_lemma2_skips_only_singular_draws(monkeypatch, capsys):
+    # Draws 0-4 form the first round; draw 2 is singular and shares the
+    # d = 1 stack with draws 0, 1 and 4. Only it is skipped, and draw 5
+    # replaces it.
+    rng = np.random.default_rng(4)
+    instances = [afdof.bounds.random_lemma2_instance(rng, max_dim=1)
+                 for _ in range(4)]
+    instances[2] = (*instances[2][:3], np.ones((2, 2)))
+    instances.insert(3, afdof.bounds.random_lemma2_instance(rng, max_dim=3))
+    instances.append(afdof.bounds.random_lemma2_instance(rng, max_dim=2))
+    drawn = scripted_draws(monkeypatch, instances)
+    assert main(["check-lemma2", "--count", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 5, "violations": 0}
+    assert len(drawn) == 6
+
+
+def test_check_lemma2_resample_cap(monkeypatch, tmp_path):
+    singular = (np.ones((1, 1)),) * 3 + (np.ones((2, 2)),)
+    drawn = scripted_draws(monkeypatch, [singular] * 300)
+    out = tmp_path / "out"
+    assert main(["check-lemma2", "--count", "2", "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "SingularCovariance"
+    assert len(drawn) == 200
 
 
 def test_check_lemma2_usage_errors(tmp_path):
