@@ -9,8 +9,10 @@ effective noise seen at a destination.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,11 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the genericity check: four rank tests plus all-nonzero."""
+    """Outcome of the genericity check: four rank tests plus all-nonzero.
+
+    Fields are Python ``bool``/``float`` for one channel, or ``(n,)``
+    arrays when the check ran on ``n`` gain rows.
+    """
 
     all_nonzero: bool
     rank_h1_full: bool
@@ -82,35 +88,52 @@ class ConditionReport:
 
     @property
     def generic(self) -> bool:
-        return (self.all_nonzero and self.rank_h1_full and self.rank_h2_full
-                and self.rank_hsup1_full and self.rank_hsup2_full)
+        # `&`, not `and`, so array reports combine row by row.
+        return (self.all_nonzero & self.rank_h1_full & self.rank_h2_full
+                & self.rank_hsup1_full & self.rank_hsup2_full)
 
 
-def _det_and_rank(m11: float, m12: float, m21: float,
-                  m22: float) -> tuple[float, bool]:
+def _rows_max(*arrays):
+    return functools.reduce(np.maximum, arrays)
+
+
+def _det_and_rank(m11, m12, m21, m22, vmax) -> tuple:
     # Rank test is relative to the product of largest-magnitude row entries,
-    # so it is invariant to rescaling either row.
+    # so it is invariant to rescaling either row.  vmax is max for scalars
+    # and _rows_max for arrays.
     det = m11 * m22 - m12 * m21
-    scale = max(abs(m11), abs(m12)) * max(abs(m21), abs(m22))
+    scale = vmax(abs(m11), abs(m12)) * vmax(abs(m21), abs(m22))
     return det, abs(det) > GENERIC_TOL * scale
 
 
-def check_conditions(ch: ChannelRealization) -> ConditionReport:
-    """Evaluate the genericity conditions for a channel realization.
+def check_conditions(ch) -> ConditionReport:
+    """Evaluate the genericity conditions for one channel or many.
 
-    Checks that every gain is nonzero and that both hop matrices and both
-    cross matrices have full rank, all relative to ``GENERIC_TOL``.  Never
-    raises; consumers decide what to do with a non-generic report.
+    ``ch`` is a ``ChannelRealization``, giving a report of Python scalars,
+    or an ``(n, 8)`` array of gain rows in ``ChannelRealization`` field
+    order, giving a report of ``(n,)`` arrays.  Both forms run the same
+    arithmetic in the same order, so row i's report equals the scalar
+    report of row i's channel.  Checks that every gain is nonzero and that
+    both hop matrices and both cross matrices have full rank, all relative
+    to ``GENERIC_TOL``; a NaN or infinite gain fails.  Never raises on
+    gain values; consumers decide what to do with a non-generic report.
     """
-    det_h1, r_h1 = _det_and_rank(ch.h_s1u, ch.h_s2u, ch.h_s1v, ch.h_s2v)
-    det_h2, r_h2 = _det_and_rank(ch.h_ud1, ch.h_vd1, ch.h_ud2, ch.h_vd2)
-    det_x1, r_x1 = _det_and_rank(ch.h_ud1 * ch.h_s1u, ch.h_vd1 * ch.h_s1v,
-                                 ch.h_ud2 * ch.h_s2u, ch.h_vd2 * ch.h_s2v)
-    det_x2, r_x2 = _det_and_rank(ch.h_ud1 * ch.h_s2u, ch.h_vd1 * ch.h_s2v,
-                                 ch.h_ud2 * ch.h_s1u, ch.h_vd2 * ch.h_s1v)
-    gains = ch.gains()
-    gmax = max(abs(g) for g in gains)
-    nonzero = all(abs(g) > GENERIC_TOL * gmax for g in gains)
+    if isinstance(ch, ChannelRealization):
+        gains, vmax = ch.gains(), max
+    else:
+        rows = np.asarray(ch, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(_GAIN_KEYS):
+            raise ValueError(f"gain rows must have shape (n, {len(_GAIN_KEYS)}), "
+                             f"got {rows.shape}")
+        gains, vmax = tuple(np.ascontiguousarray(rows.T)), _rows_max
+    s1u, s2u, s1v, s2v, ud1, vd1, ud2, vd2 = gains
+    det_h1, r_h1 = _det_and_rank(s1u, s2u, s1v, s2v, vmax)
+    det_h2, r_h2 = _det_and_rank(ud1, vd1, ud2, vd2, vmax)
+    det_x1, r_x1 = _det_and_rank(ud1 * s1u, vd1 * s1v, ud2 * s2u, vd2 * s2v, vmax)
+    det_x2, r_x2 = _det_and_rank(ud1 * s2u, vd1 * s2v, ud2 * s1u, vd2 * s1v, vmax)
+    gmax = vmax(*map(abs, gains))
+    nonzero = functools.reduce(operator.and_,
+                               [abs(g) > GENERIC_TOL * gmax for g in gains])
     return ConditionReport(
         all_nonzero=nonzero,
         rank_h1_full=r_h1, rank_h2_full=r_h2,

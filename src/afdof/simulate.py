@@ -4,7 +4,10 @@ Relay slot k forwards the relays' slot-k received sample scaled by the
 schedule's slot-k coefficients, so L schedule slots carry L source slots to
 L destination samples; the relays' one-slot latency shifts every sample
 alike and is not modelled.  Trials are independent with per-trial random
-substreams, so results do not depend on execution order.
+substreams.  Consecutive trials run together as the rows of one
+(group, 3n) block of at most GROUP_CAP elements; each row draws from its
+own trial's streams and is reduced on its own, so results depend neither
+on execution order nor on the grouping.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .scheme import (
 # generator keyed by (seed, trial, tag) so the chain and matrix evaluation
 # paths can replay identical samples.
 _TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
+
+# run_scheme_trials puts as many trials in one (group, 3n) block as fit in
+# this many elements per array, and always at least one.
+GROUP_CAP = 2 ** 16
 
 
 class InsufficientGrid(Exception):
@@ -88,6 +95,18 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng([int(k) for k in key])
 
 
+def _draw_rows(seed: int, trials, tag: int, shape, skip: int = 0):
+    """Standard normals of shape (len(trials), *shape); row i comes from
+    trial trials[i]'s (seed, trial, tag) stream after ``skip`` draws."""
+    out = np.empty((len(trials), *shape))
+    for row, t in zip(out, trials):
+        gen = _stream(seed, t, tag)
+        if skip:
+            gen.standard_normal(skip)
+        gen.standard_normal(out=row)
+    return out
+
+
 def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
     """Run the physical chain: each relay scales its received sample by its
     slot's coefficient and both relays reach both destinations."""
@@ -100,21 +119,24 @@ def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
     return y1, y2, xu, xv
 
 
-def _chain_noise(seed: int, trial: int, n_source: int, noise_scale: float):
-    """Relay and destination noise for n_source slots, each from its own
-    (seed, trial, tag) stream."""
-    zu = _stream(seed, trial, _TAG_RELAY_U).standard_normal(n_source) * noise_scale
-    zv = _stream(seed, trial, _TAG_RELAY_V).standard_normal(n_source) * noise_scale
+def _chain_noise(seed: int, trials, n_source: int, noise_scale: float):
+    """Relay and destination noise for n_source slots of each trial in
+    ``trials``, one row per trial, each from its own (seed, trial, tag)
+    stream."""
     # Skip each destination stream's first draw so pinned seeded outputs hold.
-    zd1, zd2 = (_stream(seed, trial, tag).standard_normal(n_source + 1)[1:]
-                * noise_scale for tag in (_TAG_DEST1, _TAG_DEST2))
-    return zu, zv, zd1, zd2
+    noise = [_draw_rows(seed, trials, tag, (n_source,), skip)
+             for tag, skip in ((_TAG_RELAY_U, 0), (_TAG_RELAY_V, 0),
+                               (_TAG_DEST1, 1), (_TAG_DEST2, 1))]
+    for z in noise:
+        z *= noise_scale
+    return noise
 
 
-def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int, trial: int,
+def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int,
                   noise_scale: float):
     """Validate one block and return the chain inputs after the channel:
-    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial's streams."""
+    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0's
+    streams."""
     symbols = np.asarray(symbols, dtype=float)
     if symbols.size == 0:
         symbols = symbols.reshape(0, 2)
@@ -124,8 +146,9 @@ def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int, trial: int,
         raise ValueError(
             f"schedule length {len(schedule)} must equal the symbol slots "
             f"(got {symbols.shape[0]})")
+    noise = _chain_noise(noise_seed, (0,), symbols.shape[0], noise_scale)
     return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
-            *_chain_noise(noise_seed, trial, symbols.shape[0], noise_scale))
+            *(z[0] for z in noise))
 
 
 def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
@@ -145,7 +168,7 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
                sample k carries the slot-k symbols
     """
     y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
-                                             0, noise_scale))
+                                             noise_scale))
     return y1, y2
 
 
@@ -159,7 +182,7 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     sample for sample.
     """
     mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
-        schedule, symbols, noise_seed, 0, noise_scale)
+        schedule, symbols, noise_seed, noise_scale)
     alpha1 = mu_arr * ch.h_ud1 * ch.h_s1u + lam_arr * ch.h_vd1 * ch.h_s1v
     beta1 = mu_arr * ch.h_ud1 * ch.h_s2u + lam_arr * ch.h_vd1 * ch.h_s2v
     alpha2 = mu_arr * ch.h_ud2 * ch.h_s1u + lam_arr * ch.h_vd2 * ch.h_s1v
@@ -180,35 +203,43 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     block, both sources repeat their phase-3 symbols as the scheme
     requires (user 1 resends its first symbol, user 2 its second): a block
     sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on one
-    shared scheme_schedule(plan, n_triples) through simulate_block's chain
-    path, drawing from its own (seed, trial, tag) streams.
+    shared scheme_schedule(plan, n_triples) through simulate_block's chain,
+    drawing from its own (seed, trial, tag) streams.
+
+    Consecutive trials run as the rows of one (group, 3 * n_triples) block,
+    with as many rows as fit in GROUP_CAP elements and at least one.  Each
+    row's errors and relay moments are reduced on that row alone and
+    aggregated in trial order, so the results do not depend on the grouping.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    n_slots = 3 * n_triples
+    group = max(1, min(trials, GROUP_CAP // n_slots))
     schedule = scheme_schedule(plan, n_triples)
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
     sq_errs, pu, pv = [], [], []  # per trial; sq_errs rows are (a1, a2, b1, b2)
-    for t in range(trials):
-        sym = _stream(seed, t, _TAG_SYMBOLS).standard_normal((n_triples, 4))
+    for first in range(0, trials, group):
+        rows = range(first, min(first + group, trials))
+        sym = _draw_rows(seed, rows, _TAG_SYMBOLS, (n_triples, 4))
         sym *= math.sqrt(P)
-        a1, a2, b1, b2 = sym.T
-        x1, x2 = sources = np.empty((2, 3 * n_triples))  # contiguous per source
-        x1[0::3], x1[1::3], x1[2::3] = a1, a2, a1
-        x2[0::3], x2[1::3], x2[2::3] = b1, b2, b2
-        y1, y2, xu, xv = _chain(ch, *_block_inputs(schedule, sources.T, seed, t,
-                                                   noise_scale))
-        hats = (*reconstruct_d1(y1[0::3], y1[1::3], y1[2::3], *G),
-                *reconstruct_d2(y2[0::3], y2[1::3], y2[2::3], *G))
-        sq_errs.append([float(np.sum((hat - x) ** 2))
-                        for hat, x in zip(hats, (a1, a2, b1, b2))])
-        pu.append(float(np.mean(xu ** 2)))
-        pv.append(float(np.mean(xv ** 2)))
-        # Free this trial's arrays before the next trial allocates its own,
-        # so peak memory holds one trial's arrays, not two.
-        del sym, a1, a2, b1, b2, sources, x1, x2, y1, y2, xu, xv, hats
+        a1, a2, b1, b2 = sym.transpose(2, 0, 1)
+        x1, x2 = np.empty((2, len(rows), n_slots))  # contiguous per source
+        x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
+        x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
+        y1, y2, xu, xv = _chain(ch, schedule.mu, schedule.lam, x1, x2,
+                                *_chain_noise(seed, rows, n_slots, noise_scale))
+        hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
+                *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
+        sq_errs += zip(*(np.sum((hat - x) ** 2, axis=1).tolist()
+                         for hat, x in zip(hats, (a1, a2, b1, b2))))
+        pu += np.mean(xu ** 2, axis=1).tolist()
+        pv += np.mean(xv ** 2, axis=1).tolist()
+        # Free this group's arrays before the next group allocates its own,
+        # so peak memory holds one group's arrays, not two.
+        del sym, a1, a2, b1, b2, x1, x2, y1, y2, xu, xv, hats
     mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
                                       for col in zip(*sq_errs))
     pu, pv = np.array(pu), np.array(pv)

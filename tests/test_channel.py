@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from afdof import (
     ChannelRealization,
+    ConditionReport,
     check_conditions,
     effective_noise_variance,
     end_to_end,
@@ -163,6 +165,88 @@ def test_check_conditions_scale_invariant(gains, k):
                                               s ** 2 * base.det_h2)
     assert (scaled.det_hsup1, scaled.det_hsup2) == (s ** 4 * base.det_hsup1,
                                                     s ** 4 * base.det_hsup2)
+    # The array path on the stack of both rows gives the same reports.
+    stacked = check_conditions(np.array([gains, [s * g for g in gains]]))
+    for row, rep in enumerate((base, scaled)):
+        assert tuple(bool(f[row]) for f in verdict(stacked)) == verdict(rep)
+        assert (stacked.det_h1[row], stacked.det_h2[row], stacked.det_hsup1[row],
+                stacked.det_hsup2[row]) == (rep.det_h1, rep.det_h2,
+                                            rep.det_hsup1, rep.det_hsup2)
+
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(ConditionReport)]
+
+
+def assert_rows_match_scalar_checks(rows):
+    # Every flag and determinant of the array report equals the scalar
+    # report of that row's channel, bit for bit (NaN matches NaN).
+    rep = check_conditions(rows)
+    assert rep.generic.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        one = check_conditions(ChannelRealization(*row.tolist()))
+        assert type(one.generic) is bool
+        assert bool(rep.generic[i]) == one.generic
+        for name in REPORT_FIELDS:
+            got, want = getattr(rep, name)[i], getattr(one, name)
+            if isinstance(want, bool):
+                assert got.dtype == bool and bool(got) == want, (i, name)
+            else:
+                assert type(want) is float, (i, name)
+                assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+                        or (math.isnan(got) and math.isnan(want))), (i, name)
+    return rep
+
+
+def test_check_conditions_rows_match_scalar_on_drawn_rows():
+    rng = np.random.default_rng(8)
+    # Small integers make many rank-deficient and zero-gain rows.
+    rows = np.concatenate([rng.standard_normal((1000, 8)),
+                           rng.integers(-2, 3, size=(1000, 8)).astype(float)])
+    rep = assert_rows_match_scalar_checks(rows)
+    assert rep.generic[:1000].all()
+    assert 0 < np.count_nonzero(~rep.generic[1000:]) < 1000
+
+
+def _solve_gain(g, det):
+    # Set one gain so that the named determinant vanishes up to rounding.
+    s1u, s2u, s1v, s2v, ud1, vd1, ud2, vd2 = g
+    if det == "det_h1":
+        g[3] = s2u * s1v / s1u
+    elif det == "det_h2":
+        g[7] = vd1 * ud2 / ud1
+    elif det == "det_hsup1":
+        g[7] = vd1 * s1v * ud2 * s2u / (ud1 * s1u * s2v)
+    else:
+        g[7] = vd1 * s2v * ud2 * s1u / (ud1 * s2u * s1v)
+    return g
+
+
+@pytest.mark.parametrize("det,flag", [
+    ("det_h1", "rank_h1_full"), ("det_h2", "rank_h2_full"),
+    ("det_hsup1", "rank_hsup1_full"), ("det_hsup2", "rank_hsup2_full")])
+def test_check_conditions_rows_match_scalar_on_singular_rows(det, flag):
+    rows = np.random.default_rng(9).standard_normal((200, 8))
+    rows = np.array([_solve_gain(g, det) for g in rows])
+    rep = assert_rows_match_scalar_checks(rows)
+    assert not getattr(rep, flag).any()
+    assert not rep.generic.any()
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf],
+                         ids=["zero", "nan", "inf", "neg-inf"])
+def test_check_conditions_rows_match_scalar_on_bad_gains(value):
+    # Each gain in turn set to zero or a non-finite value: never generic.
+    rows = np.tile(np.random.default_rng(10).standard_normal(8), (8, 1))
+    rows[np.arange(8), np.arange(8)] = value
+    rep = assert_rows_match_scalar_checks(rows)
+    assert not rep.generic.any()
+    assert not rep.all_nonzero.any()
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 7), (2, 8, 1)])
+def test_check_conditions_rejects_misshapen_rows(shape):
+    with pytest.raises(ValueError, match=r"\(n, 8\)"):
+        check_conditions(np.ones(shape))
 
 
 def test_json_roundtrip(ref_channel):

@@ -297,6 +297,21 @@ def test_sample_conditions(capsys):
     assert report["failures"] == 0
 
 
+def test_sample_conditions_output_pinned(tmp_path, capsys):
+    # 10000 rows cross two chunk boundaries; the inline config checks one
+    # channel and prints "generic" as a JSON bool.
+    assert 2 * afdof.cli.GAIN_CHUNK_ROWS < 10000
+    assert main(["sample-conditions", "--samples", "10000", "--seed", "3",
+                 "--out", str(tmp_path / "drawn")]) == 0
+    assert (capsys.readouterr().out
+            == '{"samples": 10000, "failures": 0, "fraction": 0.0}\n')
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["sample-conditions", "--config", cfg,
+                 "--out", str(tmp_path / "inline")]) == 0
+    assert (capsys.readouterr().out == '{"samples": 1, "failures": 0, '
+            '"fraction": 0.0, "generic": true}\n')
+
+
 def test_sample_conditions_deterministic(capsys):
     main(["sample-conditions", "--samples", "50", "--seed", "9"])
     first = capsys.readouterr().out

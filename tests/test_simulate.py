@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import afdof.simulate
 from afdof import (
     AfSchedule,
     InsufficientGrid,
@@ -126,6 +127,24 @@ def test_trial_determinism(ref_channel, ref_plan):
     two = run_scheme_trials(ref_channel, ref_plan, trials=2, **kw)
     names = ("mse_a1", "mse_a2", "mse_b1", "mse_b2")
     assert [getattr(one, n) for n in names] != [getattr(two, n) for n in names]
+
+
+@pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000)])
+def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
+                                           trials, n):
+    # Each shape fits one group by default.  A cap of one element puts one
+    # trial in each group; a cap of three trials' slots leaves a remainder
+    # group, since no trial count here is a multiple of 3.
+    assert afdof.simulate.GROUP_CAP >= trials * 3 * n
+    for ch, plan in ((ref_channel, ref_plan),
+                     (sample_channel(5), plan_achievability(sample_channel(5)))):
+        for P in (1e3, 1e9):
+            kw = dict(P=P, n_triples=n, trials=trials, seed=3)
+            with monkeypatch.context() as m:
+                grouped = run_scheme_trials(ch, plan, **kw)
+                for cap in (1, 3 * 3 * n):
+                    m.setattr(afdof.simulate, "GROUP_CAP", cap)
+                    assert run_scheme_trials(ch, plan, **kw) == grouped
 
 
 def test_mse_zero_noise(ref_channel, ref_plan):
