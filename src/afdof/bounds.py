@@ -20,6 +20,7 @@ from .channel import (
     EndToEndMatrix,
     effective_noise_variance,
     end_to_end,
+    nulling_coefficients,
 )
 from .scheme import COEF_TOL, AfAlphabet, AfSchedule, PhasePlan, check_power
 
@@ -371,10 +372,8 @@ def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
     diagonal entries, a random filler, and zeros so some slots idle both
     relays.
     """
-    c = plan.c
-    null_c2 = -(c * ch.h_ud1 * ch.h_s1u) / (ch.h_vd1 * ch.h_s1v)
-    null_c3 = -(c * ch.h_ud2 * ch.h_s2u) / (ch.h_vd2 * ch.h_s2v)
-    u_vals = (c, 0.0)
+    null_c2, _, _, null_c3 = nulling_coefficients(ch, plan.c)
+    u_vals = (plan.c, 0.0)
     v_vals = (0.0, plan.lambda_phase1, plan.lambda_phase2, null_c2, null_c3,
               float(rng.uniform(0.2, 2.0)))
     index = rng.integers((len(u_vals), len(v_vals)), size=(n, 2))

@@ -187,6 +187,13 @@ def end_to_end(ch: ChannelRealization, mu: float, lam: float) -> EndToEndMatrix:
         beta2=mu * ch.h_ud2 * ch.h_s2u + lam * ch.h_vd2 * ch.h_s2v)
 
 
+def nulling_coefficients(ch: ChannelRealization, mu: float) -> tuple[float, ...]:
+    """Entry e is the v-relay coefficient that zeros end-to-end entry e
+    (alpha1, beta1, alpha2, beta2) when the u-relay scales by mu."""
+    u, v = end_to_end(ch, mu, 0.0), end_to_end(ch, 0.0, 1.0)
+    return tuple(-a / b for a, b in zip(u.entries(), v.entries()))
+
+
 def effective_noise_variance(ch: ChannelRealization, mu: float, lam: float,
                              dest: int) -> float:
     """Variance of the forwarded-plus-local noise at destination ``dest``.

@@ -33,7 +33,8 @@ from .scheme import (
     plan_achievability,
     scheme_schedule,
 )
-from .simulate import estimate_dof_slope, fit_rate_report, sweep_power_grid
+from .simulate import (FUZZ, LEMMA, SAMPLE_CONDITIONS, estimate_dof_slope,
+                       fit_rate_report, keyed_rng, sweep_power_grid)
 from .bounds import (
     SingularCovariance,
     StateCensus,
@@ -286,7 +287,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     achieved_fit = estimate_dof_slope(achieved)
 
     fuzz_violations = 0
-    rng = np.random.default_rng(cfg.seed)
+    rng = keyed_rng(FUZZ, cfg.seed)
     for _ in range(cfg.fuzz):
         sched = random_schedule(ch, plan, n, rng)
         _, frac = min_census_fraction(census(ch, sched))
@@ -332,7 +333,7 @@ def cmd_check_lemma2(cfg: ExperimentConfig) -> list:
     per dimension; a stack holding a singular instance is re-checked one
     instance at a time, skipping (resampling) the singular ones.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = keyed_rng(LEMMA, cfg.seed)
     cap = 100 * cfg.count
     violations = 0
     checked = 0
@@ -372,7 +373,7 @@ def cmd_sample_conditions(cfg: ExperimentConfig) -> list:
         # Chunked draws continue one stream, so they equal per-channel
         # draws of 8 gains each.
         samples, failures = cfg.samples, 0
-        rng = np.random.default_rng(cfg.seed)
+        rng = keyed_rng(SAMPLE_CONDITIONS, cfg.seed)
         for start in range(0, samples, GAIN_CHUNK_ROWS):
             rows = rng.standard_normal((min(GAIN_CHUNK_ROWS, samples - start), 8))
             failures += int(np.count_nonzero(~check_conditions(rows).generic))

@@ -20,6 +20,7 @@ from .channel import (
     check_conditions,
     effective_noise_variance,
     end_to_end,
+    nulling_coefficients,
 )
 
 # The one zero test for end-to-end coefficients, used by the decoders and by
@@ -149,8 +150,7 @@ def plan_achievability(ch: ChannelRealization) -> PhasePlan:
             abs((ch.h_vd2 * ch.h_s1v) / (ch.h_ud2 * ch.h_s1u)))
     c = min(math.sqrt(1.0 / (ch.h_s1u ** 2 + ch.h_s2u ** 2 + 1.0)),
             l * math.sqrt(1.0 / (ch.h_s1v ** 2 + ch.h_s2v ** 2 + 1.0)))
-    lam1 = -(c * ch.h_ud1 * ch.h_s2u) / (ch.h_vd1 * ch.h_s2v)
-    lam2 = -(c * ch.h_ud2 * ch.h_s1u) / (ch.h_vd2 * ch.h_s1v)
+    _, lam1, lam2, _ = nulling_coefficients(ch, c)
     return PhasePlan(c=c, l=l, lambda_phase1=lam1, lambda_phase2=lam2,
                      lambda_phase3=0.0, mu_all=c)
 

@@ -3,11 +3,11 @@
 Relay slot k forwards the relays' slot-k received sample scaled by the
 schedule's slot-k coefficients, so L schedule slots carry L source slots to
 L destination samples; the relays' one-slot latency shifts every sample
-alike and is not modelled.  Trials are independent with per-trial random
-substreams.  Consecutive trials run together as the rows of one
-(group, 3n) block of at most GROUP_CAP elements; each row draws from its
-own trial's streams and is reduced on its own, so results depend neither
-on execution order nor on the grouping.
+alike and is not modelled.  keyed_rng builds every random stream but the
+channel draw.  Trial t reads row t of its sweep point's generators, and
+consecutive trials run as the rows of one (group, 3n) block of at most
+GROUP_CAP elements, so results depend neither on the grouping nor on the
+number of trials.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from .scheme import (
     scheme_schedule,
 )
 
-# Substream tags: every consumer of randomness inside a trial gets its own
-# generator keyed by (seed, trial, tag) so the chain and matrix evaluation
-# paths can replay identical samples.
+# Stream purposes, then the tags of a sweep point's generators: a sweep's key
+# is (point, tag), the other purposes have none.  The chain and matrix
+# evaluation paths read the same noise tags, so they replay the same noise.
+SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 _TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
 
 # run_scheme_trials puts as many trials in one (group, 3n) block as fit in
@@ -91,20 +92,22 @@ class RateReport:
         return self.sum_fit.slope
 
 
-def _stream(*key: int) -> np.random.Generator:
-    return np.random.default_rng([int(k) for k in key])
+def keyed_rng(purpose: int, seed: int, *key: int) -> np.random.Generator:
+    """The generator of one stream.  SeedSequence hashes the 32-bit words of
+    ``seed``, zero-padded to four, then ``(*key, purpose, 0)``.  Read from the
+    end these give back purpose, key and seed, so distinct keys hash distinct
+    words; ``default_rng(s)`` hashes s's words, at most four or ending in a
+    nonzero word, so no stream replays ``sample_channel``'s generator."""
+    if seed < 0 or not all(0 <= k < 2 ** 32 for k in key):
+        raise ValueError(f"stream key {(seed, *key)}: a seed < 0 or entry >= 2**32")
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(*key, purpose, 0)))
 
 
-def _draw_rows(seed: int, trials, tag: int, shape, skip: int = 0):
-    """Standard normals of shape (len(trials), *shape); row i comes from
-    trial trials[i]'s (seed, trial, tag) stream after ``skip`` draws."""
-    out = np.empty((len(trials), *shape))
-    for row, t in zip(out, trials):
-        gen = _stream(seed, t, tag)
-        if skip:
-            gen.standard_normal(skip)
-        gen.standard_normal(out=row)
-    return out
+def _sweep_rngs(seed) -> list[np.random.Generator]:
+    """A sweep point's five generators in tag order; a bare seed is point 0."""
+    seed, point = (seed, 0) if np.ndim(seed) == 0 else seed
+    return [keyed_rng(SWEEP, seed, point, tag) for tag in range(5)]
 
 
 def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
@@ -119,24 +122,17 @@ def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
     return y1, y2, xu, xv
 
 
-def _chain_noise(seed: int, trials, n_source: int, noise_scale: float):
-    """Relay and destination noise for n_source slots of each trial in
-    ``trials``, one row per trial, each from its own (seed, trial, tag)
-    stream."""
-    # Skip each destination stream's first draw so pinned seeded outputs hold.
-    noise = [_draw_rows(seed, trials, tag, (n_source,), skip)
-             for tag, skip in ((_TAG_RELAY_U, 0), (_TAG_RELAY_V, 0),
-                               (_TAG_DEST1, 1), (_TAG_DEST2, 1))]
+def _chain_noise(noise_rngs, shape, noise_scale: float):
+    """The next draws of relay and destination noise, in tag order."""
+    noise = [rng.standard_normal(shape) for rng in noise_rngs]
     for z in noise:
         z *= noise_scale
     return noise
 
 
-def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int,
-                  noise_scale: float):
+def _block_inputs(schedule: AfSchedule, symbols, noise_seed, noise_scale: float):
     """Validate one block and return the chain inputs after the channel:
-    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0's
-    streams."""
+    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0."""
     symbols = np.asarray(symbols, dtype=float)
     if symbols.size == 0:
         symbols = symbols.reshape(0, 2)
@@ -146,20 +142,19 @@ def _block_inputs(schedule: AfSchedule, symbols, noise_seed: int,
         raise ValueError(
             f"schedule length {len(schedule)} must equal the symbol slots "
             f"(got {symbols.shape[0]})")
-    noise = _chain_noise(noise_seed, (0,), symbols.shape[0], noise_scale)
     return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
-            *(z[0] for z in noise))
+            *_chain_noise(_sweep_rngs(noise_seed)[1:], len(symbols), noise_scale))
 
 
 def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                   noise_seed: int, noise_scale: float = 1.0):
+                   noise_seed, noise_scale: float = 1.0):
     """Direct chain simulation of one block.
 
     Parameters
     ----------
     schedule : relay coefficients per slot, length L
     symbols : (L, 2) array; row k holds both sources' slot-k symbols
-    noise_seed : seeds the relay and destination noise substreams
+    noise_seed : sweep key as in run_scheme_trials; the noise is trial 0's
     noise_scale : multiplies every noise sample (0 disables noise)
 
     Returns
@@ -173,29 +168,26 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
 
 
 def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                          noise_seed: int, noise_scale: float = 1.0):
+                          noise_seed, noise_scale: float = 1.0):
     """Shortcut evaluation of one block: sample k is slot k's end-to-end
     matrix applied to the slot-k symbols plus that slot's effective noise.
 
-    Takes the same (L, 2) symbols and consumes the same noise substreams as
+    Takes the same (L, 2) symbols and reads the same noise streams as
     simulate_block, so with a shared noise_seed the two paths must agree
     sample for sample.
     """
     mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
         schedule, symbols, noise_seed, noise_scale)
-    alpha1 = mu_arr * ch.h_ud1 * ch.h_s1u + lam_arr * ch.h_vd1 * ch.h_s1v
-    beta1 = mu_arr * ch.h_ud1 * ch.h_s2u + lam_arr * ch.h_vd1 * ch.h_s2v
-    alpha2 = mu_arr * ch.h_ud2 * ch.h_s1u + lam_arr * ch.h_vd2 * ch.h_s1v
-    beta2 = mu_arr * ch.h_ud2 * ch.h_s2u + lam_arr * ch.h_vd2 * ch.h_s2v
+    G = end_to_end(ch, mu_arr, lam_arr)  # entries are per-slot arrays
     zt1 = ch.h_ud1 * mu_arr * zu + ch.h_vd1 * lam_arr * zv + zd1
     zt2 = ch.h_ud2 * mu_arr * zu + ch.h_vd2 * lam_arr * zv + zd2
-    y1 = alpha1 * x1 + beta1 * x2 + zt1
-    y2 = alpha2 * x1 + beta2 * x2 + zt2
+    y1 = G.alpha1 * x1 + G.beta1 * x2 + zt1
+    y2 = G.alpha2 * x1 + G.beta2 * x2 + zt2
     return y1, y2
 
 
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
-                      n_triples: int, trials: int, seed: int,
+                      n_triples: int, trials: int, seed,
                       noise_scale: float = 1.0) -> SchemeStats:
     """Simulate trials of n_triples three-phase blocks, decode and aggregate.
 
@@ -203,34 +195,34 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     block, both sources repeat their phase-3 symbols as the scheme
     requires (user 1 resends its first symbol, user 2 its second): a block
     sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on one
-    shared scheme_schedule(plan, n_triples) through simulate_block's chain,
-    drawing from its own (seed, trial, tag) streams.
+    shared scheme_schedule(plan, n_triples) through simulate_block's chain.
 
-    Consecutive trials run as the rows of one (group, 3 * n_triples) block,
-    with as many rows as fit in GROUP_CAP elements and at least one.  Each
-    row's errors and relay moments are reduced on that row alone and
-    aggregated in trial order, so the results do not depend on the grouping.
+    ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; trial
+    t reads row t of the key's generators.  Consecutive trials run as the
+    rows of one (group, 3 * n_triples) block of at most GROUP_CAP elements
+    (at least one row), each reduced on its own, so the results depend
+    neither on the grouping nor on the number of trials.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    sym_rng, *noise_rngs = _sweep_rngs(seed)
     n_slots = 3 * n_triples
     group = max(1, min(trials, GROUP_CAP // n_slots))
     schedule = scheme_schedule(plan, n_triples)
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
     sq_errs, pu, pv = [], [], []  # per trial; sq_errs rows are (a1, a2, b1, b2)
     for first in range(0, trials, group):
-        rows = range(first, min(first + group, trials))
-        sym = _draw_rows(seed, rows, _TAG_SYMBOLS, (n_triples, 4))
+        rows = min(group, trials - first)
+        sym = sym_rng.standard_normal((rows, n_triples, 4))
         sym *= math.sqrt(P)
         a1, a2, b1, b2 = sym.transpose(2, 0, 1)
-        x1, x2 = np.empty((2, len(rows), n_slots))  # contiguous per source
+        x1, x2 = np.empty((2, rows, n_slots))  # contiguous per source
         x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
         x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
         y1, y2, xu, xv = _chain(ch, schedule.mu, schedule.lam, x1, x2,
-                                *_chain_noise(seed, rows, n_slots, noise_scale))
+                                *_chain_noise(noise_rngs, (rows, n_slots),
+                                              noise_scale))
         hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
                 *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
         sq_errs += zip(*(np.sum((hat - x) ** 2, axis=1).tolist()
@@ -280,11 +272,11 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     """Measure rates over a power grid, one SchemeStats per power.
 
     Rates come from the analytic formula fed by the empirical stream MSEs,
-    not from bit-error counting.  Grid point i runs with seed + i, so point
-    i of seed s replays every stream of point i - 1 of seed s + 1.
+    not from bit-error counting.  Grid point i runs on the (seed, i) sweep
+    key, so no two points or seeds share a stream.
     """
-    return [run_scheme_trials(ch, plan, float(P), n_triples, trials, seed + idx)
-            for idx, P in enumerate(grid)]
+    return [run_scheme_trials(ch, plan, float(P), n_triples, trials, (seed, i))
+            for i, P in enumerate(grid)]
 
 
 def fit_rate_report(points: list[SchemeStats]) -> RateReport:

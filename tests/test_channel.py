@@ -13,8 +13,10 @@ from afdof import (
     check_conditions,
     effective_noise_variance,
     end_to_end,
+    plan_achievability,
     sample_channel,
 )
+from afdof.channel import nulling_coefficients
 from conftest import REFERENCE_GAINS, reference_channel
 
 finite_coeff = st.floats(min_value=-1e3, max_value=1e3,
@@ -138,6 +140,31 @@ def test_at_most_one_zero_entry(seed, mu):
         scale = G.max_abs()
         zeros = sum(abs(e) <= 1e-9 * scale for e in G.entries())
         assert zeros <= 1
+
+
+def test_nulling_coefficients_zero_their_entry():
+    for seed in range(200):
+        ch = sample_channel(seed)
+        for mu in (0.3, -2.0):
+            for e, lam in enumerate(nulling_coefficients(ch, mu)):
+                G = end_to_end(ch, mu, lam)
+                assert abs(G.entries()[e]) <= 1e-12 * G.max_abs()
+
+
+def test_nulling_coefficients_keep_the_hand_formulas():
+    # Bit for bit the closed forms in the planner's operation order, so
+    # plan.json and the fuzz alphabets keep their values.
+    for seed in range(200):
+        ch = sample_channel(seed)
+        plan = plan_achievability(ch)
+        c = plan.c
+        assert nulling_coefficients(ch, c) == (
+            -(c * ch.h_ud1 * ch.h_s1u) / (ch.h_vd1 * ch.h_s1v),
+            -(c * ch.h_ud1 * ch.h_s2u) / (ch.h_vd1 * ch.h_s2v),
+            -(c * ch.h_ud2 * ch.h_s1u) / (ch.h_vd2 * ch.h_s1v),
+            -(c * ch.h_ud2 * ch.h_s2u) / (ch.h_vd2 * ch.h_s2v))
+        assert (plan.lambda_phase1, plan.lambda_phase2) == (
+            nulling_coefficients(ch, c)[1:3])
 
 
 # Small integers give rank-deficient and zero-gain channels; the magnitude

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import afdof.bounds
+import afdof.channel
 import afdof.cli
+from afdof import ChannelRealization, check_conditions
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
@@ -18,6 +20,7 @@ from afdof.cli import (
     parse_grid,
     parse_power,
 )
+from afdof.simulate import SAMPLE_CONDITIONS, keyed_rng
 from conftest import REFERENCE_GAINS
 
 REF_GAIN_JSON = {
@@ -89,7 +92,7 @@ def test_run_achievability_deterministic(tmp_path):
     # new stream layout updates the digest).  Full-precision JSON floats may
     # differ in the last bits across numpy builds, so only the CSV is pinned.
     assert hashlib.sha256((out_a / "rates.csv").read_bytes()).hexdigest() == (
-        "52e135bdc072a91c81f6e607cc4c9dacf2dccc1240572e5b570449ec948c5dbe")
+        "d569306997eb5eb79abe76ce2718db1d2069d5177c084aef0ce2e26f286aac45")
 
 
 def test_run_achievability_rejects_low_power(tmp_path):
@@ -310,6 +313,21 @@ def test_sample_conditions_output_pinned(tmp_path, capsys):
                  "--out", str(tmp_path / "inline")]) == 0
     assert (capsys.readouterr().out == '{"samples": 1, "failures": 0, '
             '"fraction": 0.0, "generic": true}\n')
+
+
+def test_sample_conditions_counts_its_keyed_rows(tmp_path, capsys, monkeypatch):
+    # On random gains the count is 0 whatever the draws.  At a coarse
+    # tolerance about 12 % of rows fail, so the count shows which rows were
+    # drawn: the chunked CLI count over 10000 rows (two chunk boundaries)
+    # equals a one-channel count over the sample-conditions stream's rows.
+    monkeypatch.setattr(afdof.channel, "GENERIC_TOL", 1e-2)
+    rows = keyed_rng(SAMPLE_CONDITIONS, 3).standard_normal((10000, 8)).tolist()
+    want = sum(not check_conditions(ChannelRealization(*row)).generic
+               for row in rows)
+    assert 0 < want < len(rows)
+    assert main(["sample-conditions", "--samples", "10000", "--seed", "3",
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == want
 
 
 def test_sample_conditions_deterministic(capsys):

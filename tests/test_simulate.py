@@ -24,7 +24,17 @@ from afdof import (
     sweep_power_grid,
 )
 from afdof.bounds import random_schedule
-from afdof.simulate import _TAG_DEST1, _TAG_DEST2, _TAG_SYMBOLS, _stream
+from afdof.simulate import (
+    FUZZ,
+    LEMMA,
+    SAMPLE_CONDITIONS,
+    SWEEP,
+    _TAG_DEST1,
+    _TAG_DEST2,
+    _TAG_RELAY_U,
+    _TAG_SYMBOLS,
+    keyed_rng,
+)
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
@@ -102,7 +112,8 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     # to the same stream errors.  One trial's error sum is n * mse.
     P, n = 100.0, 200
     s = run_scheme_trials(ref_channel, ref_plan, P, n, trials=1, seed=seed)
-    sym = _stream(seed, 0, _TAG_SYMBOLS).standard_normal((n, 4)) * math.sqrt(P)
+    sym = keyed_rng(SWEEP, seed, 0, _TAG_SYMBOLS).standard_normal((n, 4))
+    sym *= math.sqrt(P)
     a1, a2, b1, b2 = sym.T
     symbols = np.stack([a1, b1, a2, b2, a1, b2], axis=1).reshape(3 * n, 2)
     y1, y2 = simulate_block_matrix(ref_channel, scheme_schedule(ref_plan, n),
@@ -114,6 +125,25 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
             ((a1_hat, a1), (a2_hat, a2), (b1_hat, b1), (b2_hat, b2))]
     got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
+    # Relay u scales by mu_all in every slot, so its second moment follows
+    # from the symbol and relay-u noise rows alone: trial t must read row t
+    # of the (seed, point) key's generators.
+    P, n, trials, seed, point = 100.0, 30, 3, 4, 2
+    s = run_scheme_trials(ref_channel, ref_plan, P, n, trials, (seed, point))
+    sym = keyed_rng(SWEEP, seed, point, _TAG_SYMBOLS).standard_normal(
+        (trials, n, 4)) * math.sqrt(P)
+    zu = keyed_rng(SWEEP, seed, point, _TAG_RELAY_U).standard_normal(
+        (trials, 3 * n))
+    a1, a2, b1, b2 = sym.transpose(2, 0, 1)
+    x1 = np.stack([a1, a2, a1], axis=2).reshape(trials, 3 * n)
+    x2 = np.stack([b1, b2, b2], axis=2).reshape(trials, 3 * n)
+    ch = ref_channel
+    xu = ref_plan.mu_all * (ch.h_s1u * x1 + ch.h_s2u * x2 + zu)
+    assert s.relay_pu == pytest.approx(np.mean(np.mean(xu ** 2, axis=1)),
+                                       rel=1e-12)
 
 
 def test_trial_determinism(ref_channel, ref_plan):
@@ -188,8 +218,8 @@ def test_relay_power_zero_schedule(ref_channel):
     # hears exactly its own noise only if both relays send zero.
     sched = AfSchedule.from_pairs(((0.0, 0.0),) * 10)
     y1, y2 = simulate_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
-    assert np.array_equal(y1, _stream(0, 0, _TAG_DEST1).standard_normal(11)[1:])
-    assert np.array_equal(y2, _stream(0, 0, _TAG_DEST2).standard_normal(11)[1:])
+    assert np.array_equal(y1, keyed_rng(SWEEP, 0, 0, _TAG_DEST1).standard_normal(10))
+    assert np.array_equal(y2, keyed_rng(SWEEP, 0, 0, _TAG_DEST2).standard_normal(10))
 
 
 def test_relay_power_reference_ratio(ref_channel, ref_plan):
@@ -274,3 +304,36 @@ def test_sweep_deterministic(ref_channel, ref_plan):
     a = sweep_power_grid(ref_channel, ref_plan, GRID[:4], 100, 2, seed=1)
     b = sweep_power_grid(ref_channel, ref_plan, GRID[:4], 100, 2, seed=1)
     assert a == b
+
+
+def test_stream_keys_never_share_first_draws():
+    # Every purpose over 100 adjacent seeds, and the first sweep points and
+    # tags, against sample_channel's default_rng(s) for the same seeds: no two
+    # generators start with the same draws.  The wide seeds s + p * 2**128
+    # spell seed s's words followed by purpose p's.
+    purposes = (FUZZ, LEMMA, SAMPLE_CONDITIONS)
+    firsts = []
+    for seed in range(100):
+        firsts += [np.random.default_rng(seed + p * 2 ** 128).standard_normal(4)
+                   for p in (0, *purposes)]
+        firsts += [keyed_rng(p, seed).standard_normal(4) for p in purposes]
+        firsts += [keyed_rng(SWEEP, seed, point, tag).standard_normal(4)
+                   for point in range(6) for tag in range(5)]
+    assert len({f.tobytes() for f in firsts}) == len(firsts) == 100 * 37
+
+
+def test_adjacent_seeds_do_not_share_sweep_points(ref_channel, ref_plan):
+    # Seeding point i with seed + i would make it replay point i - 1 of seed
+    # s + 1, which at one repeated power shows as equal stats.
+    one = sweep_power_grid(ref_channel, ref_plan, (1e3, 1e3), 50, 2, seed=1)
+    two = sweep_power_grid(ref_channel, ref_plan, (1e3, 1e3), 50, 2, seed=2)
+    assert one[1] != two[0] and one[0] != one[1]
+    # A bare seed is point 0 of its sweep.
+    assert run_scheme_trials(ref_channel, ref_plan, 1e3, 50, 2, seed=1) == one[0]
+
+
+@pytest.mark.parametrize("seed,key", [(-1, ()), (0, (-1,)), (0, (2 ** 32,))],
+                         ids=["negative-seed", "negative-entry", "wide-entry"])
+def test_keyed_rng_rejects_keys_outside_its_words(seed, key):
+    with pytest.raises(ValueError):
+        keyed_rng(SWEEP, seed, *key)
