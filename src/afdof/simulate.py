@@ -110,22 +110,30 @@ def _sweep_rngs(seed) -> list[np.random.Generator]:
     return [keyed_rng(SWEEP, seed, point, tag) for tag in range(5)]
 
 
-def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2):
+def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2,
+           t1, t2):
     """Run the physical chain: each relay scales its received sample by its
-    slot's coefficient and both relays reach both destinations."""
-    yu = ch.h_s1u * x1 + ch.h_s2u * x2 + zu
-    yv = ch.h_s1v * x1 + ch.h_s2v * x2 + zv
-    xu = mu_arr * yu
-    xv = lam_arr * yv
-    y1 = ch.h_ud1 * xu + ch.h_vd1 * xv + zd1
-    y2 = ch.h_ud2 * xu + ch.h_vd2 * xv + zd2
+    slot's coefficient and both relays reach both destinations.  Works in
+    place, with t1 and t2 as scratch: yu then xu over zu, yv then xv over zv,
+    y1 over zd1 and y2 over zd2; x1 and x2 are only read."""
+    def mix(a, x, b, y, z):  # z <- (a*x + b*y) + z
+        np.add(np.multiply(x, a, out=t1), np.multiply(y, b, out=t2), out=t1)
+        return np.add(t1, z, out=z)
+
+    xu = np.multiply(mix(ch.h_s1u, x1, ch.h_s2u, x2, zu), mu_arr, out=zu)
+    xv = np.multiply(mix(ch.h_s1v, x1, ch.h_s2v, x2, zv), lam_arr, out=zv)
+    y1 = mix(ch.h_ud1, xu, ch.h_vd1, xv, zd1)
+    y2 = mix(ch.h_ud2, xu, ch.h_vd2, xv, zd2)
     return y1, y2, xu, xv
 
 
-def _chain_noise(noise_rngs, shape, noise_scale: float):
-    """The next draws of relay and destination noise, in tag order."""
-    noise = [rng.standard_normal(shape) for rng in noise_rngs]
-    for z in noise:
+def _chain_noise(noise_rngs, noise, noise_scale: float):
+    """Draw the next relay and destination noise, in tag order, into the
+    arrays ``noise`` and scale it; noise_scale must be finite and >= 0."""
+    if not 0 <= noise_scale < math.inf:
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    for rng, z in zip(noise_rngs, noise):
+        rng.standard_normal(out=z)
         z *= noise_scale
     return noise
 
@@ -143,7 +151,8 @@ def _block_inputs(schedule: AfSchedule, symbols, noise_seed, noise_scale: float)
             f"schedule length {len(schedule)} must equal the symbol slots "
             f"(got {symbols.shape[0]})")
     return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
-            *_chain_noise(_sweep_rngs(noise_seed)[1:], len(symbols), noise_scale))
+            *_chain_noise(_sweep_rngs(noise_seed)[1:], np.empty((4, len(symbols))),
+                          noise_scale))
 
 
 def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
@@ -155,7 +164,8 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
     schedule : relay coefficients per slot, length L
     symbols : (L, 2) array; row k holds both sources' slot-k symbols
     noise_seed : sweep key as in run_scheme_trials; the noise is trial 0's
-    noise_scale : multiplies every noise sample (0 disables noise)
+    noise_scale : multiplies every noise sample; finite and >= 0 (0
+                  disables noise)
 
     Returns
     -------
@@ -163,7 +173,8 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
                sample k carries the slot-k symbols
     """
     y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
-                                             noise_scale))
+                                             noise_scale),
+                          *np.empty((2, len(schedule))))  # scratch t1, t2
     return y1, y2
 
 
@@ -212,26 +223,27 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     schedule = scheme_schedule(plan, n_triples)
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
     sq_errs, pu, pv = [], [], []  # per trial; sq_errs rows are (a1, a2, b1, b2)
+    # One group's symbols and chain arrays, reused by every group:
+    # x1, x2, zu, zv, zd1, zd2 and the chain's scratch t1, t2.
+    sym_buf = np.empty((group, n_triples, 4))
+    buf = np.empty((8, group, n_slots))
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        sym = sym_rng.standard_normal((rows, n_triples, 4))
+        sym = sym_rng.standard_normal(out=sym_buf[:rows])
         sym *= math.sqrt(P)
         a1, a2, b1, b2 = sym.transpose(2, 0, 1)
-        x1, x2 = np.empty((2, rows, n_slots))  # contiguous per source
+        x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows]
         x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
         x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
+        _chain_noise(noise_rngs, (zu, zv, zd1, zd2), noise_scale)
         y1, y2, xu, xv = _chain(ch, schedule.mu, schedule.lam, x1, x2,
-                                *_chain_noise(noise_rngs, (rows, n_slots),
-                                              noise_scale))
+                                zu, zv, zd1, zd2, t1, t2)
         hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
                 *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
         sq_errs += zip(*(np.sum((hat - x) ** 2, axis=1).tolist()
                          for hat, x in zip(hats, (a1, a2, b1, b2))))
-        pu += np.mean(xu ** 2, axis=1).tolist()
-        pv += np.mean(xv ** 2, axis=1).tolist()
-        # Free this group's arrays before the next group allocates its own,
-        # so peak memory holds one group's arrays, not two.
-        del sym, a1, a2, b1, b2, x1, x2, y1, y2, xu, xv, hats
+        pu += np.mean(np.square(xu, out=t1), axis=1).tolist()
+        pv += np.mean(np.square(xv, out=t1), axis=1).tolist()
     mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
                                       for col in zip(*sq_errs))
     pu, pv = np.array(pu), np.array(pv)

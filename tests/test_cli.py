@@ -11,6 +11,7 @@ import pytest
 import afdof.bounds
 import afdof.channel
 import afdof.cli
+import afdof.simulate
 from afdof import ChannelRealization, check_conditions
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
@@ -92,6 +93,18 @@ def test_run_achievability_deterministic(tmp_path):
     # new stream layout updates the digest).  Full-precision JSON floats may
     # differ in the last bits across numpy builds, so only the CSV is pinned.
     assert hashlib.sha256((out_a / "rates.csv").read_bytes()).hexdigest() == (
+        "d569306997eb5eb79abe76ce2718db1d2069d5177c084aef0ce2e26f286aac45")
+
+
+def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
+    # A cap of one element runs every trial as its own group over the call's
+    # reused buffers, as long blocks do; no group may leak into the next.
+    monkeypatch.setattr(afdof.simulate, "GROUP_CAP", 1)
+    cfg = write_config(tmp_path / "cfg.json", trials=2, n_triples=100)
+    out = tmp_path / "out"
+    assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 0
+    # The digest pinned in test_run_achievability_deterministic.
+    assert hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest() == (
         "d569306997eb5eb79abe76ce2718db1d2069d5177c084aef0ce2e26f286aac45")
 
 
@@ -277,6 +290,40 @@ def test_check_lemma2_resample_cap(monkeypatch, tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "SingularCovariance"
     assert len(drawn) == 200
+
+
+def recorded(monkeypatch, name):
+    """Wrap afdof.cli's binding of ``name``; returns the list of its results."""
+    results = []
+    draw = getattr(afdof.cli, name)
+
+    def wrapper(*args):
+        results.append(draw(*args))
+        return results[-1]
+
+    monkeypatch.setattr(afdof.cli, name, wrapper)
+    return results
+
+
+def test_fuzz_and_lemma_draws_pinned(tmp_path, monkeypatch, capsys):
+    # Neither bounds.json nor the check-lemma2 stdout shows what was drawn,
+    # so the FUZZ and LEMMA streams are pinned by their seed-0 draws: moving
+    # either to another keyed_rng key changes this digest.
+    schedules = recorded(monkeypatch, "random_schedule")
+    instances = recorded(monkeypatch, "random_lemma2_instance")
+    assert main(["verify-bounds", "--seed", "0", "--fuzz", "3",
+                 "--out", str(tmp_path / "vb")]) == 0
+    assert main(["check-lemma2", "--seed", "0", "--count", "5",
+                 "--out", str(tmp_path / "lemma")]) == 0
+    capsys.readouterr()
+    assert len(schedules) == 3 and len(instances) >= 5
+    lines = [",".join(map(str, s.index.ravel().tolist()))
+             + f";{s.alphabet.V[-1]:.12g}" for s in schedules]
+    lines += [f"{inst[0].shape[0]};" + ";".join(
+        ",".join(f"{v:.12g}" for v in m.ravel()) for m in inst)
+        for inst in instances[:5]]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "cfa907c10a2b17cbabdb2b32b19542a22278ba42ac7627e8f742a5ecec366287")
 
 
 def test_check_lemma2_usage_errors(tmp_path):

@@ -257,6 +257,37 @@ def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
         run_scheme_trials(ref_channel, ref_plan, **args)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+def test_noise_scale_must_be_finite_and_nonnegative(ref_channel, ref_plan, scale):
+    # A NaN or infinite scale used to give NaN MSEs and rates, and a negative
+    # one ran silently; all three fail on every path that draws chain noise.
+    sched = scheme_schedule(ref_plan, 2)
+    symbols = np.ones((len(sched), 2))
+    calls = (
+        lambda s: run_scheme_trials(ref_channel, ref_plan, 1e3, 2, 3, 0,
+                                    noise_scale=s),
+        lambda s: simulate_block(ref_channel, sched, symbols, 0, noise_scale=s),
+        lambda s: simulate_block_matrix(ref_channel, sched, symbols, 0,
+                                        noise_scale=s),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"noise_scale .* got {scale}"):
+            call(scale)
+        call(0.0)  # no noise stays valid
+
+
+def test_simulate_block_leaves_symbols_unchanged(ref_channel, ref_plan):
+    # The chain works in place over its noise arrays; a caller's float64
+    # symbols reach it as views and must come back untouched.
+    sched = random_schedule(ref_channel, ref_plan, 60, np.random.default_rng(2))
+    symbols = np.random.default_rng(3).normal(size=(len(sched), 2))
+    before = symbols.copy()
+    first = simulate_block(ref_channel, sched, symbols, noise_seed=4)
+    assert np.array_equal(symbols, before)
+    second = simulate_block(ref_channel, sched, symbols, noise_seed=4)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 def test_slope_fit_exact_line():
     rates = [(P, (4.0 / 3.0) * 0.5 * math.log2(P) + 7.0)
              for P in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)]
