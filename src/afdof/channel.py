@@ -150,7 +150,7 @@ def sample_channel(seed: int) -> ChannelRealization:
     """
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REJECTS):
-        ch = ChannelRealization(*(float(g) for g in rng.standard_normal(8)))
+        ch = ChannelRealization(*rng.standard_normal(8).tolist())
         if check_conditions(ch).generic:
             return ch
     raise GenericityFailure(

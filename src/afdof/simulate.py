@@ -4,9 +4,10 @@ Relay slot k forwards the relays' slot-k received sample scaled by the
 schedule's slot-k coefficients, so L schedule slots carry L source slots to
 L destination samples; the relays' one-slot latency shifts every sample
 alike and is not modelled.  keyed_rng builds every random stream but the
-channel draw.  Trial t reads row t of its sweep point's generators, and
-consecutive trials run as the rows of one (group, 3n) block of at most
-GROUP_CAP elements, so results depend neither on the grouping nor on the
+channel draw.  Trial t reads row t of its sweep point's generators.  The
+chain runs in tiles of at most GROUP_CAP elements per array, whole trials or
+spans of one long trial, and each group of trials keeps 80 B per triple and
+trial of reduction rows, so results depend neither on the tiling nor on the
 number of trials.
 """
 
@@ -34,8 +35,8 @@ from .scheme import (
 SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 _TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
 
-# run_scheme_trials puts as many trials in one (group, 3n) block as fit in
-# this many elements per array, and always at least one.
+# run_scheme_trials runs its chain in tiles of at most this many elements per
+# array (at least one triple): as many whole trials as fit, else spans of one.
 GROUP_CAP = 2 ** 16
 
 
@@ -205,48 +206,57 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     Source symbols are zero-mean Gaussian with variance P.  Within each
     block, both sources repeat their phase-3 symbols as the scheme
     requires (user 1 resends its first symbol, user 2 its second): a block
-    sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on one
-    shared scheme_schedule(plan, n_triples) through simulate_block's chain.
+    sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on
+    scheme_schedule(plan, n_triples) through simulate_block's chain.
 
     ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; trial
-    t reads row t of the key's generators.  Consecutive trials run as the
-    rows of one (group, 3 * n_triples) block of at most GROUP_CAP elements
-    (at least one row), each reduced on its own, so the results depend
-    neither on the grouping nor on the number of trials.
+    t reads row t of the key's generators.  The chain runs in tiles of rows
+    x span triples, at most GROUP_CAP elements per array: whole trials when
+    they fit, else spans of GROUP_CAP // 3 triples (at least one) of one
+    trial, each generator filling a tile in C order.  Memory is the tile plus
+    80 B per triple and row of reduction rows, which each group sums once,
+    so results depend neither on the tiling nor on the number of trials.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     sym_rng, *noise_rngs = _sweep_rngs(seed)
-    n_slots = 3 * n_triples
-    group = max(1, min(trials, GROUP_CAP // n_slots))
-    schedule = scheme_schedule(plan, n_triples)
+    span = max(1, min(n_triples, GROUP_CAP // 3))  # triples per tile row
+    group = max(1, min(trials, GROUP_CAP // (3 * span)))
+    schedule = scheme_schedule(plan, span)  # any tile's slots: blocks repeat
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
-    sq_errs, pu, pv = [], [], []  # per trial; sq_errs rows are (a1, a2, b1, b2)
-    # One group's symbols and chain arrays, reused by every group:
-    # x1, x2, zu, zv, zd1, zd2 and the chain's scratch t1, t2.
-    sym_buf = np.empty((group, n_triples, 4))
-    buf = np.empty((8, group, n_slots))
+    sq_errs, powers = [], []  # per trial: (a1, a2, b1, b2) and (u, v)
+    # One tile's symbols and chain arrays, reused by every tile: x1, x2, zu,
+    # zv, zd1, zd2 and the chain's scratch t1, t2.  Then one group's squared
+    # stream errors (a1, a2, b1, b2) and squared relay samples (u, v).
+    sym_buf = np.empty((group, span, 4))
+    buf = np.empty((8, group, 3 * span))
+    sq = np.empty((4, group, n_triples))
+    sq_relay = np.empty((2, group, 3 * n_triples))
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        sym = sym_rng.standard_normal(out=sym_buf[:rows])
-        sym *= math.sqrt(P)
-        a1, a2, b1, b2 = sym.transpose(2, 0, 1)
-        x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows]
-        x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
-        x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
-        _chain_noise(noise_rngs, (zu, zv, zd1, zd2), noise_scale)
-        y1, y2, xu, xv = _chain(ch, schedule.mu, schedule.lam, x1, x2,
-                                zu, zv, zd1, zd2, t1, t2)
-        hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
-                *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
-        sq_errs += zip(*(np.sum((hat - x) ** 2, axis=1).tolist()
-                         for hat, x in zip(hats, (a1, a2, b1, b2))))
-        pu += np.mean(np.square(xu, out=t1), axis=1).tolist()
-        pv += np.mean(np.square(xv, out=t1), axis=1).tolist()
+        for lo in range(0, n_triples, span):
+            w = min(span, n_triples - lo)
+            sym = sym_rng.standard_normal(out=sym_buf[:rows, :w])
+            sym *= math.sqrt(P)
+            a1, a2, b1, b2 = sym.transpose(2, 0, 1)
+            x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows, :3 * w]
+            x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
+            x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
+            _chain_noise(noise_rngs, (zu, zv, zd1, zd2), noise_scale)
+            y1, y2, xu, xv = _chain(ch, schedule.mu[:3 * w], schedule.lam[:3 * w],
+                                    x1, x2, zu, zv, zd1, zd2, t1, t2)
+            hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
+                    *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
+            for hat, x, out in zip(hats, (a1, a2, b1, b2), sq[:, :rows, lo:lo + w]):
+                np.square(np.subtract(hat, x, out=out), out=out)
+            for x, out in zip((xu, xv), sq_relay[:, :rows, 3 * lo:3 * (lo + w)]):
+                np.square(x, out=out)
+        sq_errs += np.sum(sq[:, :rows], axis=2).T.tolist()
+        powers += np.mean(sq_relay[:, :rows], axis=2).T.tolist()
     mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
                                       for col in zip(*sq_errs))
-    pu, pv = np.array(pu), np.array(pv)
+    pu, pv = np.array(powers).T
     se_u = float(np.std(pu, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     se_v = float(np.std(pv, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SchemeStats(

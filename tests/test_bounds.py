@@ -240,6 +240,15 @@ def test_evaluate_bounds_balanced_census(ref_channel, ref_plan):
     assert ev2.bound3 - ev.bound3 == pytest.approx((4 / 3) * dx)
 
 
+def test_evaluate_bounds_unbalanced_census(ref_channel, ref_plan):
+    # Distinct |A|, |B| and |C| tell each bound's slope apart: bound 1 is
+    # 1 + |C|/n, bound 2 is 1 + |B|/n and bound 3 is 1 + |A|/n.
+    cens = StateCensus(nA=1, nB=2, nC1=3, nC2=0, nC3=0, nZero=0, n=6)
+    constants = bound_constants(ref_channel, ref_plan.alphabet())
+    ev = evaluate_bounds(cens, 1e6, constants)
+    assert ev.slope_dof == pytest.approx((1 + 3 / 6, 1 + 2 / 6, 1 + 1 / 6))
+
+
 def test_evaluate_bounds_empty_c_set(ref_channel, ref_plan):
     cens = StateCensus(nA=15, nB=15, nC1=0, nC2=0, nC3=0, nZero=0, n=30)
     constants = bound_constants(ref_channel, ref_plan.alphabet())

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -51,6 +52,16 @@ def test_zero_gain_fails_all_nonzero():
 def test_sampler_is_deterministic():
     assert sample_channel(42) == sample_channel(42)
     assert sample_channel(42) != sample_channel(43)
+
+
+def test_sampler_gains_are_pinned():
+    # The gains of channel seeds 0-999, as Python floats, pin the sampler's
+    # draw and its build of ChannelRealization.
+    gains = [sample_channel(seed).gains() for seed in range(1000)]
+    assert all(type(g) is float for row in gains for g in row)
+    digest = hashlib.sha256(np.array(gains, dtype="<f8").tobytes()).hexdigest()
+    assert digest == (
+        "8db144ce59d5157bc6b4fab20663dc1026703ca3f1ec49c56cce998b320f9de9")
 
 
 def test_sampler_returns_generic_channels():

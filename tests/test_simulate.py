@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,9 +163,11 @@ def test_trial_determinism(ref_channel, ref_plan):
 @pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000)])
 def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
                                            trials, n):
-    # Each shape fits one group by default.  A cap of one element puts one
-    # trial in each group; a cap of three trials' slots leaves a remainder
-    # group, since no trial count here is a multiple of 3.
+    # Each shape fits one tile by default.  A cap below 3 runs one-triple
+    # tiles; a cap of 3 * 7 splits a trial of 50 or 1000 triples into spans
+    # of 7 with a shorter last span (and puts two trials of 3 in a tile); a
+    # cap of three trials' slots leaves a remainder group, since no trial
+    # count here is a multiple of 3.
     assert afdof.simulate.GROUP_CAP >= trials * 3 * n
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
@@ -172,9 +175,26 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
             kw = dict(P=P, n_triples=n, trials=trials, seed=3)
             with monkeypatch.context() as m:
                 grouped = run_scheme_trials(ch, plan, **kw)
-                for cap in (1, 3 * 3 * n):
+                for cap in (1, 3 * 7, 3 * 3 * n):
                     m.setattr(afdof.simulate, "GROUP_CAP", cap)
                     assert run_scheme_trials(ch, plan, **kw) == grouped
+
+
+def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
+    # A 1e5-triple trial runs in spans: the traced peak is one tile plus the
+    # group's reduction rows (80 B per triple), and neither grows with the
+    # number of trials.  Whole-trial (1, 3n) chain arrays would need 32 MB.
+    peaks = []
+    for trials in (1, 4):
+        tracemalloc.start()
+        try:
+            run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=100_000,
+                              trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 18.0, peaks
+    assert peaks[1] == pytest.approx(peaks[0], abs=0.1), peaks
 
 
 def test_mse_zero_noise(ref_channel, ref_plan):
