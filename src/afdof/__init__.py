@@ -44,17 +44,13 @@ from .simulate import (
     sweep_power_grid,
 )
 from .bounds import (
-    BoundConstants,
-    BoundEvaluation,
     ImpossiblePattern,
     SingularCovariance,
     StateCensus,
     StateLabel,
-    bound_constants,
+    bound_slopes,
     census,
     check_lemma2,
-    classify_state,
-    evaluate_bounds,
     gaussian_entropy,
     min_census_fraction,
     random_lemma2_instance,

@@ -1,10 +1,10 @@
 """Computable artifacts of the sum-rate outer bound.
 
 Classifies each slot's end-to-end matrix by the position of its single
-zero entry (or lack of one), counts those states over a schedule, builds
-the coefficient-maximum constants entering the bound, evaluates the three
-slope bounds whose minimum caps the sum-DoF at 4/3, and numerically checks
-the Gaussian entropy-difference lemma the bound proofs lean on.
+zero entry (or lack of one), counts those states over a schedule, gives
+the slope coefficients of the three sum-rate bounds, whose minimum caps
+the sum-DoF at 4/3, and numerically checks the Gaussian entropy-difference
+lemma the bound proofs lean on.
 """
 
 from __future__ import annotations
@@ -18,20 +18,16 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     EndToEndMatrix,
-    effective_noise_variance,
     end_to_end,
     nulling_coefficients,
 )
-from .scheme import COEF_TOL, AfAlphabet, AfSchedule, PhasePlan, check_power
+from .scheme import COEF_TOL, AfAlphabet, AfSchedule, PhasePlan
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 # check_lemma2 compares lhs <= rhs + LEMMA2_SLACK, absorbing rounding in
 # the entropy evaluations.
 LEMMA2_SLACK = 1e-9
-
-RESIDUAL_NOTE = ("bound constants omit entropy-difference remainders that "
-                 "have no closed form; compare slope terms only")
 
 
 class ImpossiblePattern(Exception):
@@ -60,8 +56,8 @@ _LABELS = tuple(StateLabel)
 _ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
 _ZERO_ID = _LABELS.index(StateLabel.ZERO)
 # Label position by zero pattern, bit e set when entry e is zero.  Two or
-# more zeros (-1) are impossible unless both coefficients are zero, which
-# _slot_label_ids labels Zero apart.
+# more zeros (-1) are impossible unless all four are, which _label_ids
+# labels Zero apart.
 _PATTERN_IDS = np.full(16, -1)
 _PATTERN_IDS[0] = _LABELS.index(StateLabel.C1)
 _PATTERN_IDS[[1, 2, 4, 8]] = [_LABELS.index(s) for s in _ONE_ZERO_LABELS]
@@ -95,74 +91,38 @@ class StateCensus:
         return self.n - self.nZero
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Alphabet-wide maxima: M bounds any squared end-to-end coefficient,
-    N bounds any effective noise variance."""
+def _label_ids(G: EndToEndMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """State positions, in StateLabel order, of end-to-end matrices whose
+    fields are floats or same-shape arrays, and their (4, ...) zero mask.
 
-    M: float
-    N: float
-    M_ij: tuple[tuple[float, float], tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class BoundEvaluation:
-    """The three per-symbol bound values at one power.
-
-    Each bound is its slope term (1/2)(1 + |L|/n) log2 P plus the
-    explicitly computable constant component; slope_dof holds the three
-    prelog coefficients 1 + |L|/n in the same order.  Further constant
-    remainders exist but are not closed-form (RESIDUAL_NOTE).
+    This is the one zero rule: an entry is zero at or below COEF_TOL times
+    the largest-magnitude entry of its matrix, the decoders' rule.  An
+    all-zero matrix is Zero.  Two or three zeros cannot happen over a
+    generic channel, so those patterns get -1 (a tolerance or genericity
+    bug).
     """
-
-    bound1: float
-    bound2: float
-    bound3: float
-    slope_dof: tuple[float, float, float]
-
-
-def classify_state(G: EndToEndMatrix) -> StateLabel:
-    """Label a slot matrix by the position of its zero entry, if any.
-
-    Entries are zero-tested against COEF_TOL times the largest-magnitude
-    entry, the decoders' rule.  Two or three zeros cannot happen over a
-    generic channel, so that pattern raises ImpossiblePattern (a tolerance
-    or genericity bug).
-    """
-    scale = G.max_abs()
-    if scale == 0.0:
-        return StateLabel.ZERO
-    zero = [abs(e) <= COEF_TOL * scale for e in G.entries()]
-    n_zero = sum(zero)
-    if n_zero == 0:
-        return StateLabel.C1
-    if n_zero == 1:
-        return _ONE_ZERO_LABELS[zero.index(True)]
-    raise ImpossiblePattern(
-        f"{n_zero} zero entries with a nonzero entry present: {G.entries()}")
+    magnitude = np.abs(G.entries())
+    scale = magnitude.max(axis=0)
+    zero = magnitude <= COEF_TOL * scale
+    pattern = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
+    return np.where(scale == 0.0, _ZERO_ID, pattern), zero
 
 
 def _slot_label_ids(ch: ChannelRealization,
                     schedule: AfSchedule) -> np.ndarray:
     """Each slot's state as a position in StateLabel order.
 
-    A slot's state depends only on its (mu, lambda) index pair, so the four
-    end_to_end entries of the whole U x V alphabet grid are computed as
-    arrays, in end_to_end's operation order, and labelled by classify_state's
-    zero rule; every slot reads its pair's label from that table.  Only the
-    pairs the schedule uses can raise ImpossiblePattern.
+    A slot's state depends only on its (mu, lambda) index pair, so the
+    end_to_end matrices of the whole U x V alphabet grid are labelled at
+    once and every slot reads its pair's label from that table.  Zero means
+    both relays idle; a matrix that vanishes while a relay sends is
+    impossible.  Only the pairs the schedule uses can raise
+    ImpossiblePattern.
     """
     mu = np.array(schedule.alphabet.U)[:, None]
     lam = np.array(schedule.alphabet.V)
-    hu, hv, su, sv = np.array((
-        (ch.h_ud1, ch.h_ud1, ch.h_ud2, ch.h_ud2),
-        (ch.h_vd1, ch.h_vd1, ch.h_vd2, ch.h_vd2),
-        (ch.h_s1u, ch.h_s2u, ch.h_s1u, ch.h_s2u),
-        (ch.h_s1v, ch.h_s2v, ch.h_s1v, ch.h_s2v)))[:, :, None, None]
-    magnitude = np.abs(mu * hu * su + lam * hv * sv)    # (4, |U|, |V|)
-    zero = magnitude <= COEF_TOL * magnitude.max(axis=0)
-    table = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
-    table[(mu == 0.0) & (lam == 0.0)] = _ZERO_ID
+    table, zero = _label_ids(end_to_end(ch, mu, lam))
+    table[(table == _ZERO_ID) & ((mu != 0.0) | (lam != 0.0))] = -1
     iu, iv = schedule.index.T
     ids = table[iu, iv]
     if table.min() < 0 and (ids < 0).any():
@@ -186,48 +146,16 @@ def census(ch: ChannelRealization, schedule: AfSchedule) -> StateCensus:
     return StateCensus(*np.bincount(ids, minlength=len(_LABELS)).tolist(), n=len(ids))
 
 
-def bound_constants(ch: ChannelRealization,
-                    alphabet: AfAlphabet) -> BoundConstants:
-    """Exhaustively maximize the squared coefficients and noise variances
-    over the finite alphabet."""
-    pairs = [(mu, lam) for mu in alphabet.U for lam in alphabet.V]
-    squares = [[e ** 2 for e in end_to_end(ch, mu, lam).entries()]
-               for mu, lam in pairs]
-    m11, m12, m21, m22 = (max(column) for column in zip(*squares))
-    noise = max(effective_noise_variance(ch, mu, lam, dest)
-                for mu, lam in pairs for dest in (1, 2))
-    return BoundConstants(M=max(m11, m12, m21, m22), N=noise,
-                          M_ij=((m11, m12), (m21, m22)))
+def bound_slopes(census_counts: StateCensus) -> tuple[float, float, float]:
+    """Slope coefficients 1 + |L|/n of the three sum-rate bounds, for L = C,
+    B and A in that order.
 
-
-def evaluate_bounds(census_counts: StateCensus, P: float,
-                    constants: BoundConstants) -> BoundEvaluation:
-    """Evaluate the three sum-rate bounds per symbol, in bits.
-
-    Each bound contributes, per received-sample entropy term it contains,
-    a packing constant (1/2) log2(1 + 2M/N); counted slots additionally
-    contribute half of log2(N) plus half of log2(2 pi e).  All computable
-    parts are functions of the census and constants alone; the remainders
-    are the ones RESIDUAL_NOTE names.
+    Each bound grows as (1/2)(1 + |L|/n) log2 P, so the smallest
+    coefficient caps the sum-DoF: 4/3 on a balanced census.
     """
-    check_power(P)
     n = census_counts.n
-    log2_p = math.log2(P)
-    packing = 0.5 * math.log2(1.0 + 2.0 * constants.M / constants.N)
-    log2_n_const = math.log2(constants.N)
-
-    def one(count_l: int, counted: int, entropy_terms: int) -> tuple[float, float]:
-        slope_coeff = 1.0 + count_l / n
-        const = (entropy_terms * packing
-                 + (counted / (2.0 * n)) * (log2_n_const + _LOG2_2PIE))
-        return slope_coeff, 0.5 * slope_coeff * log2_p + const
-
-    c_a, c_b = census_counts.nA, census_counts.nB
-    c_c, c_s = census_counts.nC, census_counts.nS
-    s1, b1 = one(c_c, c_a + c_b + 2 * c_c, 4)
-    s2, b2 = one(c_b, c_s + c_b, 2)
-    s3, b3 = one(c_a, c_s + c_a, 2)
-    return BoundEvaluation(bound1=b1, bound2=b2, bound3=b3, slope_dof=(s1, s2, s3))
+    return tuple(1.0 + count / n for count in
+                 (census_counts.nC, census_counts.nB, census_counts.nA))
 
 
 def min_census_fraction(census_counts: StateCensus) -> tuple[str, float]:

@@ -24,8 +24,9 @@ from .channel import (
 )
 
 # The one zero test for end-to-end coefficients, used by the decoders and by
-# bounds.classify_state.  Looser than channel.GENERIC_TOL (1e-12) so it does
-# not flap on accumulated rounding, still far below any generic entry.
+# the state labels of bounds._label_ids.  Looser than channel.GENERIC_TOL
+# (1e-12) so it does not flap on accumulated rounding, still far below any
+# generic entry.
 COEF_TOL = 1e-9
 
 
@@ -80,15 +81,6 @@ class AfSchedule:
             raise ValueError(f"index outside the alphabet sizes ({n_u}, {n_v})")
         object.__setattr__(self, "index", index.astype(
             np.min_scalar_type(max(n_u, n_v) - 1), copy=False))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "AfSchedule":
-        """Schedule of the given per-slot (mu, lambda) pairs over the
-        alphabet of their distinct values, in first-occurrence order."""
-        mus, lams = np.asarray(pairs, dtype=float).reshape(-1, 2).T.tolist()
-        U, V = tuple(dict.fromkeys(mus)), tuple(dict.fromkeys(lams))
-        return cls(AfAlphabet(U=U, V=V), np.array(
-            [[U.index(mu), V.index(lam)] for mu, lam in zip(mus, lams)]))
 
     def __len__(self) -> int:
         return len(self.index)

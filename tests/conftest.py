@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from afdof import ChannelRealization, plan_achievability
+from afdof import AfAlphabet, AfSchedule, ChannelRealization, plan_achievability
 
 # Derandomized: every run draws the same examples, so a property that can
 # catch a defect catches it on every run, not only on a lucky seed.
@@ -26,3 +27,12 @@ def ref_channel() -> ChannelRealization:
 @pytest.fixture
 def ref_plan(ref_channel):
     return plan_achievability(ref_channel)
+
+
+def schedule_from_pairs(pairs) -> AfSchedule:
+    """Schedule of the given per-slot (mu, lambda) pairs over the alphabet
+    of their distinct values, in first-occurrence order."""
+    mus, lams = np.asarray(pairs, dtype=float).reshape(-1, 2).T.tolist()
+    U, V = tuple(dict.fromkeys(mus)), tuple(dict.fromkeys(lams))
+    return AfSchedule(AfAlphabet(U=U, V=V), np.array(
+        [[U.index(mu), V.index(lam)] for mu, lam in zip(mus, lams)]))

@@ -27,13 +27,12 @@ from afdof import (
     achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,
-    bound_constants,
+    bound_slopes,
     census,
     check_conditions,
     check_lemma2,
     end_to_end,
     estimate_dof_slope,
-    evaluate_bounds,
     fit_rate_report,
     min_census_fraction,
     plan_achievability,
@@ -199,9 +198,7 @@ def test_criterion_07_bound_dominance():
     ch = reference_channel()
     plan = plan_achievability(ch)
     cens = census(ch, scheme_schedule(plan, 100))
-    constants = bound_constants(ch, plan.alphabet())
-    min_bound = min(min(evaluate_bounds(cens, P, constants).slope_dof)
-                    for P in GRID)
+    min_bound = min(bound_slopes(cens))
     points = sweep_power_grid(ch, plan, GRID, n_triples=600, trials=5, seed=51)
     achieved = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points]).slope
     _report(7, "achieved sum-rate slope within 0.05 of the minimum bound "

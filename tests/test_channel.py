@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -183,6 +184,26 @@ def test_nulling_coefficients_keep_the_hand_formulas():
 scalable_gain = st.one_of(st.integers(min_value=-3, max_value=3).map(float),
                           st.floats(min_value=1e-3, max_value=1e3),
                           st.floats(min_value=-1e3, max_value=-1e-3))
+
+
+def test_genericity_is_distinct_nulling_ratios():
+    # Over every channel with gains in {-2, -1, 1, 2}, the four critical
+    # ratios r_e = nulling_coefficients(ch, 1)[e] are distinct exactly where
+    # the matching determinants are nonzero.  The ratios of such small
+    # integers are exact in float64, so == decides equality.
+    rows = np.array(list(itertools.product((-2.0, -1.0, 1.0, 2.0), repeat=8)))
+    r_a1, r_b1, r_a2, r_b2 = nulling_coefficients(ChannelRealization(*rows.T), 1.0)
+    rep = check_conditions(rows)
+    assert np.array_equal((r_a1 != r_b1) & (r_a2 != r_b2), rep.rank_h1_full)
+    assert np.array_equal((r_a1 != r_a2) & (r_b1 != r_b2), rep.rank_h2_full)
+    assert np.array_equal(r_a1 != r_b2, rep.rank_hsup1_full)
+    assert np.array_equal(r_b1 != r_a2, rep.rank_hsup2_full)
+    ratios = (r_a1, r_b1, r_a2, r_b2)
+    distinct = np.logical_and.reduce(
+        [a != b for a, b in itertools.combinations(ratios, 2)])
+    assert np.array_equal(distinct, rep.generic)
+    assert np.count_nonzero(distinct) == 32256
+
 
 
 @given(gains=st.lists(scalable_gain, min_size=8, max_size=8),

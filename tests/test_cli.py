@@ -132,7 +132,7 @@ def test_verify_bounds(tmp_path):
     assert hashlib.sha256((out / "census.csv").read_bytes()).hexdigest() == (
         "d398fc321b110d6d22bbd1218f1096c286a5de38cb70194c1c70f364d5d72852")
     assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
-        "63e8aa151a4a1063634635e533ac3e94168865b4f126434fad44f7276320a2e5")
+        "de31e080864de7f0fb3204a28bcd3bba6bee20724610bd6bfbd7852b7bcf767b")
 
     bounds = json.loads((out / "bounds.json").read_text())
     counts = collections.Counter(states)
@@ -144,15 +144,10 @@ def test_verify_bounds(tmp_path):
     assert bounds["min_fraction"]["fraction"] == pytest.approx(1 / 3)
     assert bounds["fuzz"] == {"schedules": 50, "violations": 0}
     assert bounds["achieved_sum_slope"] <= bounds["min_bound_slope"] + 0.05
-    assert set(bounds["constants"]) == {"M", "N", "M_ij"}
-    per_P = bounds["per_P"]
-    assert len(per_P) == 5
-    for entry in per_P:
-        assert set(entry) == {"P", "bound1", "bound2", "bound3", "slope_dof",
-                              "argmin_set", "residual_note"}
-        assert entry["argmin_set"] == bounds["min_fraction"]["set"]
-        assert entry["residual_note"] == afdof.bounds.RESIDUAL_NOTE
-    assert bounds["min_bound_slope"] == min(min(e["slope_dof"]) for e in per_P)
+    assert set(bounds) == {"census", "min_fraction", "achieved_sum_slope",
+                           "min_bound_slope", "slope_dof", "fuzz"}
+    assert bounds["slope_dof"] == pytest.approx([4 / 3] * 3)
+    assert bounds["min_bound_slope"] == min(bounds["slope_dof"])
 
 
 @pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"],

@@ -25,7 +25,7 @@ from afdof import (
     scheme_schedule,
 )
 from afdof.bounds import StateLabel, slot_states
-from conftest import REFERENCE_GAINS, reference_channel
+from conftest import REFERENCE_GAINS, reference_channel, schedule_from_pairs
 
 # Closed-form plan constants for the reference channel.
 REF_C = 1.0 / (2.0 * math.sqrt(11.0))
@@ -124,7 +124,7 @@ def test_schedule_enforces_alphabet(ref_plan):
 
 
 def test_schedule_from_pairs():
-    sched = AfSchedule.from_pairs([(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)])
+    sched = schedule_from_pairs([(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)])
     assert sched.alphabet == AfAlphabet(U=(1.0, 2.0), V=(0.5, -1.0))
     assert sched.index.tolist() == [[0, 0], [1, 0], [0, 1]]
     assert _pairs(sched) == [(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)]
@@ -139,7 +139,7 @@ def test_schedule_rejects_nonfinite(column, value):
     pair = [0.5, -0.25]
     pair[column] = value
     with pytest.raises(ValueError, match="finite"):
-        AfSchedule.from_pairs([tuple(pair)] * 3)
+        schedule_from_pairs([tuple(pair)] * 3)
     with pytest.raises(ValueError, match="finite"):
         AfSchedule(AfAlphabet(U=(pair[0],), V=(pair[1],)),
                    np.zeros((3, 2), dtype=int))

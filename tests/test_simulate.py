@@ -6,7 +6,6 @@ import pytest
 
 import afdof.simulate
 from afdof import (
-    AfSchedule,
     InsufficientGrid,
     InvalidPower,
     analytic_noise_variances,
@@ -41,12 +40,13 @@ from afdof.cli import (
     TDMA_SLOPE_WINDOW,
     USER_SLOPE_WINDOW,
 )
+from conftest import schedule_from_pairs
 
 GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
 
 def test_zero_noise_zero_symbols(ref_channel, ref_plan):
-    sched = AfSchedule.from_pairs(ref_plan.phase_pairs() * 2)
+    sched = schedule_from_pairs(ref_plan.phase_pairs() * 2)
     symbols = np.zeros((len(sched), 2))
     y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
                             noise_scale=0.0)
@@ -57,7 +57,7 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
     # One forwarded slot with phase-1 coefficients and unit symbols: d1 sees
     # only the (1,1) entry -5c, d2 sees -4c + 2c.
     pair = ref_plan.phase_pairs()[0]
-    sched = AfSchedule.from_pairs((pair,))
+    sched = schedule_from_pairs((pair,))
     y1, y2 = simulate_block(ref_channel, sched, [[1.0, 1.0]], noise_seed=0,
                             noise_scale=0.0)
     c = ref_plan.c
@@ -67,7 +67,7 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
 
 def test_schedule_symbol_length_mismatch(ref_channel, ref_plan):
     # A schedule of L slots takes exactly L symbol rows: L - 1 fails too.
-    sched = AfSchedule.from_pairs(ref_plan.phase_pairs())
+    sched = schedule_from_pairs(ref_plan.phase_pairs())
     for rows in (5, len(sched) - 1):
         with pytest.raises(ValueError, match="must equal the symbol slots"):
             simulate_block(ref_channel, sched, np.zeros((rows, 2)), noise_seed=0)
@@ -236,7 +236,7 @@ def test_relay_power_zero_schedule(ref_channel):
     # All-zero coefficients silence both relays, relay noise included.  The
     # second hop of the reference channel is invertible, so each destination
     # hears exactly its own noise only if both relays send zero.
-    sched = AfSchedule.from_pairs(((0.0, 0.0),) * 10)
+    sched = schedule_from_pairs(((0.0, 0.0),) * 10)
     y1, y2 = simulate_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
     assert np.array_equal(y1, keyed_rng(SWEEP, 0, 0, _TAG_DEST1).standard_normal(10))
     assert np.array_equal(y2, keyed_rng(SWEEP, 0, 0, _TAG_DEST2).standard_normal(10))
