@@ -29,6 +29,7 @@ from .scheme import (
     plan_achievability,
     reconstruct_d1,
     reconstruct_d2,
+    relay_powers,
     scheme_schedule,
 )
 from .simulate import (

@@ -31,6 +31,7 @@ from .scheme import (
     achievable_rate,
     analytic_noise_variances,
     plan_achievability,
+    relay_powers,
     scheme_schedule,
 )
 from .simulate import (FUZZ, LEMMA, SAMPLE_CONDITIONS, estimate_dof_slope,
@@ -220,6 +221,7 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
                               seed=cfg.seed)
     report = fit_rate_report(points)
     tdma_rates = [baseline_tdma_rate(ch, p.P, plan) for p in points]
+    moments = [relay_powers(ch, plan, p.P) for p in points]  # per phase (u, v)
     tdma_fit = estimate_dof_slope(
         [(p.P, r1 + r2) for p, (r1, r2) in zip(points, tdma_rates)])
 
@@ -228,10 +230,10 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
         writer = csv.writer(fh)
         writer.writerow(["P", "R1", "R2", "R_sum", "mse_a1", "mse_a2",
                          "mse_b1", "mse_b2", "relay_pu", "relay_pv"])
-        for p in points:
+        for p, phases in zip(points, moments):
             writer.writerow([_fmt(v) for v in (
                 p.P, p.R1, p.R2, p.R1 + p.R2, p.mse_a1, p.mse_a2,
-                p.mse_b1, p.mse_b2, p.relay_pu, p.relay_pv)])
+                p.mse_b1, p.mse_b2, *np.mean(phases, axis=0))])
     _write_json(os.path.join(cfg.output_dir, "plan.json"), {
         **asdict(plan), "alphabet": asdict(plan.alphabet()),
         "channel": ch.to_dict()})
@@ -245,6 +247,7 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
     top = points[-1]
     tdma_top = sum(tdma_rates[-1])
     sums = [p.R1 + p.R2 for p in points]
+    worst_power = max(np.max(phases) / p.P for p, phases in zip(points, moments))
     lo, hi = USER_SLOPE_WINDOW
     return [
         ("scheme_sum_slope",
@@ -259,10 +262,7 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
         ("tdma_below_scheme",
          tdma_fit.slope < report.slope_sum and tdma_top < top.R1 + top.R2,
          {"tdma_sum": tdma_top, "scheme_sum": top.R1 + top.R2}),
-        ("relay_power_feasible",
-         all(p.relay_pu <= p.P + 3 * p.relay_pu_se
-             and p.relay_pv <= p.P + 3 * p.relay_pv_se for p in points),
-         [(p.relay_pu / p.P, p.relay_pv / p.P) for p in points]),
+        ("relay_power_feasible", worst_power <= 1 + 1e-12, worst_power),
         ("monotone_sum_rate", all(b >= a for a, b in zip(sums, sums[1:])), sums),
     ]
 

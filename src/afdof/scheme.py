@@ -147,6 +147,18 @@ def plan_achievability(ch: ChannelRealization) -> PhasePlan:
                      lambda_phase3=0.0, mu_all=c)
 
 
+def relay_powers(ch: ChannelRealization, plan: PhasePlan,
+                 P: float) -> tuple[tuple[float, float], ...]:
+    """Exact transmit second moments (u, v) of the two relays in each phase:
+    with independent variance-P symbols and unit relay noise, a relay scaling
+    by g sends g^2 (P (h_s1^2 + h_s2^2) + 1), which the planner's c keeps
+    <= P for every P >= 1."""
+    check_power(P)
+    su = P * (ch.h_s1u ** 2 + ch.h_s2u ** 2) + 1.0
+    sv = P * (ch.h_s1v ** 2 + ch.h_s2v ** 2) + 1.0
+    return tuple((mu * mu * su, lam * lam * sv) for mu, lam in plan.phase_pairs())
+
+
 def scheme_schedule(plan: PhasePlan, n_triples: int) -> AfSchedule:
     """The scheme's relay schedule for n_triples blocks: 3 n_triples slots,
     slot k carrying plan.phase_pairs()[k % 3], so each block runs phases 1,

@@ -6,9 +6,10 @@ L destination samples; the relays' one-slot latency shifts every sample
 alike and is not modelled.  keyed_rng builds every random stream but the
 channel draw.  Trial t reads row t of its sweep point's generators.  The
 chain runs in tiles of at most GROUP_CAP elements per array, whole trials or
-spans of one long trial, and each group of trials keeps 80 B per triple and
-trial of reduction rows, so results depend neither on the tiling nor on the
-number of trials.
+spans of one long trial, and each group of trials keeps 32 B per triple and
+trial of squared stream errors, so results depend neither on the tiling nor
+on the number of trials.  Relay powers are not measured here: they have a
+closed form, scheme.relay_powers.
 """
 
 from __future__ import annotations
@@ -46,20 +47,14 @@ class InsufficientGrid(Exception):
 
 @dataclass(frozen=True)
 class SchemeStats:
-    """Trial-averaged reconstruction MSEs and relay powers at power P."""
+    """Trial-averaged reconstruction MSEs at power P."""
 
     P: float
     mse_a1: float
     mse_a2: float
     mse_b1: float
     mse_b2: float
-    relay_pu: float
-    relay_pv: float
-    relay_pu_se: float
-    relay_pv_se: float
 
-    # Properties, not fields: a noise_scale=0 run has zero MSE, which
-    # achievable_rate rejects.
     @property
     def R1(self) -> float:
         return achievable_rate(self.P, self.mse_a1, self.mse_a2)
@@ -128,18 +123,15 @@ def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2,
     return y1, y2, xu, xv
 
 
-def _chain_noise(noise_rngs, noise, noise_scale: float):
+def _chain_noise(noise_rngs, noise):
     """Draw the next relay and destination noise, in tag order, into the
-    arrays ``noise`` and scale it; noise_scale must be finite and >= 0."""
-    if not 0 <= noise_scale < math.inf:
-        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    arrays ``noise``."""
     for rng, z in zip(noise_rngs, noise):
         rng.standard_normal(out=z)
-        z *= noise_scale
     return noise
 
 
-def _block_inputs(schedule: AfSchedule, symbols, noise_seed, noise_scale: float):
+def _block_inputs(schedule: AfSchedule, symbols, noise_seed):
     """Validate one block and return the chain inputs after the channel:
     (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0."""
     symbols = np.asarray(symbols, dtype=float)
@@ -152,12 +144,11 @@ def _block_inputs(schedule: AfSchedule, symbols, noise_seed, noise_scale: float)
             f"schedule length {len(schedule)} must equal the symbol slots "
             f"(got {symbols.shape[0]})")
     return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
-            *_chain_noise(_sweep_rngs(noise_seed)[1:], np.empty((4, len(symbols))),
-                          noise_scale))
+            *_chain_noise(_sweep_rngs(noise_seed)[1:], np.empty((4, len(symbols)))))
 
 
 def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                   noise_seed, noise_scale: float = 1.0):
+                   noise_seed):
     """Direct chain simulation of one block.
 
     Parameters
@@ -165,22 +156,19 @@ def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
     schedule : relay coefficients per slot, length L
     symbols : (L, 2) array; row k holds both sources' slot-k symbols
     noise_seed : sweep key as in run_scheme_trials; the noise is trial 0's
-    noise_scale : multiplies every noise sample; finite and >= 0 (0
-                  disables noise)
 
     Returns
     -------
     (y1, y2) : length-L received sample arrays at the two destinations;
                sample k carries the slot-k symbols
     """
-    y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed,
-                                             noise_scale),
+    y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed),
                           *np.empty((2, len(schedule))))  # scratch t1, t2
     return y1, y2
 
 
 def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                          noise_seed, noise_scale: float = 1.0):
+                          noise_seed):
     """Shortcut evaluation of one block: sample k is slot k's end-to-end
     matrix applied to the slot-k symbols plus that slot's effective noise.
 
@@ -189,7 +177,7 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     sample for sample.
     """
     mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
-        schedule, symbols, noise_seed, noise_scale)
+        schedule, symbols, noise_seed)
     G = end_to_end(ch, mu_arr, lam_arr)  # entries are per-slot arrays
     zt1 = ch.h_ud1 * mu_arr * zu + ch.h_vd1 * lam_arr * zv + zd1
     zt2 = ch.h_ud2 * mu_arr * zu + ch.h_vd2 * lam_arr * zv + zd2
@@ -199,8 +187,7 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
 
 
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
-                      n_triples: int, trials: int, seed,
-                      noise_scale: float = 1.0) -> SchemeStats:
+                      n_triples: int, trials: int, seed) -> SchemeStats:
     """Simulate trials of n_triples three-phase blocks, decode and aggregate.
 
     Source symbols are zero-mean Gaussian with variance P.  Within each
@@ -214,8 +201,9 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     x span triples, at most GROUP_CAP elements per array: whole trials when
     they fit, else spans of GROUP_CAP // 3 triples (at least one) of one
     trial, each generator filling a tile in C order.  Memory is the tile plus
-    80 B per triple and row of reduction rows, which each group sums once,
-    so results depend neither on the tiling nor on the number of trials.
+    32 B per triple and row of squared stream errors, which each group sums
+    once, so results depend neither on the tiling nor on the number of
+    trials.  Relay powers are exact, not sampled: see scheme.relay_powers.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
@@ -225,14 +213,13 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     group = max(1, min(trials, GROUP_CAP // (3 * span)))
     schedule = scheme_schedule(plan, span)  # any tile's slots: blocks repeat
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
-    sq_errs, powers = [], []  # per trial: (a1, a2, b1, b2) and (u, v)
+    sq_errs = []  # per trial: (a1, a2, b1, b2)
     # One tile's symbols and chain arrays, reused by every tile: x1, x2, zu,
     # zv, zd1, zd2 and the chain's scratch t1, t2.  Then one group's squared
-    # stream errors (a1, a2, b1, b2) and squared relay samples (u, v).
+    # stream errors (a1, a2, b1, b2).
     sym_buf = np.empty((group, span, 4))
     buf = np.empty((8, group, 3 * span))
     sq = np.empty((4, group, n_triples))
-    sq_relay = np.empty((2, group, 3 * n_triples))
     for first in range(0, trials, group):
         rows = min(group, trials - first)
         for lo in range(0, n_triples, span):
@@ -243,26 +230,18 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
             x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows, :3 * w]
             x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
             x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
-            _chain_noise(noise_rngs, (zu, zv, zd1, zd2), noise_scale)
-            y1, y2, xu, xv = _chain(ch, schedule.mu[:3 * w], schedule.lam[:3 * w],
-                                    x1, x2, zu, zv, zd1, zd2, t1, t2)
+            _chain_noise(noise_rngs, (zu, zv, zd1, zd2))
+            y1, y2, _, _ = _chain(ch, schedule.mu[:3 * w], schedule.lam[:3 * w],
+                                  x1, x2, zu, zv, zd1, zd2, t1, t2)
             hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
                     *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
             for hat, x, out in zip(hats, (a1, a2, b1, b2), sq[:, :rows, lo:lo + w]):
                 np.square(np.subtract(hat, x, out=out), out=out)
-            for x, out in zip((xu, xv), sq_relay[:, :rows, 3 * lo:3 * (lo + w)]):
-                np.square(x, out=out)
         sq_errs += np.sum(sq[:, :rows], axis=2).T.tolist()
-        powers += np.mean(sq_relay[:, :rows], axis=2).T.tolist()
     mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
                                       for col in zip(*sq_errs))
-    pu, pv = np.array(powers).T
-    se_u = float(np.std(pu, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    se_v = float(np.std(pv, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return SchemeStats(
-        P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1, mse_b2=mse_b2,
-        relay_pu=float(np.mean(pu)), relay_pv=float(np.mean(pv)),
-        relay_pu_se=se_u, relay_pv_se=se_v)
+    return SchemeStats(P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1,
+                       mse_b2=mse_b2)
 
 
 def estimate_dof_slope(rates) -> SlopeFit:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from afdof import AfAlphabet, AfSchedule, ChannelRealization, plan_achievability
+from afdof.simulate import _chain
 
 # Derandomized: every run draws the same examples, so a property that can
 # catch a defect catches it on every run, not only on a lucky seed.
@@ -36,3 +37,13 @@ def schedule_from_pairs(pairs) -> AfSchedule:
     U, V = tuple(dict.fromkeys(mus)), tuple(dict.fromkeys(lams))
     return AfSchedule(AfAlphabet(U=U, V=V), np.array(
         [[U.index(mu), V.index(lam)] for mu, lam in zip(mus, lams)]))
+
+
+def noiseless_chain(ch: ChannelRealization, schedule: AfSchedule, symbols):
+    """Destination samples (y1, y2) of the physical chain on (L, 2) symbols
+    with every relay and destination noise sample zero."""
+    symbols = np.asarray(symbols, dtype=float)
+    y1, y2, _, _ = _chain(ch, schedule.mu, schedule.lam, symbols[:, 0],
+                          symbols[:, 1], *np.zeros((4, len(schedule))),
+                          *np.empty((2, len(schedule))))
+    return y1, y2

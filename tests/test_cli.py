@@ -12,7 +12,8 @@ import afdof.bounds
 import afdof.channel
 import afdof.cli
 import afdof.simulate
-from afdof import ChannelRealization, check_conditions
+from afdof import (ChannelRealization, check_conditions, plan_achievability,
+                   relay_powers)
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
@@ -62,6 +63,14 @@ def test_run_achievability(tmp_path):
     assert len(rows) == 5
     assert set(rows[0]) == {"P", "R1", "R2", "R_sum", "mse_a1", "mse_a2",
                             "mse_b1", "mse_b2", "relay_pu", "relay_pv"}
+    # The relay columns are the exact phase means of relay_powers.
+    ch = ChannelRealization(*REFERENCE_GAINS)
+    plan = plan_achievability(ch)
+    grid = json.loads((tmp_path / "cfg.json").read_text())["power_grid"]
+    for row, P in zip(rows, grid):
+        pu, pv = np.mean(relay_powers(ch, plan, P), axis=0)
+        assert (row["relay_pu"], row["relay_pv"]) == (format(pu, ".12g"),
+                                                      format(pv, ".12g"))
 
     # Record field names are the JSON schema; a renamed field fails here.
     fit_keys = {"grid", "sum_rates", "slope", "intercept", "residual"}
@@ -93,7 +102,7 @@ def test_run_achievability_deterministic(tmp_path):
     # new stream layout updates the digest).  Full-precision JSON floats may
     # differ in the last bits across numpy builds, so only the CSV is pinned.
     assert hashlib.sha256((out_a / "rates.csv").read_bytes()).hexdigest() == (
-        "d569306997eb5eb79abe76ce2718db1d2069d5177c084aef0ce2e26f286aac45")
+        "a47503f58a126c428a7b9e801c95aedbc37f5302c2fe64f41e5e6a81e8fd86a5")
 
 
 def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
@@ -106,7 +115,24 @@ def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
     assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 0
     # The digest pinned in test_run_achievability_deterministic.
     assert hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest() == (
-        "d569306997eb5eb79abe76ce2718db1d2069d5177c084aef0ce2e26f286aac45")
+        "a47503f58a126c428a7b9e801c95aedbc37f5302c2fe64f41e5e6a81e8fd86a5")
+
+
+def test_relay_power_check_can_fail(tmp_path, monkeypatch):
+    # One phase over the budget by 1 % must fail the run, whatever the rest.
+    exact = afdof.cli.relay_powers
+
+    def over_budget(ch, plan, P):
+        (_, v1), *rest = exact(ch, plan, P)
+        return ((1.01 * P, v1), *rest)
+
+    monkeypatch.setattr(afdof.cli, "relay_powers", over_budget)
+    cfg = write_config(tmp_path / "cfg.json", trials=2, n_triples=100)
+    out = tmp_path / "out"
+    assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "invariant_check_failed"
+    assert err["detail"] == {"relay_power_feasible": pytest.approx(1.01)}
 
 
 def test_run_achievability_rejects_low_power(tmp_path):

@@ -16,6 +16,7 @@ from afdof import (
     plan_achievability,
     reconstruct_d1,
     reconstruct_d2,
+    relay_powers,
     run_scheme_trials,
     sample_channel,
     scheme_schedule,
@@ -32,7 +33,9 @@ from afdof.simulate import (
     _TAG_DEST1,
     _TAG_DEST2,
     _TAG_RELAY_U,
+    _TAG_RELAY_V,
     _TAG_SYMBOLS,
+    _chain,
     keyed_rng,
 )
 from afdof.cli import (
@@ -40,7 +43,7 @@ from afdof.cli import (
     TDMA_SLOPE_WINDOW,
     USER_SLOPE_WINDOW,
 )
-from conftest import schedule_from_pairs
+from conftest import noiseless_chain, schedule_from_pairs
 
 GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
@@ -48,8 +51,7 @@ GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 def test_zero_noise_zero_symbols(ref_channel, ref_plan):
     sched = schedule_from_pairs(ref_plan.phase_pairs() * 2)
     symbols = np.zeros((len(sched), 2))
-    y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
-                            noise_scale=0.0)
+    y1, y2 = noiseless_chain(ref_channel, sched, symbols)
     assert not y1.any() and not y2.any()
 
 
@@ -58,8 +60,7 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
     # only the (1,1) entry -5c, d2 sees -4c + 2c.
     pair = ref_plan.phase_pairs()[0]
     sched = schedule_from_pairs((pair,))
-    y1, y2 = simulate_block(ref_channel, sched, [[1.0, 1.0]], noise_seed=0,
-                            noise_scale=0.0)
+    y1, y2 = noiseless_chain(ref_channel, sched, [[1.0, 1.0]])
     c = ref_plan.c
     assert y1[0] == pytest.approx(-5 * c, rel=1e-12)
     assert y2[0] == pytest.approx(-2 * c, rel=1e-12)
@@ -96,8 +97,7 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
     rng = np.random.default_rng(0)
     sched = random_schedule(ref_channel, ref_plan, 50, rng)
     symbols = rng.normal(size=(50, 2))
-    y1, y2 = simulate_block(ref_channel, sched, symbols, noise_seed=0,
-                            noise_scale=0.0)
+    y1, y2 = noiseless_chain(ref_channel, sched, symbols)
     for k in (0, 7, 23, 49):
         G = end_to_end(ref_channel, sched.mu[k], sched.lam[k])
         want1 = G.alpha1 * symbols[k, 0] + G.beta1 * symbols[k, 1]
@@ -129,22 +129,33 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
 
 
 def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
-    # Relay u scales by mu_all in every slot, so its second moment follows
-    # from the symbol and relay-u noise rows alone: trial t must read row t
-    # of the (seed, point) key's generators.
+    # Trial t must read row t of the (seed, point) key's generators: every
+    # trial's stream errors, rebuilt in matrix form from those rows of the
+    # symbols and of all four noises, give the trials' MSEs.
     P, n, trials, seed, point = 100.0, 30, 3, 4, 2
     s = run_scheme_trials(ref_channel, ref_plan, P, n, trials, (seed, point))
     sym = keyed_rng(SWEEP, seed, point, _TAG_SYMBOLS).standard_normal(
         (trials, n, 4)) * math.sqrt(P)
-    zu = keyed_rng(SWEEP, seed, point, _TAG_RELAY_U).standard_normal(
-        (trials, 3 * n))
+    zu, zv, zd1, zd2 = (keyed_rng(SWEEP, seed, point, tag).standard_normal(
+        (trials, 3 * n)) for tag in (_TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1,
+                                     _TAG_DEST2))
     a1, a2, b1, b2 = sym.transpose(2, 0, 1)
     x1 = np.stack([a1, a2, a1], axis=2).reshape(trials, 3 * n)
     x2 = np.stack([b1, b2, b2], axis=2).reshape(trials, 3 * n)
-    ch = ref_channel
-    xu = ref_plan.mu_all * (ch.h_s1u * x1 + ch.h_s2u * x2 + zu)
-    assert s.relay_pu == pytest.approx(np.mean(np.mean(xu ** 2, axis=1)),
-                                       rel=1e-12)
+    ch, sched = ref_channel, scheme_schedule(ref_plan, n)
+    mu, lam = sched.mu, sched.lam
+    G = end_to_end(ch, mu, lam)  # entries are per-slot arrays
+    y1 = (G.alpha1 * x1 + G.beta1 * x2
+          + ch.h_ud1 * mu * zu + ch.h_vd1 * lam * zv + zd1)
+    y2 = (G.alpha2 * x1 + G.beta2 * x2
+          + ch.h_ud2 * mu * zu + ch.h_vd2 * lam * zv + zd2)
+    Gp = [end_to_end(ch, m, l) for m, l in ref_plan.phase_pairs()]
+    hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *Gp),
+            *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *Gp))
+    want = [float(np.mean((hat - x) ** 2))
+            for hat, x in zip(hats, (a1, a2, b1, b2))]
+    assert [s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2] == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_trial_determinism(ref_channel, ref_plan):
@@ -182,8 +193,11 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
 
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
     # A 1e5-triple trial runs in spans: the traced peak is one tile plus the
-    # group's reduction rows (80 B per triple), and neither grows with the
-    # number of trials.  Whole-trial (1, 3n) chain arrays would need 32 MB.
+    # group's squared stream errors (32 B per triple), and neither grows with
+    # the number of trials.  Whole-trial (1, 3n) chain arrays would need 32 MB.
+    # A first short call loads numpy.random, which numpy imports lazily, so
+    # the test measures the same whether it runs alone or after others.
+    run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=1, trials=1, seed=0)
     peaks = []
     for trials in (1, 4):
         tracemalloc.start()
@@ -193,14 +207,27 @@ def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
             peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 18.0, peaks
+    assert peaks[0] <= 13.0, peaks
     assert peaks[1] == pytest.approx(peaks[0], abs=0.1), peaks
 
 
+def noiseless_decode_mse(ch, plan, P, n_triples, seed):
+    """Per-stream MSEs (a1, a2, b1, b2) of decoding the noiseless matrix
+    action of n_triples scheme blocks of variance-P symbols."""
+    sym = np.random.default_rng(seed).standard_normal((n_triples, 4))
+    a1, a2, b1, b2 = sym.T * math.sqrt(P)
+    G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
+    sent = ((a1, b1), (a2, b2), (a1, b2))
+    y1 = [g.alpha1 * x1 + g.beta1 * x2 for g, (x1, x2) in zip(G, sent)]
+    y2 = [g.alpha2 * x1 + g.beta2 * x2 for g, (x1, x2) in zip(G, sent)]
+    hats = (*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G))
+    return [float(np.mean((hat - x) ** 2))
+            for hat, x in zip(hats, (a1, a2, b1, b2))]
+
+
 def test_mse_zero_noise(ref_channel, ref_plan):
-    s = run_scheme_trials(ref_channel, ref_plan, P=100.0, n_triples=200,
-                          trials=2, seed=1, noise_scale=0.0)
-    assert max(s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2) <= 1e-18 * 100.0
+    assert max(noiseless_decode_mse(ref_channel, ref_plan, 100.0, 400,
+                                    seed=1)) <= 1e-18 * 100.0
 
 
 def test_mse_matches_analytic(ref_channel, ref_plan):
@@ -226,10 +253,8 @@ def test_noiseless_reconstruction_at_extreme_power(ref_channel, ref_plan):
     # Round trip stays exact (1e-9 relative) for symbols up to sqrt(P),
     # P = 1e12.
     P = 1e12
-    s = run_scheme_trials(ref_channel, ref_plan, P, 500, trials=1, seed=8,
-                          noise_scale=0.0)
-    worst = 500 * max(s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2)
-    assert math.sqrt(worst / 500) <= 1e-9 * math.sqrt(P)
+    worst = max(noiseless_decode_mse(ref_channel, ref_plan, P, 500, seed=8))
+    assert math.sqrt(worst) <= 1e-9 * math.sqrt(P)
 
 
 def test_relay_power_zero_schedule(ref_channel):
@@ -243,24 +268,67 @@ def test_relay_power_zero_schedule(ref_channel):
 
 
 def test_relay_power_reference_ratio(ref_channel, ref_plan):
-    # u-relay second moment: c^2 ((h_s1u^2 + h_s2u^2) P + 1), so the ratio
-    # to P converges to 5 c^2 on the reference gains.
-    P = 1e6
-    stats = run_scheme_trials(ref_channel, ref_plan, P=P, n_triples=4000,
-                              trials=10, seed=2)
-    pu, pv = stats.relay_pu, stats.relay_pv
+    # On the reference gains h_s1u^2 + h_s2u^2 = 5 and h_s1v^2 + h_s2v^2 = 10:
+    # relay u sends c^2 (5 P + 1) in every phase, and relay v, silent in
+    # phase 3, averages (lambda_1^2 + lambda_2^2) / 3 * (10 P + 1).
     c = ref_plan.c
-    assert pu / P == pytest.approx(5 * c * c, rel=0.01)
     lam_sq_mean = (ref_plan.lambda_phase1 ** 2 + ref_plan.lambda_phase2 ** 2) / 3.0
-    assert pv / P == pytest.approx(10 * lam_sq_mean, rel=0.02)
+    for P in (1.0, 1e3, 1e6):
+        (u1, v1), (u2, v2), (u3, v3) = relay_powers(ref_channel, ref_plan, P)
+        assert u1 == u2 == u3 == pytest.approx(5 * c * c * P + c * c, rel=1e-12)
+        assert v3 == 0.0
+        assert (v1 + v2 + v3) / 3 == pytest.approx(lam_sq_mean * (10 * P + 1),
+                                                   rel=1e-12)
 
 
 def test_relay_power_within_constraint(ref_channel, ref_plan):
-    for P in (1.0, 1e3):
-        stats = run_scheme_trials(ref_channel, ref_plan, P=P, n_triples=500,
-                                  trials=10, seed=6)
-        assert stats.relay_pu <= P + 3 * stats.relay_pu_se
-        assert stats.relay_pv <= P + 3 * stats.relay_pv_se
+    for P in (1.0, 1e3, 1e6):
+        phases = relay_powers(ref_channel, ref_plan, P)
+        assert max(map(max, phases)) <= P * (1 + 1e-12)
+
+
+def laurent_massart_deviations(weights, n, x):
+    """Deviations (below, above) of S = sum_k w_k chi2_n,k, a sum of
+    independent chi-square variables of n degrees of freedom, from its mean
+    with P(S < mean - below) <= e^-x and P(S > mean + above) <= e^-x
+    (Laurent and Massart, Ann. Statist. 28(5), 2000, Lemma 1, with each
+    weight w_k >= 0 repeated n times)."""
+    w = np.clip(weights, 0.0, None)  # a PSD matrix's eigenvalues, up to rounding
+    below = 2 * math.sqrt(n * np.sum(w * w) * x)
+    return below, below + 2 * w.max() * x
+
+
+@pytest.mark.parametrize("P", [1.0, 1e3])
+def test_relay_powers_match_monte_carlo(ref_channel, ref_plan, P):
+    # Each relay's sum of squares over N blocks is a Gaussian quadratic form:
+    # N copies of one block's three samples, whose covariance is
+    # g_i g_j (P h_s1^2 [x1 shared] + P h_s2^2 [x2 shared] + delta_ij), since
+    # slots 1 and 3 share x1 = a1 and slots 2 and 3 share x2 = b2.  It is
+    # therefore a chi-square sum weighted by that covariance's eigenvalues,
+    # and its mean must be N times the sum of relay_powers' phase moments.
+    # 2 powers x 2 relays x 2 tails share a 1e-9 total false-alarm rate.
+    ch, n = ref_channel, 100_000
+    x = math.log(8 / 1e-9)
+    shared1 = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    shared2 = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1]])
+    sched = scheme_schedule(ref_plan, n)
+    rng = np.random.default_rng(12)
+    a1, a2, b1, b2 = rng.standard_normal((4, n)) * math.sqrt(P)
+    x1 = np.stack([a1, a2, a1], axis=1).ravel()
+    x2 = np.stack([b1, b2, b2], axis=1).ravel()
+    noise = rng.standard_normal((4, 3 * n))
+    _, _, xu, xv = _chain(ch, sched.mu, sched.lam, x1, x2, *noise,
+                          *np.empty((2, 3 * n)))
+    moments = np.array(relay_powers(ch, ref_plan, P))
+    gains = np.array(ref_plan.phase_pairs())
+    for k, (xr, h1, h2) in enumerate(((xu, ch.h_s1u, ch.h_s2u),
+                                      (xv, ch.h_s1v, ch.h_s2v))):
+        g = gains[:, k]
+        cov = np.outer(g, g) * (P * h1 ** 2 * shared1 + P * h2 ** 2 * shared2
+                                + np.eye(3))
+        below, above = laurent_massart_deviations(np.linalg.eigvalsh(cov), n, x)
+        deviation = float(xr @ xr) - n * moments[:, k].sum()
+        assert -below <= deviation <= above, (k, deviation, below, above)
 
 
 @pytest.mark.parametrize("bad,exc", [
@@ -275,25 +343,6 @@ def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
     args = {"P": 1.0, "n_triples": 1, "trials": 1, "seed": 0, **bad}
     with pytest.raises(exc):
         run_scheme_trials(ref_channel, ref_plan, **args)
-
-
-@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
-def test_noise_scale_must_be_finite_and_nonnegative(ref_channel, ref_plan, scale):
-    # A NaN or infinite scale used to give NaN MSEs and rates, and a negative
-    # one ran silently; all three fail on every path that draws chain noise.
-    sched = scheme_schedule(ref_plan, 2)
-    symbols = np.ones((len(sched), 2))
-    calls = (
-        lambda s: run_scheme_trials(ref_channel, ref_plan, 1e3, 2, 3, 0,
-                                    noise_scale=s),
-        lambda s: simulate_block(ref_channel, sched, symbols, 0, noise_scale=s),
-        lambda s: simulate_block_matrix(ref_channel, sched, symbols, 0,
-                                        noise_scale=s),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match=f"noise_scale .* got {scale}"):
-            call(scale)
-        call(0.0)  # no noise stays valid
 
 
 def test_simulate_block_leaves_symbols_unchanged(ref_channel, ref_plan):
