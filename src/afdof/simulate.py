@@ -5,11 +5,12 @@ schedule's slot-k coefficients, so L schedule slots carry L source slots to
 L destination samples; the relays' one-slot latency shifts every sample
 alike and is not modelled.  keyed_rng builds every random stream but the
 channel draw.  Trial t reads row t of its sweep point's generators.  The
-chain runs in tiles of at most GROUP_CAP elements per array, whole trials or
-spans of one long trial, and each group of trials keeps 32 B per triple and
-trial of squared stream errors, so results depend neither on the tiling nor
-on the number of trials.  Relay powers are not measured here: they have a
-closed form, scheme.relay_powers.
+chain runs in tiles of whole trials, or else in the leaves of np.sum's
+pairwise split of one long trial, at most GROUP_CAP elements per array or
+one 128-triple block.  Each tile sums its own squared stream errors, so
+memory is one tile whatever the block length or number of trials, and
+results depend on neither the tiling nor the number of trials.  Relay
+powers are not measured here: they have a closed form, scheme.relay_powers.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 _TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
 
 # run_scheme_trials runs its chain in tiles of at most this many elements per
-# array (at least one triple): as many whole trials as fit, else spans of one.
-GROUP_CAP = 2 ** 16
+# array: as many whole trials as fit, else leaves of np.sum's pairwise split
+# of one trial (a leaf may hold up to 128 triples, the block np.sum sums
+# unsplit, whatever the cap).  A tile's eight chain arrays then take 1 MB.
+GROUP_CAP = 2 ** 14
 
 
 class InsufficientGrid(Exception):
@@ -186,6 +189,18 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     return y1, y2
 
 
+def _pairwise_sum(n: int, width: int, leaf):
+    """Sum n items the way np.sum sums a contiguous row of n: ``leaf(m)``
+    returns the sum of the next m items once m <= max(width, 128), else the
+    first n // 2 items, rounded down to a multiple of 8, are summed before
+    the rest.  The two sides add with one rounding, so chunks cut along this
+    split give np.sum's result bit for bit."""
+    if n <= max(width, 128):
+        return leaf(n)
+    h = n // 2 - (n // 2) % 8
+    return _pairwise_sum(h, width, leaf) + _pairwise_sum(n - h, width, leaf)
+
+
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
                       n_triples: int, trials: int, seed) -> SchemeStats:
     """Simulate trials of n_triples three-phase blocks, decode and aggregate.
@@ -198,46 +213,54 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
 
     ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; trial
     t reads row t of the key's generators.  The chain runs in tiles of rows
-    x span triples, at most GROUP_CAP elements per array: whole trials when
-    they fit, else spans of GROUP_CAP // 3 triples (at least one) of one
-    trial, each generator filling a tile in C order.  Memory is the tile plus
-    32 B per triple and row of squared stream errors, which each group sums
-    once, so results depend neither on the tiling nor on the number of
-    trials.  Relay powers are exact, not sampled: see scheme.relay_powers.
+    x w triples, each generator filling a tile in C order: whole trials when
+    they fit in GROUP_CAP elements per array, else the leaves of np.sum's
+    pairwise split of one trial's triples (_pairwise_sum), each at most
+    max(GROUP_CAP // 3, 128) triples.  Each tile sums its squared stream
+    errors, so a trial's sums are bitwise np.sum over all its triples and
+    memory is one tile whatever n_triples or trials is; results depend
+    neither on the tiling nor on the number of trials.  Relay powers are
+    exact, not sampled: see scheme.relay_powers.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     sym_rng, *noise_rngs = _sweep_rngs(seed)
-    span = max(1, min(n_triples, GROUP_CAP // 3))  # triples per tile row
+    width = GROUP_CAP // 3  # triples per tile of one trial
+    span = min(n_triples, max(width, 128))  # the longest tile
     group = max(1, min(trials, GROUP_CAP // (3 * span)))
     schedule = scheme_schedule(plan, span)  # any tile's slots: blocks repeat
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
-    sq_errs = []  # per trial: (a1, a2, b1, b2)
     # One tile's symbols and chain arrays, reused by every tile: x1, x2, zu,
-    # zv, zd1, zd2 and the chain's scratch t1, t2.  Then one group's squared
+    # zv, zd1, zd2 and the chain's scratch t1, t2.  Then the tile's squared
     # stream errors (a1, a2, b1, b2).
     sym_buf = np.empty((group, span, 4))
     buf = np.empty((8, group, 3 * span))
-    sq = np.empty((4, group, n_triples))
+    sq = np.empty((4, group, span))
+
+    def tile(w):
+        """Run the next w triples of the current group's rows trials and
+        return their (4, rows) squared-error sums."""
+        sym = sym_rng.standard_normal(out=sym_buf[:rows, :w])
+        sym *= math.sqrt(P)
+        a1, a2, b1, b2 = sym.transpose(2, 0, 1)
+        x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows, :3 * w]
+        x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
+        x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
+        _chain_noise(noise_rngs, (zu, zv, zd1, zd2))
+        y1, y2, _, _ = _chain(ch, schedule.mu[:3 * w], schedule.lam[:3 * w],
+                              x1, x2, zu, zv, zd1, zd2, t1, t2)
+        hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
+                *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
+        errs = sq[:, :rows, :w]
+        for hat, x, out in zip(hats, (a1, a2, b1, b2), errs):
+            np.square(np.subtract(hat, x, out=out), out=out)
+        return np.sum(errs, axis=2)
+
+    sq_errs = []  # per trial: (a1, a2, b1, b2)
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        for lo in range(0, n_triples, span):
-            w = min(span, n_triples - lo)
-            sym = sym_rng.standard_normal(out=sym_buf[:rows, :w])
-            sym *= math.sqrt(P)
-            a1, a2, b1, b2 = sym.transpose(2, 0, 1)
-            x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows, :3 * w]
-            x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
-            x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
-            _chain_noise(noise_rngs, (zu, zv, zd1, zd2))
-            y1, y2, _, _ = _chain(ch, schedule.mu[:3 * w], schedule.lam[:3 * w],
-                                  x1, x2, zu, zv, zd1, zd2, t1, t2)
-            hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
-                    *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
-            for hat, x, out in zip(hats, (a1, a2, b1, b2), sq[:, :rows, lo:lo + w]):
-                np.square(np.subtract(hat, x, out=out), out=out)
-        sq_errs += np.sum(sq[:, :rows], axis=2).T.tolist()
+        sq_errs += _pairwise_sum(n_triples, width, tile).T.tolist()
     mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
                                       for col in zip(*sq_errs))
     return SchemeStats(P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1,

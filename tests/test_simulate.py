@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -36,6 +37,7 @@ from afdof.simulate import (
     _TAG_RELAY_V,
     _TAG_SYMBOLS,
     _chain,
+    _pairwise_sum,
     keyed_rng,
 )
 from afdof.cli import (
@@ -174,11 +176,12 @@ def test_trial_determinism(ref_channel, ref_plan):
 @pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000)])
 def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
                                            trials, n):
-    # Each shape fits one tile by default.  A cap below 3 runs one-triple
-    # tiles; a cap of 3 * 7 splits a trial of 50 or 1000 triples into spans
-    # of 7 with a shorter last span (and puts two trials of 3 in a tile); a
-    # cap of three trials' slots leaves a remainder group, since no trial
-    # count here is a multiple of 3.
+    # Each shape fits one tile by default.  A cap below 3 runs one trial per
+    # tile, and cuts a trial of 1000 into np.sum's leaves of at most 128
+    # triples; a cap of 3 * 7 also puts two trials of 3 in a tile; a cap of
+    # 3 * 300 cuts a trial of 1000 into leaves of 248 to 256 triples, each
+    # itself split inside np.sum; a cap of three trials' slots leaves a
+    # remainder group, since no trial count here is a multiple of 3.
     assert afdof.simulate.GROUP_CAP >= trials * 3 * n
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
@@ -186,29 +189,81 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
             kw = dict(P=P, n_triples=n, trials=trials, seed=3)
             with monkeypatch.context() as m:
                 grouped = run_scheme_trials(ch, plan, **kw)
-                for cap in (1, 3 * 7, 3 * 3 * n):
+                for cap in (1, 3 * 7, 3 * 300, 3 * 3 * n):
                     m.setattr(afdof.simulate, "GROUP_CAP", cap)
                     assert run_scheme_trials(ch, plan, **kw) == grouped
 
 
+def _chunk_sums(rows, width):
+    """_pairwise_sum over consecutive chunks of the last axis of ``rows``."""
+    pos = 0
+
+    def leaf(m):
+        nonlocal pos
+        pos += m
+        return np.sum(rows[..., pos - m:pos], axis=-1)
+
+    total = _pairwise_sum(rows.shape[-1], width, leaf)
+    assert pos == rows.shape[-1]
+    return total
+
+
+def test_pairwise_sum_chunks_match_np_sum():
+    # The trial loop sums a long trial's squared errors tile by tile, cut
+    # along np.sum's pairwise split, and relies on that being bitwise np.sum
+    # of the whole row.  A numpy release that changes the split fails here.
+    # Rows are cut from a sliced 3-D buffer, as a tile's are.
+    buf = np.random.default_rng(0).standard_normal((4, 3, 100_005)) ** 2
+    for n in (*range(1, 3001, 7), 5461, 5462, 21846, 100_000):
+        rows = buf[1:3, 1:, 2:2 + n]
+        whole = [np.sum(np.ascontiguousarray(r)) for r in rows.reshape(-1, n)]
+        for width in (1, 7, 128, 5461):
+            total = _chunk_sums(rows, width)
+            assert total.shape == (2, 2)
+            assert total.ravel().tobytes() == np.array(whole).tobytes(), (n, width)
+
+
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
-    # A 1e5-triple trial runs in spans: the traced peak is one tile plus the
-    # group's squared stream errors (32 B per triple), and neither grows with
-    # the number of trials.  Whole-trial (1, 3n) chain arrays would need 32 MB.
-    # A first short call loads numpy.random, which numpy imports lazily, so
-    # the test measures the same whether it runs alone or after others.
+    # A long trial runs in the leaves of np.sum's pairwise split and each
+    # tile sums its own squared stream errors, so the traced peak is one
+    # tile (about 1.9 MB) whatever the trial length or number of trials.
+    # Per-triple error rows would add 32 B per triple and trial: 12.8 MB at
+    # 4e5 triples.  A first short call loads numpy.random, which numpy
+    # imports lazily, so the test measures the same whether it runs alone
+    # or after others.
     run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=1, trials=1, seed=0)
     peaks = []
-    for trials in (1, 4):
+    for trials, n in ((1, 100_000), (4, 100_000), (1, 400_000)):
         tracemalloc.start()
         try:
-            run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=100_000,
+            run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=n,
                               trials=trials, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 13.0, peaks
-    assert peaks[1] == pytest.approx(peaks[0], abs=0.1), peaks
+    assert peaks[0] <= 3.0, peaks
+    assert peaks[1:] == pytest.approx([peaks[0]] * 2, abs=0.1), peaks
+
+
+def test_trial_loop_frees_its_buffers(ref_channel, ref_plan):
+    # With the cyclic collector off, reference counting alone must free a
+    # call's buffers when it returns.  A reference cycle through them (say,
+    # a nested function that calls itself) would keep each call's tile
+    # alive until a collection ran.
+    run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=1, trials=1, seed=0)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=100_000,
+                          trials=1, seed=0)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert abs(after - before) <= 0.1e6, (before, after)
 
 
 def noiseless_decode_mse(ch, plan, P, n_triples, seed):
