@@ -3,8 +3,9 @@
 Classifies each slot's end-to-end matrix by the position of its single
 zero entry (or lack of one), counts those states over a schedule, gives
 the slope coefficients of the three sum-rate bounds, whose minimum caps
-the sum-DoF at 4/3, and numerically checks the Gaussian entropy-difference
-lemma the bound proofs lean on.
+the sum-DoF at 4/3, fuzzes that census on random schedules against the
+channel's critical-ratio map, and numerically checks the Gaussian
+entropy-difference lemma the bound proofs lean on.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 # check_lemma2 compares lhs <= rhs + LEMMA2_SLACK, absorbing rounding in
 # the entropy evaluations.
 LEMMA2_SLACK = 1e-9
+
+# The critical-ratio map matches lam/mu to a ratio r when
+# |lam/mu - r| <= RATIO_MAP_REL_TOL * max(|lam/mu|, |r|), math.isclose's rule.
+RATIO_MAP_REL_TOL = 1e-9
+
+# Fuzz schedules are drawn into and labelled from (FUZZ_CHUNK, n) arrays, so
+# the fuzz's memory does not grow with the number of schedules.
+FUZZ_CHUNK = 32
+
+# A fuzz alphabet's sizes: U is (c, 0), V five fixed values and a filler.
+_FUZZ_GRID = (2, 6)
 
 
 class ImpossiblePattern(Exception):
@@ -54,13 +66,15 @@ _LABELS = tuple(StateLabel)
 # The label of a matrix whose only zero is entry e, in entry order
 # (alpha1, beta1, alpha2, beta2).
 _ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
+_ONE_ZERO_IDS = np.array([_LABELS.index(s) for s in _ONE_ZERO_LABELS])
+_C1_ID = _LABELS.index(StateLabel.C1)
 _ZERO_ID = _LABELS.index(StateLabel.ZERO)
 # Label position by zero pattern, bit e set when entry e is zero.  Two or
 # more zeros (-1) are impossible unless all four are, which _label_ids
 # labels Zero apart.
 _PATTERN_IDS = np.full(16, -1)
-_PATTERN_IDS[0] = _LABELS.index(StateLabel.C1)
-_PATTERN_IDS[[1, 2, 4, 8]] = [_LABELS.index(s) for s in _ONE_ZERO_LABELS]
+_PATTERN_IDS[0] = _C1_ID
+_PATTERN_IDS[[1, 2, 4, 8]] = _ONE_ZERO_IDS
 
 
 @dataclass(frozen=True)
@@ -108,29 +122,38 @@ def _label_ids(G: EndToEndMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.where(scale == 0.0, _ZERO_ID, pattern), zero
 
 
+def _grid_label_ids(ch: ChannelRealization, mu: np.ndarray,
+                    lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_label_ids of the end_to_end matrices of broadcast mu and lam arrays.
+    Zero means both relays idle; a matrix that vanishes while a relay sends
+    is impossible (-1)."""
+    table, zero = _label_ids(end_to_end(ch, mu, lam))
+    table[(table == _ZERO_ID) & ((mu != 0.0) | (lam != 0.0))] = -1
+    return table, zero
+
+
+def _impossible(mu: float, lam: float, zeros: int) -> ImpossiblePattern:
+    return ImpossiblePattern(
+        f"pair ({mu}, {lam}): {zeros} zero entries with nonzero coefficients")
+
+
 def _slot_label_ids(ch: ChannelRealization,
                     schedule: AfSchedule) -> np.ndarray:
     """Each slot's state as a position in StateLabel order.
 
     A slot's state depends only on its (mu, lambda) index pair, so the
     end_to_end matrices of the whole U x V alphabet grid are labelled at
-    once and every slot reads its pair's label from that table.  Zero means
-    both relays idle; a matrix that vanishes while a relay sends is
-    impossible.  Only the pairs the schedule uses can raise
-    ImpossiblePattern.
+    once and every slot reads its pair's label from that table.  Only the
+    pairs the schedule uses can raise ImpossiblePattern.
     """
-    mu = np.array(schedule.alphabet.U)[:, None]
-    lam = np.array(schedule.alphabet.V)
-    table, zero = _label_ids(end_to_end(ch, mu, lam))
-    table[(table == _ZERO_ID) & ((mu != 0.0) | (lam != 0.0))] = -1
+    table, zero = _grid_label_ids(ch, np.array(schedule.alphabet.U)[:, None],
+                                  np.array(schedule.alphabet.V))
     iu, iv = schedule.index.T
     ids = table[iu, iv]
     if table.min() < 0 and (ids < 0).any():
         i, j = schedule.index[np.argmax(ids < 0)]
-        raise ImpossiblePattern(
-            f"pair ({schedule.alphabet.U[i]}, {schedule.alphabet.V[j]}): "
-            f"{np.count_nonzero(zero[:, i, j])} zero entries with nonzero "
-            "coefficients")
+        raise _impossible(schedule.alphabet.U[i], schedule.alphabet.V[j],
+                          np.count_nonzero(zero[:, i, j]))
     return ids
 
 
@@ -291,6 +314,23 @@ def random_lemma2_instance(rng: np.random.Generator, max_dim: int = 4):
     return invertible(), invertible(), random_spd(rng, d), random_spd(rng, 2 * d)
 
 
+def _fuzz_values(ch: ChannelRealization,
+                 plan: PhasePlan) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A fuzz alphabet's U and the five fixed values of its V: the plan's
+    cancelling values, the two values nulling the remaining diagonal
+    entries, and zeros so some slots idle both relays."""
+    null_c2, _, _, null_c3 = nulling_coefficients(ch, plan.c)
+    return (plan.c, 0.0), (0.0, plan.lambda_phase1, plan.lambda_phase2,
+                           null_c2, null_c3)
+
+
+def _draw_fuzz(rng: np.random.Generator, n: int) -> tuple[float, np.ndarray]:
+    """One fuzz schedule's draws, in stream order: its V filler, then its
+    (n, 2) alphabet index pairs."""
+    filler = float(rng.uniform(0.2, 2.0))
+    return filler, rng.integers(_FUZZ_GRID, size=(n, 2))
+
+
 def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
                     rng: np.random.Generator) -> AfSchedule:
     """Random schedule over an alphabet rich enough to reach every state.
@@ -300,9 +340,89 @@ def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
     diagonal entries, a random filler, and zeros so some slots idle both
     relays.
     """
-    null_c2, _, _, null_c3 = nulling_coefficients(ch, plan.c)
-    u_vals = (plan.c, 0.0)
-    v_vals = (0.0, plan.lambda_phase1, plan.lambda_phase2, null_c2, null_c3,
-              float(rng.uniform(0.2, 2.0)))
-    index = rng.integers((len(u_vals), len(v_vals)), size=(n, 2))
-    return AfSchedule(AfAlphabet(U=u_vals, V=v_vals), index)
+    u_vals, v_fixed = _fuzz_values(ch, plan)
+    filler, index = _draw_fuzz(rng, n)
+    return AfSchedule(AfAlphabet(U=u_vals, V=(*v_fixed, filler)), index)
+
+
+def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
+                   lam: np.ndarray) -> np.ndarray:
+    """States of broadcast (mu, lam) pairs by the critical-ratio map, in
+    StateLabel order, without forming a matrix.
+
+    Entry e of end_to_end(ch, mu, lam) vanishes exactly when lam/mu is
+    r_e, the e-th of nulling_coefficients(ch, 1); the four r_e are distinct
+    over a generic channel.  With mu and lam nonzero, the state is that of
+    the one r_e within RATIO_MAP_REL_TOL of lam/mu, C1 if none is, and -1
+    if several are.  mu = 0 or lam = 0 alone is C1; both zero is Zero.
+    """
+    r = np.array(nulling_coefficients(ch, 1.0))
+    ratio = (lam / np.where(mu != 0.0, mu, 1.0))[..., None]
+    hits = ((np.abs(ratio - r)
+             <= RATIO_MAP_REL_TOL * np.maximum(np.abs(ratio), np.abs(r)))
+            & ((mu != 0.0) & (lam != 0.0))[..., None])
+    n_hits = hits.sum(axis=-1)
+    ids = np.where(n_hits == 1, _ONE_ZERO_IDS[hits.argmax(axis=-1)],
+                   np.where(n_hits == 0, _C1_ID, -1))
+    return np.where((mu == 0.0) & (lam == 0.0), _ZERO_ID, ids)
+
+
+def _fuzz_chunks(ch: ChannelRealization, plan: PhasePlan, n: int,
+                 schedules: int, rng: np.random.Generator):
+    """Census rows of ``schedules`` random schedules of n slots, drawn from
+    rng as random_schedule draws them, at most FUZZ_CHUNK at a time.
+
+    Yields, per chunk of k schedules, their (k, 6) state counts in
+    StateLabel order, row for row census(ch, random_schedule(...)), and
+    their (k,) counts of slots whose state differs from _ratio_map_ids'.
+    Each schedule's alphabet is the fixed U x V[:5] grid plus its filler
+    column, so a chunk's (k, 2, 6) grid is labelled in one _grid_label_ids
+    call.  ImpossiblePattern names the first used impossible pair, as
+    census does.
+    """
+    u_vals, v_fixed = _fuzz_values(ch, plan)
+    mu = np.array(u_vals)[:, None]
+    pairs = np.empty((FUZZ_CHUNK, n, 2), dtype=np.uint8)
+    lam = np.empty((FUZZ_CHUNK, 1, _FUZZ_GRID[1]))
+    lam[:, 0, :-1] = v_fixed
+    for start in range(0, schedules, FUZZ_CHUNK):
+        k = min(FUZZ_CHUNK, schedules - start)
+        for j in range(k):
+            lam[j, 0, -1], pairs[j] = _draw_fuzz(rng, n)
+        table, zero = _grid_label_ids(ch, mu, lam[:k])
+        codes = pairs[:k, :, 0] * _FUZZ_GRID[1]
+        codes += pairs[:k, :, 1]
+        ids = np.take_along_axis(table.reshape(k, -1).astype(np.int8), codes, 1)
+        if table.min() < 0 and (ids < 0).any():
+            j, slot = divmod(int(np.argmax(ids < 0)), n)
+            i, v = pairs[j, slot]
+            raise _impossible(u_vals[i], float(lam[j, 0, v]),
+                              np.count_nonzero(zero[:, j, i, v]))
+        expected = np.take_along_axis(
+            _ratio_map_ids(ch, mu, lam[:k]).reshape(k, -1).astype(np.int8),
+            codes, 1)
+        rows = len(_LABELS) * np.arange(k)[:, None]
+        counts = np.bincount((ids + rows).ravel(), minlength=len(_LABELS) * k)
+        yield (counts.reshape(k, len(_LABELS)),
+               np.count_nonzero(ids != expected, axis=1))
+
+
+def fuzz_census(ch: ChannelRealization, plan: PhasePlan, n: int,
+                schedules: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Census of ``schedules`` random schedules of n slots, drawn from rng
+    exactly as that many random_schedule calls draw them.
+
+    Returns (violations, disagreements): the schedules whose smallest of
+    |A|/n, |B|/n and |C|/n exceeds 1/3 (pigeonhole arithmetic, never on a
+    valid census), and the slots whose census state is not the state the
+    critical-ratio map gives their (mu, lam) pair.
+    """
+    if n < 1:
+        raise ValueError("fuzz schedules need n >= 1 slots")
+    violations = disagreements = 0
+    for counts, wrong in _fuzz_chunks(ch, plan, n, schedules, rng):
+        smallest = np.minimum(np.minimum(counts[:, 0], counts[:, 1]),
+                              counts[:, 2:5].sum(axis=1))
+        violations += int(np.count_nonzero(smallest / n > 1.0 / 3.0 + 1e-12))
+        disagreements += int(wrong.sum())
+    return violations, disagreements

@@ -37,15 +37,15 @@ from .scheme import (
 from .simulate import (FUZZ, LEMMA, SAMPLE_CONDITIONS, estimate_dof_slope,
                        fit_rate_report, keyed_rng, sweep_power_grid)
 from .bounds import (
+    RATIO_MAP_REL_TOL,
     SingularCovariance,
     StateCensus,
     StateLabel,
     bound_slopes,
-    census,
     check_lemma2,
+    fuzz_census,
     min_census_fraction,
     random_lemma2_instance,
-    random_schedule,
     slot_states,
 )
 
@@ -283,13 +283,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
                 for P in cfg.power_grid]
     achieved_fit = estimate_dof_slope(achieved)
 
-    fuzz_violations = 0
-    rng = keyed_rng(FUZZ, cfg.seed)
-    for _ in range(cfg.fuzz):
-        sched = random_schedule(ch, plan, n, rng)
-        _, frac = min_census_fraction(census(ch, sched))
-        if frac > 1.0 / 3.0 + 1e-12:
-            fuzz_violations += 1
+    fuzz_violations, disagreements = fuzz_census(ch, plan, n, cfg.fuzz,
+                                                 keyed_rng(FUZZ, cfg.seed))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
@@ -304,6 +299,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
         "min_bound_slope": min_bound_slope,
         "slope_dof": slope_dof,
         "fuzz": {"schedules": cfg.fuzz, "violations": fuzz_violations},
+        "ratio_map": {"slots": cfg.fuzz * n, "disagreements": disagreements,
+                      "rel_tol": RATIO_MAP_REL_TOL},
     })
 
     return [
@@ -315,6 +312,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
          achieved_fit.slope <= min_bound_slope + SLOPE_DOMINANCE_TOL,
          {"achieved": achieved_fit.slope, "min_bound": min_bound_slope}),
         ("fuzz_violations", fuzz_violations == 0, fuzz_violations),
+        ("fuzz_ratio_map", disagreements == 0, disagreements),
     ]
 
 

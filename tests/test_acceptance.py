@@ -34,6 +34,7 @@ from afdof import (
     end_to_end,
     estimate_dof_slope,
     fit_rate_report,
+    fuzz_census,
     min_census_fraction,
     plan_achievability,
     random_lemma2_instance,
@@ -178,19 +179,18 @@ def test_criterion_06_census_pigeonhole():
 
     ch = sample_channel(40)
     plan = plan_achievability(ch)
-    rng = np.random.default_rng(41)
-    random_ok = True
-    for _ in range(1000):
-        sched = random_schedule(ch, plan, 300, rng)
-        _, fraction = min_census_fraction(census(ch, sched))
-        random_ok = random_ok and fraction <= 1 / 3 + 1e-12
+    violations, disagreements = fuzz_census(ch, plan, 300, 1000,
+                                            np.random.default_rng(41))
 
     cens = census(ch, scheme_schedule(plan, 100))
     balanced = (cens.nA, cens.nB, cens.nC1, cens.nZero) == (100, 100, 100, 0)
     _report(6, "min census fraction <= 1/3 exhaustively (n <= 8) and on 1e3 "
-               "random schedules at n=300; achievability census is balanced",
-            exhaustive_ok and random_ok and balanced,
-            f"achievability census {asdict(cens)}")
+               "random schedules at n=300, whose every slot state is the "
+               "critical-ratio map's; achievability census is balanced",
+            exhaustive_ok and violations == 0 and disagreements == 0
+            and balanced,
+            f"achievability census {asdict(cens)}, {violations} pigeonhole "
+            f"violations, {disagreements} ratio-map disagreements")
 
 
 def test_criterion_07_bound_dominance():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from afdof import (
     slot_states,
     end_to_end,
 )
-from afdof.bounds import _LABELS, _label_ids, random_spd
+import afdof.bounds
+from afdof.bounds import (FUZZ_CHUNK, _LABELS, _fuzz_chunks, _label_ids,
+                          fuzz_census, random_spd)
 from afdof.scheme import COEF_TOL
 from conftest import schedule_from_pairs
 
@@ -203,6 +207,73 @@ def test_random_schedule_draw_order(ref_channel, ref_plan):
         assert pairs == tuple(
             (u_vals[int(rng.integers(2))], v_vals[int(rng.integers(6))])
             for _ in range(300))
+
+
+def loop_census_rows(ch, plan, n, schedules, rng):
+    """The reference: one census(random_schedule(...)) per schedule."""
+    return [list(astuple(census(ch, random_schedule(ch, plan, n, rng)))[:6])
+            for _ in range(schedules)]
+
+
+def test_fuzz_chunks_match_census_loop():
+    # Row for row the census of random_schedule on the same stream, and the
+    # stream is left where the loop leaves it.
+    counts = (0, 1, FUZZ_CHUNK - 1, FUZZ_CHUNK, FUZZ_CHUNK + 1)
+    for seed in range(50):
+        ch = sample_channel(seed)
+        plan = plan_achievability(ch)
+        for schedules in counts:
+            rng, ref_rng = (np.random.default_rng([seed, schedules])
+                            for _ in range(2))
+            chunks = list(_fuzz_chunks(ch, plan, 30, schedules, rng))
+            rows = [row for c, _ in chunks for row in c.tolist()]
+            assert rows == loop_census_rows(ch, plan, 30, schedules, ref_rng)
+            assert all(len(c) <= FUZZ_CHUNK for c, _ in chunks)
+            assert sum(int(w.sum()) for _, w in chunks) == 0
+            assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("pattern", [0, 2], ids=["C1", "B"])
+def test_fuzz_impossible_pattern_matches_census(monkeypatch, ref_channel,
+                                                ref_plan, pattern):
+    # With one label made impossible, the fuzz raises exactly when some
+    # schedule uses a pair with that label, naming the pair census names.
+    mutant = afdof.bounds._PATTERN_IDS.copy()
+    mutant[pattern] = -1
+    monkeypatch.setattr(afdof.bounds, "_PATTERN_IDS", mutant)
+
+    def outcome(run):
+        try:
+            return run()
+        except ImpossiblePattern as exc:
+            return str(exc)
+
+    seen = set()
+    for seed in range(20):
+        for n, schedules in ((1, 1), (3, FUZZ_CHUNK + 1)):
+            got = outcome(lambda: [row for c, _ in _fuzz_chunks(
+                ref_channel, ref_plan, n, schedules,
+                np.random.default_rng(seed)) for row in c.tolist()])
+            assert got == outcome(lambda: loop_census_rows(
+                ref_channel, ref_plan, n, schedules,
+                np.random.default_rng(seed)))
+            seen.add(type(got))
+    assert seen == {str, list}
+
+
+def test_fuzz_memory_does_not_grow_with_schedules():
+    ch = sample_channel(42)
+    plan = plan_achievability(ch)
+    peaks = []
+    for schedules in (250, 4000):
+        tracemalloc.start()
+        try:
+            assert fuzz_census(ch, plan, 300, schedules,
+                               np.random.default_rng(0)) == (0, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] == pytest.approx(peaks[0], abs=0.1), peaks
 
 
 def test_evaluate_bounds_balanced_census():

@@ -158,7 +158,7 @@ def test_verify_bounds(tmp_path):
     assert hashlib.sha256((out / "census.csv").read_bytes()).hexdigest() == (
         "d398fc321b110d6d22bbd1218f1096c286a5de38cb70194c1c70f364d5d72852")
     assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
-        "de31e080864de7f0fb3204a28bcd3bba6bee20724610bd6bfbd7852b7bcf767b")
+        "8bbc430dd27190662f9994434e16c0e3ab56318364ffcbca9bf9175aaa69c01f")
 
     bounds = json.loads((out / "bounds.json").read_text())
     counts = collections.Counter(states)
@@ -169,11 +169,29 @@ def test_verify_bounds(tmp_path):
     assert bounds["census"]["nA"] == bounds["census"]["nB"] == 10
     assert bounds["min_fraction"]["fraction"] == pytest.approx(1 / 3)
     assert bounds["fuzz"] == {"schedules": 50, "violations": 0}
+    assert bounds["ratio_map"] == {"slots": 50 * 30, "disagreements": 0,
+                                   "rel_tol": 1e-9}
     assert bounds["achieved_sum_slope"] <= bounds["min_bound_slope"] + 0.05
     assert set(bounds) == {"census", "min_fraction", "achieved_sum_slope",
-                           "min_bound_slope", "slope_dof", "fuzz"}
+                           "min_bound_slope", "slope_dof", "fuzz", "ratio_map"}
     assert bounds["slope_dof"] == pytest.approx([4 / 3] * 3)
     assert bounds["min_bound_slope"] == min(bounds["slope_dof"])
+
+
+def test_fuzz_ratio_map_check_can_fail(tmp_path, monkeypatch):
+    # Swapping the A and B labels keeps every census balanced, so the
+    # pigeonhole checks pass; only the critical-ratio map sees the swap.
+    swapped = afdof.bounds._PATTERN_IDS.copy()
+    swapped[[2, 4]] = swapped[[4, 2]]
+    monkeypatch.setattr(afdof.bounds, "_PATTERN_IDS", swapped)
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--fuzz", "20", "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "invariant_check_failed"
+    assert list(err["detail"]) == ["fuzz_ratio_map"]
+    bounds = json.loads((out / "bounds.json").read_text())
+    assert bounds["fuzz"] == {"schedules": 20, "violations": 0}
+    assert 0 < err["detail"]["fuzz_ratio_map"] == bounds["ratio_map"]["disagreements"]
 
 
 @pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"],
@@ -314,16 +332,16 @@ def test_check_lemma2_resample_cap(monkeypatch, tmp_path):
     assert len(drawn) == 200
 
 
-def recorded(monkeypatch, name):
-    """Wrap afdof.cli's binding of ``name``; returns the list of its results."""
+def recorded(monkeypatch, module, name):
+    """Wrap ``module``'s binding of ``name``; returns the list of its results."""
     results = []
-    draw = getattr(afdof.cli, name)
+    draw = getattr(module, name)
 
     def wrapper(*args):
         results.append(draw(*args))
         return results[-1]
 
-    monkeypatch.setattr(afdof.cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return results
 
 
@@ -331,16 +349,16 @@ def test_fuzz_and_lemma_draws_pinned(tmp_path, monkeypatch, capsys):
     # Neither bounds.json nor the check-lemma2 stdout shows what was drawn,
     # so the FUZZ and LEMMA streams are pinned by their seed-0 draws: moving
     # either to another keyed_rng key changes this digest.
-    schedules = recorded(monkeypatch, "random_schedule")
-    instances = recorded(monkeypatch, "random_lemma2_instance")
+    schedules = recorded(monkeypatch, afdof.bounds, "_draw_fuzz")
+    instances = recorded(monkeypatch, afdof.cli, "random_lemma2_instance")
     assert main(["verify-bounds", "--seed", "0", "--fuzz", "3",
                  "--out", str(tmp_path / "vb")]) == 0
     assert main(["check-lemma2", "--seed", "0", "--count", "5",
                  "--out", str(tmp_path / "lemma")]) == 0
     capsys.readouterr()
     assert len(schedules) == 3 and len(instances) >= 5
-    lines = [",".join(map(str, s.index.ravel().tolist()))
-             + f";{s.alphabet.V[-1]:.12g}" for s in schedules]
+    lines = [",".join(map(str, index.ravel().tolist())) + f";{filler:.12g}"
+             for filler, index in schedules]
     lines += [f"{inst[0].shape[0]};" + ";".join(
         ",".join(f"{v:.12g}" for v in m.ravel()) for m in inst)
         for inst in instances[:5]]
