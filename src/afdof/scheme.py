@@ -241,7 +241,7 @@ def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan):
     for dest, decode in ((1, reconstruct_d1), (2, reconstruct_d2)):
         noise = [effective_noise_variance(ch, mu, lam, dest) for mu, lam in pairs]
         weights = np.square(decode(*np.eye(3), *G))
-        variances.append([float(w @ noise) for w in weights])
+        variances.append([math.fsum(w * noise) for w in weights])
     (a1, a2), (b1, b2) = variances
     return (a1, a2), (b2, b1)
 

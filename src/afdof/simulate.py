@@ -4,13 +4,12 @@ Relay slot k forwards the relays' slot-k received sample scaled by the
 schedule's slot-k coefficients, so L schedule slots carry L source slots to
 L destination samples; the relays' one-slot latency shifts every sample
 alike and is not modelled.  keyed_rng builds every random stream but the
-channel draw.  Trial t reads row t of its sweep point's generators.  The
-chain runs in tiles of whole trials, or else in the leaves of np.sum's
-pairwise split of one long trial, at most GROUP_CAP elements per array or
-one 128-triple block.  Each tile sums its own squared stream errors, so
-memory is one tile whatever the block length or number of trials, and
-results depend on neither the tiling nor the number of trials.  Relay
-powers are not measured here: they have a closed form, scheme.relay_powers.
+channel draw.  Trial t reads row t of its sweep point's generators.  A trial
+is summed in leaves of LEAF triples by np.sum, and its leaf sums by
+math.fsum; the chain runs in tiles of whole trials, or of one leaf of a
+longer trial, so memory is one tile and results depend on neither the
+tiling nor the number of trials.  Relay powers have a closed form,
+scheme.relay_powers, and are not measured here.
 """
 
 from __future__ import annotations
@@ -37,10 +36,11 @@ from .scheme import (
 SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 _TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
 
-# run_scheme_trials runs its chain in tiles of at most this many elements per
-# array: as many whole trials as fit, else leaves of np.sum's pairwise split
-# of one trial (a leaf may hold up to 128 triples, the block np.sum sums
-# unsplit, whatever the cap).  A tile's eight chain arrays then take 1 MB.
+# run_scheme_trials sums a trial in leaves of LEAF triples.  Trials of one
+# leaf share tiles of at most GROUP_CAP elements per array; a longer trial
+# runs one leaf per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a
+# tile's eight chain arrays take at most 1 MB.
+LEAF = 2 ** 12
 GROUP_CAP = 2 ** 14
 
 
@@ -189,18 +189,6 @@ def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
     return y1, y2
 
 
-def _pairwise_sum(n: int, width: int, leaf):
-    """Sum n items the way np.sum sums a contiguous row of n: ``leaf(m)``
-    returns the sum of the next m items once m <= max(width, 128), else the
-    first n // 2 items, rounded down to a multiple of 8, are summed before
-    the rest.  The two sides add with one rounding, so chunks cut along this
-    split give np.sum's result bit for bit."""
-    if n <= max(width, 128):
-        return leaf(n)
-    h = n // 2 - (n // 2) % 8
-    return _pairwise_sum(h, width, leaf) + _pairwise_sum(n - h, width, leaf)
-
-
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
                       n_triples: int, trials: int, seed) -> SchemeStats:
     """Simulate trials of n_triples three-phase blocks, decode and aggregate.
@@ -212,23 +200,22 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     scheme_schedule(plan, n_triples) through simulate_block's chain.
 
     ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; trial
-    t reads row t of the key's generators.  The chain runs in tiles of rows
-    x w triples, each generator filling a tile in C order: whole trials when
-    they fit in GROUP_CAP elements per array, else the leaves of np.sum's
-    pairwise split of one trial's triples (_pairwise_sum), each at most
-    max(GROUP_CAP // 3, 128) triples.  Each tile sums its squared stream
-    errors, so a trial's sums are bitwise np.sum over all its triples and
-    memory is one tile whatever n_triples or trials is; results depend
-    neither on the tiling nor on the number of trials.  Relay powers are
-    exact, not sampled: see scheme.relay_powers.
+    t reads row t of the key's generators.  A trial's squared stream errors
+    are summed in consecutive leaves of LEAF triples, the last holding the
+    remainder, each by np.sum; math.fsum adds the leaf sums.  The chain runs
+    in tiles of rows x w triples, each generator filling a tile in C order:
+    as many whole trials as fit in GROUP_CAP elements per array when
+    n_triples <= LEAF, else one leaf of one trial.  Memory is one tile, and
+    results depend neither on the tiling nor on the number of trials.  Relay
+    powers are exact, not sampled: see scheme.relay_powers.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     sym_rng, *noise_rngs = _sweep_rngs(seed)
-    width = GROUP_CAP // 3  # triples per tile of one trial
-    span = min(n_triples, max(width, 128))  # the longest tile
-    group = max(1, min(trials, GROUP_CAP // (3 * span)))
+    span = min(n_triples, LEAF)  # the longest tile
+    group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
+    widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
     schedule = scheme_schedule(plan, span)  # any tile's slots: blocks repeat
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
     # One tile's symbols and chain arrays, reused by every tile: x1, x2, zu,
@@ -260,7 +247,8 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     sq_errs = []  # per trial: (a1, a2, b1, b2)
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        sq_errs += _pairwise_sum(n_triples, width, tile).T.tolist()
+        leaf_sums = np.transpose([tile(w) for w in widths])  # (rows, 4, leaves)
+        sq_errs += [list(map(math.fsum, trial)) for trial in leaf_sums.tolist()]
     mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
                                       for col in zip(*sq_errs))
     return SchemeStats(P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1,
@@ -268,9 +256,14 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
 
 
 def estimate_dof_slope(rates) -> SlopeFit:
-    """OLS fit of sum rate against (1/2) log2 P; the slope is the empirical
-    sum-DoF.  Requires at least 4 strictly increasing finite powers >= 1
-    spanning at least 4 decades.
+    """OLS fit of sum rate y against x = (1/2) log2 P; the slope is the
+    empirical sum-DoF.  In closed form, every sum a math.fsum:
+
+        slope = sum (x - mean x)(y - mean y) / sum (x - mean x)**2
+        intercept = mean y - slope * mean x
+
+    Requires at least 4 strictly increasing finite powers >= 1 spanning at
+    least 4 decades.
     """
     pts = [(float(p), float(r)) for p, r in rates]
     if len(pts) < 4:
@@ -284,7 +277,9 @@ def estimate_dof_slope(rates) -> SlopeFit:
         raise InsufficientGrid("grid must span at least 4 decades")
     x = 0.5 * np.log2(powers)
     y = np.array([r for _, r in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    slope = math.fsum((x - x_bar) * (y - y_bar)) / math.fsum((x - x_bar) ** 2)
+    intercept = y_bar - slope * x_bar
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return SlopeFit(grid=tuple(powers), sum_rates=tuple(y),
                     slope=float(slope), intercept=float(intercept),

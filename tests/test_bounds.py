@@ -414,6 +414,44 @@ def test_lemma2_random_instances_hold():
         assert holds, (lhs, rhs)
 
 
+def test_lemma2_equality_family_is_tight():
+    """The lemma holds with equality when X = 0 and N = WY - Z is independent
+    of Z, where W = M'M^-1; then rhs - lhs is rounding alone.
+
+    Derivation.  Take Z and N independent with covariances S_Z and S_N, and
+    Y = W^-1 (Z + N), so cov_yz is [[W^-1 (S_Z + S_N) W^-T, W^-1 S_Z],
+    [S_Z W^-T, S_Z]].  With X = 0, lhs = h(Y) - h(Z) = h(Z + N) - log|det W|
+    - h(Z).  (Y, Z) is (Z, N) mapped by [[W^-1, W^-1], [I, 0]], whose
+    determinant has modulus 1 / |det W|, so h(Z | Y) = h(Y, Z) - h(Y) =
+    h(Z) + h(N) - h(Z + N).  Since WY - Z = N, rhs = h(N) - h(Z | Y) -
+    log|det W| = h(Z + N) - h(Z) - log|det W| = lhs.
+
+    Rounding.  cov_y carries W^-1 on both sides and the difference covariance
+    W cov_y W^T - ... cancels it again, so the error grows as cond(W)^2.  The
+    bound is 64 eps cond(W)^2 bits; cond(W) <= 100 keeps it below 1e-10.
+    The sign of the cross term in the difference covariance, flipped, misses
+    equality by more than 0.1 bit here, while random instances have enough
+    slack to hide it.
+    """
+    rng = np.random.default_rng(22)
+    eps = np.finfo(float).eps
+    for k in range(500):
+        d = 1 + k % 4
+        M, Mp = rng.standard_normal((2, d, d))
+        W = Mp @ np.linalg.inv(M)
+        cond = np.linalg.cond(W)
+        if not cond <= 100:
+            continue
+        W_inv = np.linalg.inv(W)
+        cov_z, cov_n = random_spd(rng, d), random_spd(rng, d)
+        cov_y = W_inv @ (cov_z + cov_n) @ W_inv.T
+        cross = W_inv @ cov_z
+        cov_yz = np.block([[(cov_y + cov_y.T) / 2, cross], [cross.T, cov_z]])
+        lhs, rhs, holds = check_lemma2(M, Mp, np.zeros((d, d)), cov_yz)
+        assert holds
+        assert abs(rhs - lhs) <= 64 * eps * cond ** 2, (d, cond, lhs, rhs)
+
+
 def test_lemma2_shape_validation():
     with pytest.raises(ValueError):
         check_lemma2(np.eye(2), np.eye(2), np.eye(2), np.eye(3))

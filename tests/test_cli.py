@@ -107,8 +107,8 @@ def test_run_achievability_deterministic(tmp_path):
 
 def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
     # A cap of one element runs each trial in its own tile over the call's
-    # reused buffers, as long blocks run in leaves of np.sum's split; no
-    # tile may leak into the next.
+    # reused buffers, as long blocks run one leaf per tile; no tile may leak
+    # into the next.
     monkeypatch.setattr(afdof.simulate, "GROUP_CAP", 1)
     cfg = write_config(tmp_path / "cfg.json", trials=2, n_triples=100)
     out = tmp_path / "out"

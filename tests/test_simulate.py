@@ -28,6 +28,7 @@ from afdof import (
 from afdof.bounds import random_schedule
 from afdof.simulate import (
     FUZZ,
+    LEAF,
     LEMMA,
     SAMPLE_CONDITIONS,
     SWEEP,
@@ -37,7 +38,6 @@ from afdof.simulate import (
     _TAG_RELAY_V,
     _TAG_SYMBOLS,
     _chain,
-    _pairwise_sum,
     keyed_rng,
 )
 from afdof.cli import (
@@ -173,60 +173,33 @@ def test_trial_determinism(ref_channel, ref_plan):
     assert [getattr(one, n) for n in names] != [getattr(two, n) for n in names]
 
 
-@pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000)])
+@pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000),
+                                     (3, 2 * LEAF + 5)])
 def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
                                            trials, n):
-    # Each shape fits one tile by default.  A cap below 3 runs one trial per
-    # tile, and cuts a trial of 1000 into np.sum's leaves of at most 128
-    # triples; a cap of 3 * 7 also puts two trials of 3 in a tile; a cap of
-    # 3 * 300 cuts a trial of 1000 into leaves of 248 to 256 triples, each
-    # itself split inside np.sum; a cap of three trials' slots leaves a
-    # remainder group, since no trial count here is a multiple of 3.
-    assert afdof.simulate.GROUP_CAP >= trials * 3 * n
+    # The first three shapes fit one tile by default.  A cap below 3 runs one
+    # trial per tile; a cap of 3 * 7 also puts two trials of 3 in a tile; a
+    # cap of three trials' slots leaves a remainder group, since no trial
+    # count here is a multiple of 3.  A trial of 2 * LEAF + 5 runs in three
+    # leaves, one per tile, under every cap: the caps of 3 * LEAF * 3 and
+    # 2**20 would group such trials if long trials were not kept one per
+    # tile, and then trial t would not read row t of each generator.
+    assert afdof.simulate.GROUP_CAP >= 3 * min(trials * n, LEAF)
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
         for P in (1e3, 1e9):
             kw = dict(P=P, n_triples=n, trials=trials, seed=3)
             with monkeypatch.context() as m:
                 grouped = run_scheme_trials(ch, plan, **kw)
-                for cap in (1, 3 * 7, 3 * 300, 3 * 3 * n):
+                for cap in (1, 3 * 7, 3 * 300, 3 * 3 * n, 3 * LEAF * 3, 2 ** 20):
                     m.setattr(afdof.simulate, "GROUP_CAP", cap)
                     assert run_scheme_trials(ch, plan, **kw) == grouped
 
 
-def _chunk_sums(rows, width):
-    """_pairwise_sum over consecutive chunks of the last axis of ``rows``."""
-    pos = 0
-
-    def leaf(m):
-        nonlocal pos
-        pos += m
-        return np.sum(rows[..., pos - m:pos], axis=-1)
-
-    total = _pairwise_sum(rows.shape[-1], width, leaf)
-    assert pos == rows.shape[-1]
-    return total
-
-
-def test_pairwise_sum_chunks_match_np_sum():
-    # The trial loop sums a long trial's squared errors tile by tile, cut
-    # along np.sum's pairwise split, and relies on that being bitwise np.sum
-    # of the whole row.  A numpy release that changes the split fails here.
-    # Rows are cut from a sliced 3-D buffer, as a tile's are.
-    buf = np.random.default_rng(0).standard_normal((4, 3, 100_005)) ** 2
-    for n in (*range(1, 3001, 7), 5461, 5462, 21846, 100_000):
-        rows = buf[1:3, 1:, 2:2 + n]
-        whole = [np.sum(np.ascontiguousarray(r)) for r in rows.reshape(-1, n)]
-        for width in (1, 7, 128, 5461):
-            total = _chunk_sums(rows, width)
-            assert total.shape == (2, 2)
-            assert total.ravel().tobytes() == np.array(whole).tobytes(), (n, width)
-
-
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
-    # A long trial runs in the leaves of np.sum's pairwise split and each
-    # tile sums its own squared stream errors, so the traced peak is one
-    # tile (about 1.9 MB) whatever the trial length or number of trials.
+    # A long trial runs one leaf of LEAF triples per tile and each tile sums
+    # its own squared stream errors, so the traced peak is one tile (about
+    # 1.5 MB) whatever the trial length or number of trials.
     # Per-triple error rows would add 32 B per triple and trial: 12.8 MB at
     # 4e5 triples.  A first short call loads numpy.random, which numpy
     # imports lazily, so the test measures the same whether it runs alone
@@ -419,6 +392,35 @@ def test_slope_fit_exact_line():
     assert fit.slope == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert fit.intercept == pytest.approx(7.0, abs=1e-9)
     assert fit.residual <= 1e-9
+
+
+def test_slope_fit_is_closed_form_ols(monkeypatch):
+    # The fit is the closed form of its docstring, summed by math.fsum: it
+    # runs with numpy's least-squares drivers gone, agrees with np.polyfit,
+    # and is exact on a line where every step is exact.
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(200):
+        m = int(rng.integers(4, 10))
+        lo = rng.uniform(0, 3)
+        hi = lo + rng.uniform(4, 6)
+        powers = 10 ** np.sort(np.r_[lo, hi, rng.uniform(lo, hi, m - 2)])
+        x = 0.5 * np.log2(powers)
+        rates = rng.uniform(0.5, 2) * x + rng.uniform(1, 5) + rng.normal(0, 0.1, m)
+        cases.append((list(zip(powers, rates)), np.polyfit(x, rates, 1)))
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the slope fit must not call numpy's least squares")
+
+    monkeypatch.setattr(np, "polyfit", unavailable)
+    monkeypatch.setattr(np.linalg, "lstsq", unavailable)
+    for rates, (slope, intercept) in cases:
+        fit = estimate_dof_slope(rates)
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+    # P = 4**x gives x = 0, ..., 7 exactly: 4.2 decades.
+    fit = estimate_dof_slope([(4.0 ** x, 3.0 * x - 7.0) for x in range(8)])
+    assert (fit.slope, fit.intercept, fit.residual) == (3.0, -7.0, 0.0)
 
 
 def test_slope_fit_grid_validation():
