@@ -40,8 +40,6 @@ from .simulate import (
     estimate_dof_slope,
     fit_rate_report,
     run_scheme_trials,
-    simulate_block,
-    simulate_block_matrix,
     sweep_power_grid,
 )
 from .bounds import (
@@ -56,7 +54,6 @@ from .bounds import (
     gaussian_entropy,
     min_census_fraction,
     random_lemma2_instance,
-    random_schedule,
     slot_states,
 )
 

@@ -22,7 +22,7 @@ from .channel import (
     end_to_end,
     nulling_coefficients,
 )
-from .scheme import COEF_TOL, AfAlphabet, AfSchedule, PhasePlan
+from .scheme import COEF_TOL, AfSchedule, PhasePlan
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -137,24 +137,38 @@ def _impossible(mu: float, lam: float, zeros: int) -> ImpossiblePattern:
         f"pair ({mu}, {lam}): {zeros} zero entries with nonzero coefficients")
 
 
+def _gather_label_ids(ch: ChannelRealization, U: tuple[float, ...],
+                      V: np.ndarray,
+                      index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's state, as an int8 position in StateLabel order, and its
+    grid code i * |V| + j, for k schedules of n slots over one U and k rows
+    of V, with (k, n, 2) index pairs (i, j).
+
+    A slot's state depends only on its (mu, lambda) pair, so the k U x V
+    grids are labelled at once and every slot reads its pair's label from
+    them.  Only the pairs the schedules use can raise ImpossiblePattern,
+    which names the first.
+    """
+    U = np.asarray(U, dtype=float)
+    k, n = index.shape[:2]
+    table, zero = _grid_label_ids(ch, U[:, None], V[:, None, :])
+    codes = index[..., 0].astype(np.intp) * V.shape[1] + index[..., 1]
+    ids = np.take_along_axis(table.reshape(k, -1).astype(np.int8), codes, 1)
+    if table.min() < 0 and (ids < 0).any():
+        j, slot = divmod(int(np.argmax(ids < 0)), n)
+        i, v = index[j, slot]
+        raise _impossible(float(U[i]), float(V[j, v]),
+                          np.count_nonzero(zero[:, j, i, v]))
+    return ids, codes
+
+
 def _slot_label_ids(ch: ChannelRealization,
                     schedule: AfSchedule) -> np.ndarray:
-    """Each slot's state as a position in StateLabel order.
-
-    A slot's state depends only on its (mu, lambda) index pair, so the
-    end_to_end matrices of the whole U x V alphabet grid are labelled at
-    once and every slot reads its pair's label from that table.  Only the
-    pairs the schedule uses can raise ImpossiblePattern.
-    """
-    table, zero = _grid_label_ids(ch, np.array(schedule.alphabet.U)[:, None],
-                                  np.array(schedule.alphabet.V))
-    iu, iv = schedule.index.T
-    ids = table[iu, iv]
-    if table.min() < 0 and (ids < 0).any():
-        i, j = schedule.index[np.argmax(ids < 0)]
-        raise _impossible(schedule.alphabet.U[i], schedule.alphabet.V[j],
-                          np.count_nonzero(zero[:, i, j]))
-    return ids
+    """Each slot's state as a position in StateLabel order."""
+    ids, _ = _gather_label_ids(ch, schedule.alphabet.U,
+                               np.array([schedule.alphabet.V]),
+                               schedule.index[None])
+    return ids[0]
 
 
 def slot_states(ch: ChannelRealization,
@@ -331,20 +345,6 @@ def _draw_fuzz(rng: np.random.Generator, n: int) -> tuple[float, np.ndarray]:
     return filler, rng.integers(_FUZZ_GRID, size=(n, 2))
 
 
-def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
-                    rng: np.random.Generator) -> AfSchedule:
-    """Random schedule over an alphabet rich enough to reach every state.
-
-    ``plan`` is ``plan_achievability(ch)``.  The coefficient set contains
-    its two cancelling values, the two values nulling the remaining
-    diagonal entries, a random filler, and zeros so some slots idle both
-    relays.
-    """
-    u_vals, v_fixed = _fuzz_values(ch, plan)
-    filler, index = _draw_fuzz(rng, n)
-    return AfSchedule(AfAlphabet(U=u_vals, V=(*v_fixed, filler)), index)
-
-
 def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
                    lam: np.ndarray) -> np.ndarray:
     """States of broadcast (mu, lam) pairs by the critical-ratio map, in
@@ -369,48 +369,37 @@ def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
 
 def _fuzz_chunks(ch: ChannelRealization, plan: PhasePlan, n: int,
                  schedules: int, rng: np.random.Generator):
-    """Census rows of ``schedules`` random schedules of n slots, drawn from
-    rng as random_schedule draws them, at most FUZZ_CHUNK at a time.
+    """Census rows of ``schedules`` random schedules of n slots, each drawn
+    from rng by _draw_fuzz, at most FUZZ_CHUNK at a time.
 
     Yields, per chunk of k schedules, their (k, 6) state counts in
-    StateLabel order, row for row census(ch, random_schedule(...)), and
-    their (k,) counts of slots whose state differs from _ratio_map_ids'.
-    Each schedule's alphabet is the fixed U x V[:5] grid plus its filler
-    column, so a chunk's (k, 2, 6) grid is labelled in one _grid_label_ids
-    call.  ImpossiblePattern names the first used impossible pair, as
-    census does.
+    StateLabel order, row for row the census of each schedule, and their
+    (k,) counts of slots whose state differs from _ratio_map_ids'.  Each
+    schedule's alphabet is the fixed U x V[:5] grid plus its filler column,
+    so a chunk's k grids are labelled in one _gather_label_ids call.
     """
     u_vals, v_fixed = _fuzz_values(ch, plan)
     mu = np.array(u_vals)[:, None]
     pairs = np.empty((FUZZ_CHUNK, n, 2), dtype=np.uint8)
-    lam = np.empty((FUZZ_CHUNK, 1, _FUZZ_GRID[1]))
-    lam[:, 0, :-1] = v_fixed
+    lam = np.empty((FUZZ_CHUNK, _FUZZ_GRID[1]))
+    lam[:, :-1] = v_fixed
     for start in range(0, schedules, FUZZ_CHUNK):
         k = min(FUZZ_CHUNK, schedules - start)
         for j in range(k):
-            lam[j, 0, -1], pairs[j] = _draw_fuzz(rng, n)
-        table, zero = _grid_label_ids(ch, mu, lam[:k])
-        codes = pairs[:k, :, 0] * _FUZZ_GRID[1]
-        codes += pairs[:k, :, 1]
-        ids = np.take_along_axis(table.reshape(k, -1).astype(np.int8), codes, 1)
-        if table.min() < 0 and (ids < 0).any():
-            j, slot = divmod(int(np.argmax(ids < 0)), n)
-            i, v = pairs[j, slot]
-            raise _impossible(u_vals[i], float(lam[j, 0, v]),
-                              np.count_nonzero(zero[:, j, i, v]))
-        expected = np.take_along_axis(
-            _ratio_map_ids(ch, mu, lam[:k]).reshape(k, -1).astype(np.int8),
-            codes, 1)
+            lam[j, -1], pairs[j] = _draw_fuzz(rng, n)
+        ids, codes = _gather_label_ids(ch, u_vals, lam[:k], pairs[:k])
+        expected = _ratio_map_ids(ch, mu, lam[:k, None]).reshape(k, -1)
         rows = len(_LABELS) * np.arange(k)[:, None]
         counts = np.bincount((ids + rows).ravel(), minlength=len(_LABELS) * k)
-        yield (counts.reshape(k, len(_LABELS)),
-               np.count_nonzero(ids != expected, axis=1))
+        yield (counts.reshape(k, len(_LABELS)), np.count_nonzero(
+            ids != np.take_along_axis(expected, codes, 1), axis=1))
 
 
 def fuzz_census(ch: ChannelRealization, plan: PhasePlan, n: int,
                 schedules: int, rng: np.random.Generator) -> tuple[int, int]:
     """Census of ``schedules`` random schedules of n slots, drawn from rng
-    exactly as that many random_schedule calls draw them.
+    over _fuzz_values' alphabet plus a random filler, which reaches every
+    state.
 
     Returns (violations, disagreements): the schedules whose smallest of
     |A|/n, |B|/n and |C|/n exceeds 1/3 (pigeonhole arithmetic, never on a

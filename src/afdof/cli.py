@@ -155,7 +155,7 @@ def load_config(args: argparse.Namespace, raw: dict) -> ExperimentConfig:
         cfg.seed = int(os.environ["AFDOF_SEED"])
     for name in names:
         value = getattr(args, name, None)
-        if value not in (None, ""):
+        if value is not None:
             setattr(cfg, name, parse_grid(value) if name == "power_grid" else value)
     validate_config(cfg)
     return cfg

@@ -1,15 +1,16 @@
 """Sample-level Monte Carlo simulation of the two-hop chain.
 
-Relay slot k forwards the relays' slot-k received sample scaled by the
-schedule's slot-k coefficients, so L schedule slots carry L source slots to
-L destination samples; the relays' one-slot latency shifts every sample
-alike and is not modelled.  keyed_rng builds every random stream but the
-channel draw.  Trial t reads row t of its sweep point's generators.  A trial
-is summed in leaves of LEAF triples by np.sum, and its leaf sums by
-math.fsum; the chain runs in tiles of whole trials, or of one leaf of a
-longer trial, so memory is one tile and results depend on neither the
-tiling nor the number of trials.  Relay powers have a closed form,
-scheme.relay_powers, and are not measured here.
+run_scheme_trials is the one entry to the chain.  Relay slot k forwards
+the relays' slot-k received sample scaled by the schedule's slot-k
+coefficients, so L schedule slots carry L source slots to L destination
+samples; the relays' one-slot latency shifts every sample alike and is not
+modelled.  keyed_rng builds every random stream but the channel draw.
+Trial t reads row t of its sweep point's generators.  A trial is summed in
+leaves of LEAF triples by np.sum, and its leaf sums by math.fsum; the chain
+runs in tiles of whole trials, or of one leaf of a longer trial, so memory
+is one tile and results depend on neither the tiling nor the number of
+trials.  Relay powers have a closed form, scheme.relay_powers, and are not
+measured here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .channel import ChannelRealization, end_to_end
 from .scheme import (
-    AfSchedule,
     PhasePlan,
     achievable_rate,
     check_power,
@@ -31,8 +31,8 @@ from .scheme import (
 )
 
 # Stream purposes, then the tags of a sweep point's generators: a sweep's key
-# is (point, tag), the other purposes have none.  The chain and matrix
-# evaluation paths read the same noise tags, so they replay the same noise.
+# is (point, tag), the other purposes have none.  The four noise tags are in
+# the order of _chain's noise arrays: zu, zv, zd1, zd2.
 SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 _TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
 
@@ -134,61 +134,6 @@ def _chain_noise(noise_rngs, noise):
     return noise
 
 
-def _block_inputs(schedule: AfSchedule, symbols, noise_seed):
-    """Validate one block and return the chain inputs after the channel:
-    (mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2), noise from trial 0."""
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.size == 0:
-        symbols = symbols.reshape(0, 2)
-    if symbols.ndim != 2 or symbols.shape[1] != 2:
-        raise ValueError("symbols must have shape (slots, 2)")
-    if symbols.shape[0] != len(schedule):
-        raise ValueError(
-            f"schedule length {len(schedule)} must equal the symbol slots "
-            f"(got {symbols.shape[0]})")
-    return (schedule.mu, schedule.lam, symbols[:, 0], symbols[:, 1],
-            *_chain_noise(_sweep_rngs(noise_seed)[1:], np.empty((4, len(symbols)))))
-
-
-def simulate_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                   noise_seed):
-    """Direct chain simulation of one block.
-
-    Parameters
-    ----------
-    schedule : relay coefficients per slot, length L
-    symbols : (L, 2) array; row k holds both sources' slot-k symbols
-    noise_seed : sweep key as in run_scheme_trials; the noise is trial 0's
-
-    Returns
-    -------
-    (y1, y2) : length-L received sample arrays at the two destinations;
-               sample k carries the slot-k symbols
-    """
-    y1, y2, _, _ = _chain(ch, *_block_inputs(schedule, symbols, noise_seed),
-                          *np.empty((2, len(schedule))))  # scratch t1, t2
-    return y1, y2
-
-
-def simulate_block_matrix(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                          noise_seed):
-    """Shortcut evaluation of one block: sample k is slot k's end-to-end
-    matrix applied to the slot-k symbols plus that slot's effective noise.
-
-    Takes the same (L, 2) symbols and reads the same noise streams as
-    simulate_block, so with a shared noise_seed the two paths must agree
-    sample for sample.
-    """
-    mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2 = _block_inputs(
-        schedule, symbols, noise_seed)
-    G = end_to_end(ch, mu_arr, lam_arr)  # entries are per-slot arrays
-    zt1 = ch.h_ud1 * mu_arr * zu + ch.h_vd1 * lam_arr * zv + zd1
-    zt2 = ch.h_ud2 * mu_arr * zu + ch.h_vd2 * lam_arr * zv + zd2
-    y1 = G.alpha1 * x1 + G.beta1 * x2 + zt1
-    y2 = G.alpha2 * x1 + G.beta2 * x2 + zt2
-    return y1, y2
-
-
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
                       n_triples: int, trials: int, seed) -> SchemeStats:
     """Simulate trials of n_triples three-phase blocks, decode and aggregate.
@@ -197,7 +142,7 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     block, both sources repeat their phase-3 symbols as the scheme
     requires (user 1 resends its first symbol, user 2 its second): a block
     sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on
-    scheme_schedule(plan, n_triples) through simulate_block's chain.
+    scheme_schedule(plan, n_triples) through _chain.
 
     ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; trial
     t reads row t of the key's generators.  A trial's squared stream errors

@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from afdof import AfAlphabet, AfSchedule, ChannelRealization, plan_achievability
-from afdof.simulate import _chain
+from afdof import (
+    AfAlphabet,
+    AfSchedule,
+    ChannelRealization,
+    PhasePlan,
+    end_to_end,
+    plan_achievability,
+)
+from afdof.bounds import _draw_fuzz, _fuzz_values
+from afdof.simulate import _chain, _chain_noise, _sweep_rngs
 
 # Derandomized: every run draws the same examples, so a property that can
 # catch a defect catches it on every run, not only on a lucky seed.
@@ -39,11 +49,53 @@ def schedule_from_pairs(pairs) -> AfSchedule:
         [[U.index(mu), V.index(lam)] for mu, lam in zip(mus, lams)]))
 
 
-def noiseless_chain(ch: ChannelRealization, schedule: AfSchedule, symbols):
-    """Destination samples (y1, y2) of the physical chain on (L, 2) symbols
-    with every relay and destination noise sample zero."""
+def sweep_noise(noise_seed, slots: int) -> np.ndarray:
+    """The (4, slots) relay and destination noise (zu, zv, zd1, zd2) of
+    trial 0 at a sweep key, as run_scheme_trials reads it; zero for None."""
+    if noise_seed is None:
+        return np.zeros((4, slots))
+    return _chain_noise(_sweep_rngs(noise_seed)[1:], np.empty((4, slots)))
+
+
+def chain_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
+                noise_seed=None):
+    """Destination samples (y1, y2) of the physical chain on (L, 2) symbols,
+    with zero noise or sweep_noise(noise_seed, L)."""
     symbols = np.asarray(symbols, dtype=float)
     y1, y2, _, _ = _chain(ch, schedule.mu, schedule.lam, symbols[:, 0],
-                          symbols[:, 1], *np.zeros((4, len(schedule))),
+                          symbols[:, 1], *sweep_noise(noise_seed, len(schedule)),
                           *np.empty((2, len(schedule))))
     return y1, y2
+
+
+def matrix_chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2):
+    """The oracle of _chain, with its arguments but the scratch: sample k is
+    slot k's end-to-end matrix applied to the slot-k symbols plus that
+    slot's effective noise.  The arrays broadcast, so (trials, L) symbols
+    and noise take (L,) coefficients."""
+    G = end_to_end(ch, mu, lam)  # entries are per-slot arrays
+    zt1 = ch.h_ud1 * mu * zu + ch.h_vd1 * lam * zv + zd1
+    zt2 = ch.h_ud2 * mu * zu + ch.h_vd2 * lam * zv + zd2
+    return G.alpha1 * x1 + G.beta1 * x2 + zt1, G.alpha2 * x1 + G.beta2 * x2 + zt2
+
+
+def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
+                    rng: np.random.Generator) -> AfSchedule:
+    """One fuzz schedule of n slots, drawn from rng as fuzz_census draws
+    each of its schedules: its alphabet holds the plan's cancelling values,
+    the two values nulling the remaining diagonal entries, a random filler,
+    and zeros so some slots idle both relays."""
+    u_vals, v_fixed = _fuzz_values(ch, plan)
+    filler, index = _draw_fuzz(rng, n)
+    return AfSchedule(AfAlphabet(U=u_vals, V=(*v_fixed, filler)), index)
+
+
+def laurent_massart_deviations(weights, n, x):
+    """Deviations (below, above) of S = sum_k w_k chi2_n,k, a sum of
+    independent chi-square variables of n degrees of freedom, from its mean
+    with P(S < mean - below) <= e^-x and P(S > mean + above) <= e^-x
+    (Laurent and Massart, Ann. Statist. 28(5), 2000, Lemma 1, with each
+    weight w_k >= 0 repeated n times)."""
+    w = np.clip(weights, 0.0, None)  # a PSD matrix's eigenvalues, up to rounding
+    below = 2 * math.sqrt(n * np.sum(w * w) * x)
+    return below, below + 2 * w.max() * x

@@ -38,13 +38,10 @@ from afdof import (
     min_census_fraction,
     plan_achievability,
     random_lemma2_instance,
-    random_schedule,
     relay_powers,
     run_scheme_trials,
     sample_channel,
     scheme_schedule,
-    simulate_block,
-    simulate_block_matrix,
     sweep_power_grid,
 )
 from afdof.cli import (
@@ -53,7 +50,14 @@ from afdof.cli import (
     TDMA_SLOPE_WINDOW,
     USER_SLOPE_WINDOW,
 )
-from conftest import reference_channel
+from conftest import (
+    chain_block,
+    laurent_massart_deviations,
+    matrix_chain,
+    random_schedule,
+    reference_channel,
+    sweep_noise,
+)
 
 GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 PANEL_SIZE = 20
@@ -134,19 +138,26 @@ def test_criterion_03_interference_nulling():
 
 
 def test_criterion_04_variance_power_independence():
+    # Each decoded stream's error is Gaussian with its analytic variance a,
+    # independent across blocks, so N * mse is a * chi2_N.  2 powers x 4
+    # streams x 2 tails share a 1e-9 total false-alarm rate.
     ch = reference_channel()
     plan = plan_achievability(ch)
     (s1, s2), (t1, t2) = analytic_noise_variances(ch, plan)
     analytic = (s1, s2, t2, t1)  # (a1, a2, b1, b2) stream order
-    worst = 0.0
+    N, x = 100 * 10_000, math.log(16 / 1e-9)
+    below, above = laurent_massart_deviations(np.ones(1), N, x)
+    ok, worst = True, 0.0
     for P, seed in ((1e2, 21), (1e6, 22)):
         stats = run_scheme_trials(ch, plan, P=P, n_triples=10_000, trials=100,
                                   seed=seed)
         empirical = (stats.mse_a1, stats.mse_a2, stats.mse_b1, stats.mse_b2)
-        worst = max(worst, max(abs(e - a) / a
-                               for e, a in zip(empirical, analytic)))
+        for e, a in zip(empirical, analytic):
+            ok = ok and -below <= N * (e / a - 1) <= above
+            worst = max(worst, abs(e - a) / a)
     _report(4, "empirical MSEs at P=1e2 and P=1e6 match the analytic "
-               "variances within 2% at 1e6 samples", worst <= 0.02,
+               f"variances within -{below / N:.3%}/+{above / N:.3%} (chi-square "
+               "bounds, 1e-9 false-alarm rate) at 1e6 samples", ok,
             f"worst relative error {worst:.4f}")
 
 
@@ -224,8 +235,9 @@ def test_criterion_09_chain_matrix_equivalence():
     rng = np.random.default_rng(91)
     sched = random_schedule(ch, plan_achievability(ch), 1000, rng)
     symbols = rng.normal(0.0, 10.0, size=(1000, 2))
-    y1a, y2a = simulate_block(ch, sched, symbols, noise_seed=92)
-    y1b, y2b = simulate_block_matrix(ch, sched, symbols, noise_seed=92)
+    y1a, y2a = chain_block(ch, sched, symbols, noise_seed=92)
+    y1b, y2b = matrix_chain(ch, sched.mu, sched.lam, *symbols.T,
+                            *sweep_noise(92, len(sched)))
     # Relative to the block's peak amplitude: individual samples can sit
     # arbitrarily close to zero by cancellation while both paths agree to
     # machine precision on the summed terms.

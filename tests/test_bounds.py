@@ -24,7 +24,6 @@ from afdof import (
     min_census_fraction,
     plan_achievability,
     random_lemma2_instance,
-    random_schedule,
     reconstruct_d1,
     sample_channel,
     scheme_schedule,
@@ -34,8 +33,9 @@ from afdof import (
 import afdof.bounds
 from afdof.bounds import (FUZZ_CHUNK, _LABELS, _fuzz_chunks, _label_ids,
                           fuzz_census, random_spd)
+from afdof.channel import nulling_coefficients
 from afdof.scheme import COEF_TOL
-from conftest import schedule_from_pairs
+from conftest import random_schedule, schedule_from_pairs
 
 
 def G(entries) -> EndToEndMatrix:
@@ -118,19 +118,6 @@ def test_census_counts_must_sum():
         StateCensus(nA=1, nB=1, nC1=0, nC2=0, nC3=0, nZero=0, n=3)
 
 
-def test_census_random_schedules_consistent(ref_channel, ref_plan):
-    # Classifying each distinct pair once must give the per-slot labels of
-    # the ratio-map oracle, which never forms the matrix.
-    rng = np.random.default_rng(123)
-    for _ in range(25):
-        sched = random_schedule(ref_channel, ref_plan, 60, rng)
-        assert slot_states(ref_channel, sched) == [
-            ratio_map_label(ref_channel, mu, lam)
-            for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
-        cens = census(ref_channel, sched)
-        assert cens.n == 60
-
-
 @settings(max_examples=200)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        k=st.integers(min_value=-20, max_value=20))
@@ -165,17 +152,39 @@ def ratio_map_label(ch, mu, lam) -> StateLabel:
     return (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)[hits[0]]
 
 
-def test_slot_states_match_critical_ratio_map():
-    # The grid-table labels against an oracle that never forms the matrix.
-    for seed in range(100):
-        ch = sample_channel(seed)
+def test_slot_states_match_critical_ratio_map(ref_channel):
+    # The grid-table labels against an oracle that never forms the matrix:
+    # 3 schedules of 100 slots on each of 100 sampled channels, and 25 of 60
+    # on the reference channel.
+    cases = [(sample_channel(seed), np.random.default_rng(seed), 3, 100)
+             for seed in range(100)]
+    cases.append((ref_channel, np.random.default_rng(123), 25, 60))
+    for ch, rng, count, n in cases:
         plan = plan_achievability(ch)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            sched = random_schedule(ch, plan, 100, rng)
+        for _ in range(count):
+            sched = random_schedule(ch, plan, n, rng)
             assert slot_states(ch, sched) == [
                 ratio_map_label(ch, mu, lam)
                 for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
+            assert census(ch, sched).n == n
+
+
+def test_census_over_more_than_256_grid_pairs(ref_channel):
+    # 17 x 18 = 306 pairs, each one slot, while the index is stored as uint8:
+    # a pair's grid code i * 18 + j must not wrap at 256, where the pairs
+    # that null an entry sit.  Slot by slot against the ratio map.
+    U = tuple(float(u) for u in range(17))
+    V = (0.0, 1.0, *(lam for u in U[-4:]
+                     for lam in nulling_coefficients(ref_channel, u)))
+    index = np.indices((len(U), len(V))).reshape(2, -1).T
+    sched = AfSchedule(AfAlphabet(U=U, V=V), index)
+    assert sched.index.dtype == np.uint8 and len(sched) > 256
+    want = [ratio_map_label(ref_channel, mu, lam)
+            for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
+    assert slot_states(ref_channel, sched) == want
+    assert astuple(census(ref_channel, sched))[:6] == tuple(
+        want.count(label) for label in _LABELS)
+    assert set(want) == set(StateLabel)
 
 
 def test_impossible_pattern_only_for_scheduled_pairs():

@@ -284,6 +284,18 @@ def test_config_errors_write_error_json(tmp_path, monkeypatch):
     err = json.loads((tmp_path / "afdof-out" / "error.json").read_text())
     assert err["error"] == "ValueError" and "output_dir" in err["detail"]
     assert not (tmp_path / "None").exists()
+    # Empty flags are applied, not skipped: --out "" fails the same rule,
+    # and --grid "" leaves no grid to fit.
+    monkeypatch.delenv("AFDOF_SEED")
+    (tmp_path / "afdof-out" / "error.json").unlink()
+    assert main(["verify-bounds", "--out", ""]) == 1
+    err = json.loads((tmp_path / "afdof-out" / "error.json").read_text())
+    assert err["error"] == "ValueError" and "output_dir" in err["detail"]
+    assert not (tmp_path / "afdof-out" / "bounds.json").exists()
+    assert main(["verify-bounds", "--grid", ""]) == 1
+    err = json.loads((tmp_path / "afdof-out" / "error.json").read_text())
+    assert err["error"] == "InsufficientGrid"
+    assert not (tmp_path / "afdof-out" / "bounds.json").exists()
 
 
 def test_check_lemma2_command(capsys):

@@ -21,11 +21,8 @@ from afdof import (
     run_scheme_trials,
     sample_channel,
     scheme_schedule,
-    simulate_block,
-    simulate_block_matrix,
     sweep_power_grid,
 )
-from afdof.bounds import random_schedule
 from afdof.simulate import (
     FUZZ,
     LEAF,
@@ -45,7 +42,14 @@ from afdof.cli import (
     TDMA_SLOPE_WINDOW,
     USER_SLOPE_WINDOW,
 )
-from conftest import noiseless_chain, schedule_from_pairs
+from conftest import (
+    chain_block,
+    laurent_massart_deviations,
+    matrix_chain,
+    random_schedule,
+    schedule_from_pairs,
+    sweep_noise,
+)
 
 GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
@@ -53,7 +57,7 @@ GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 def test_zero_noise_zero_symbols(ref_channel, ref_plan):
     sched = schedule_from_pairs(ref_plan.phase_pairs() * 2)
     symbols = np.zeros((len(sched), 2))
-    y1, y2 = noiseless_chain(ref_channel, sched, symbols)
+    y1, y2 = chain_block(ref_channel, sched, symbols)
     assert not y1.any() and not y2.any()
 
 
@@ -62,18 +66,10 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
     # only the (1,1) entry -5c, d2 sees -4c + 2c.
     pair = ref_plan.phase_pairs()[0]
     sched = schedule_from_pairs((pair,))
-    y1, y2 = noiseless_chain(ref_channel, sched, [[1.0, 1.0]])
+    y1, y2 = chain_block(ref_channel, sched, [[1.0, 1.0]])
     c = ref_plan.c
     assert y1[0] == pytest.approx(-5 * c, rel=1e-12)
     assert y2[0] == pytest.approx(-2 * c, rel=1e-12)
-
-
-def test_schedule_symbol_length_mismatch(ref_channel, ref_plan):
-    # A schedule of L slots takes exactly L symbol rows: L - 1 fails too.
-    sched = schedule_from_pairs(ref_plan.phase_pairs())
-    for rows in (5, len(sched) - 1):
-        with pytest.raises(ValueError, match="must equal the symbol slots"):
-            simulate_block(ref_channel, sched, np.zeros((rows, 2)), noise_seed=0)
 
 
 @pytest.mark.parametrize("make_schedule", [
@@ -86,8 +82,9 @@ def test_chain_matches_matrix_shortcut(ref_channel, ref_plan, make_schedule):
     rng = np.random.default_rng(5)
     sched = make_schedule(ref_channel, ref_plan, rng)
     symbols = rng.normal(0.0, 10.0, size=(len(sched), 2))
-    y1a, y2a = simulate_block(ref_channel, sched, symbols, noise_seed=11)
-    y1b, y2b = simulate_block_matrix(ref_channel, sched, symbols, noise_seed=11)
+    y1a, y2a = chain_block(ref_channel, sched, symbols, noise_seed=11)
+    y1b, y2b = matrix_chain(ref_channel, sched.mu, sched.lam, *symbols.T,
+                            *sweep_noise(11, len(sched)))
     scale = max(np.max(np.abs(y1a)), np.max(np.abs(y2a)), 1.0)
     assert np.max(np.abs(y1a - y1b)) <= 1e-12 * scale
     assert np.max(np.abs(y2a - y2b)) <= 1e-12 * scale
@@ -99,7 +96,7 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
     rng = np.random.default_rng(0)
     sched = random_schedule(ref_channel, ref_plan, 50, rng)
     symbols = rng.normal(size=(50, 2))
-    y1, y2 = noiseless_chain(ref_channel, sched, symbols)
+    y1, y2 = chain_block(ref_channel, sched, symbols)
     for k in (0, 7, 23, 49):
         G = end_to_end(ref_channel, sched.mu[k], sched.lam[k])
         want1 = G.alpha1 * symbols[k, 0] + G.beta1 * symbols[k, 1]
@@ -118,9 +115,11 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     sym = keyed_rng(SWEEP, seed, 0, _TAG_SYMBOLS).standard_normal((n, 4))
     sym *= math.sqrt(P)
     a1, a2, b1, b2 = sym.T
-    symbols = np.stack([a1, b1, a2, b2, a1, b2], axis=1).reshape(3 * n, 2)
-    y1, y2 = simulate_block_matrix(ref_channel, scheme_schedule(ref_plan, n),
-                                   symbols, noise_seed=seed)
+    x1 = np.stack([a1, a2, a1], axis=1).ravel()
+    x2 = np.stack([b1, b2, b2], axis=1).ravel()
+    sched = scheme_schedule(ref_plan, n)
+    y1, y2 = matrix_chain(ref_channel, sched.mu, sched.lam, x1, x2,
+                          *sweep_noise(seed, 3 * n))
     G = [end_to_end(ref_channel, mu, lam) for mu, lam in ref_plan.phase_pairs()]
     a1_hat, a2_hat = reconstruct_d1(y1[0::3], y1[1::3], y1[2::3], *G)
     b1_hat, b2_hat = reconstruct_d2(y2[0::3], y2[1::3], y2[2::3], *G)
@@ -144,14 +143,10 @@ def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
     a1, a2, b1, b2 = sym.transpose(2, 0, 1)
     x1 = np.stack([a1, a2, a1], axis=2).reshape(trials, 3 * n)
     x2 = np.stack([b1, b2, b2], axis=2).reshape(trials, 3 * n)
-    ch, sched = ref_channel, scheme_schedule(ref_plan, n)
-    mu, lam = sched.mu, sched.lam
-    G = end_to_end(ch, mu, lam)  # entries are per-slot arrays
-    y1 = (G.alpha1 * x1 + G.beta1 * x2
-          + ch.h_ud1 * mu * zu + ch.h_vd1 * lam * zv + zd1)
-    y2 = (G.alpha2 * x1 + G.beta2 * x2
-          + ch.h_ud2 * mu * zu + ch.h_vd2 * lam * zv + zd2)
-    Gp = [end_to_end(ch, m, l) for m, l in ref_plan.phase_pairs()]
+    sched = scheme_schedule(ref_plan, n)
+    y1, y2 = matrix_chain(ref_channel, sched.mu, sched.lam, x1, x2,
+                          zu, zv, zd1, zd2)
+    Gp = [end_to_end(ref_channel, m, l) for m, l in ref_plan.phase_pairs()]
     hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *Gp),
             *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *Gp))
     want = [float(np.mean((hat - x) ** 2))
@@ -290,7 +285,7 @@ def test_relay_power_zero_schedule(ref_channel):
     # second hop of the reference channel is invertible, so each destination
     # hears exactly its own noise only if both relays send zero.
     sched = schedule_from_pairs(((0.0, 0.0),) * 10)
-    y1, y2 = simulate_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
+    y1, y2 = chain_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
     assert np.array_equal(y1, keyed_rng(SWEEP, 0, 0, _TAG_DEST1).standard_normal(10))
     assert np.array_equal(y2, keyed_rng(SWEEP, 0, 0, _TAG_DEST2).standard_normal(10))
 
@@ -313,17 +308,6 @@ def test_relay_power_within_constraint(ref_channel, ref_plan):
     for P in (1.0, 1e3, 1e6):
         phases = relay_powers(ref_channel, ref_plan, P)
         assert max(map(max, phases)) <= P * (1 + 1e-12)
-
-
-def laurent_massart_deviations(weights, n, x):
-    """Deviations (below, above) of S = sum_k w_k chi2_n,k, a sum of
-    independent chi-square variables of n degrees of freedom, from its mean
-    with P(S < mean - below) <= e^-x and P(S > mean + above) <= e^-x
-    (Laurent and Massart, Ann. Statist. 28(5), 2000, Lemma 1, with each
-    weight w_k >= 0 repeated n times)."""
-    w = np.clip(weights, 0.0, None)  # a PSD matrix's eigenvalues, up to rounding
-    below = 2 * math.sqrt(n * np.sum(w * w) * x)
-    return below, below + 2 * w.max() * x
 
 
 @pytest.mark.parametrize("P", [1.0, 1e3])
@@ -373,16 +357,21 @@ def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
         run_scheme_trials(ref_channel, ref_plan, **args)
 
 
-def test_simulate_block_leaves_symbols_unchanged(ref_channel, ref_plan):
-    # The chain works in place over its noise arrays; a caller's float64
-    # symbols reach it as views and must come back untouched.
+def test_chain_leaves_symbols_unchanged(ref_channel, ref_plan):
+    # The chain works in place over its noise and scratch arrays; x1 and x2
+    # are only read, which run_scheme_trials relies on when it reuses its
+    # symbol buffers.
     sched = random_schedule(ref_channel, ref_plan, 60, np.random.default_rng(2))
-    symbols = np.random.default_rng(3).normal(size=(len(sched), 2))
+    symbols = np.random.default_rng(3).normal(size=(2, len(sched)))
     before = symbols.copy()
-    first = simulate_block(ref_channel, sched, symbols, noise_seed=4)
+
+    def run():
+        return _chain(ref_channel, sched.mu, sched.lam, *symbols,
+                      *sweep_noise(4, len(sched)), *np.empty((2, len(sched))))
+
+    first = run()
     assert np.array_equal(symbols, before)
-    second = simulate_block(ref_channel, sched, symbols, noise_seed=4)
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert all(np.array_equal(a, b) for a, b in zip(first, run()))
 
 
 def test_slope_fit_exact_line():
