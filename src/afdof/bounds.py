@@ -340,9 +340,11 @@ def _fuzz_values(ch: ChannelRealization,
 
 def _draw_fuzz(rng: np.random.Generator, n: int) -> tuple[float, np.ndarray]:
     """One fuzz schedule's draws, in stream order: its V filler, then its
-    (n, 2) alphabet index pairs."""
+    (n, 2) alphabet index pairs, each split from one uniform draw over the
+    U x V grid."""
     filler = float(rng.uniform(0.2, 2.0))
-    return filler, rng.integers(_FUZZ_GRID, size=(n, 2))
+    cell = rng.integers(_FUZZ_GRID[0] * _FUZZ_GRID[1], size=n)
+    return filler, np.transpose(np.divmod(cell, _FUZZ_GRID[1]))
 
 
 def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,

@@ -4,13 +4,14 @@ run_scheme_trials is the one entry to the chain.  Relay slot k forwards
 the relays' slot-k received sample scaled by the schedule's slot-k
 coefficients, so L schedule slots carry L source slots to L destination
 samples; the relays' one-slot latency shifts every sample alike and is not
-modelled.  keyed_rng builds every random stream but the channel draw.
-Trial t reads row t of its sweep point's generators.  A trial is summed in
-leaves of LEAF triples by np.sum, and its leaf sums by math.fsum; the chain
-runs in tiles of whole trials, or of one leaf of a longer trial, so memory
-is one tile and results depend on neither the tiling nor the number of
-trials.  Relay powers have a closed form, scheme.relay_powers, and are not
-measured here.
+modelled.  keyed_rng builds every random stream but the channel draw.  A
+sweep point has one generator, and a block of its trials reads the next
+BLOCK_DRAWS normals: trial t's blocks follow trial t - 1's.  A trial is
+summed in leaves of LEAF triples by np.sum, and its leaf sums by
+math.fsum; the chain runs phase by phase in tiles of whole trials, or of
+one leaf of a longer trial, so memory is one tile and results depend on
+neither the tiling nor the number of trials.  Relay powers have a closed
+form, scheme.relay_powers, and are not measured here.
 """
 
 from __future__ import annotations
@@ -27,19 +28,20 @@ from .scheme import (
     check_power,
     reconstruct_d1,
     reconstruct_d2,
-    scheme_schedule,
 )
 
-# Stream purposes, then the tags of a sweep point's generators: a sweep's key
-# is (point, tag), the other purposes have none.  The four noise tags are in
-# the order of _chain's noise arrays: zu, zv, zd1, zd2.
+# Stream purposes: a sweep's key is its point, the other purposes have none.
 SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
-_TAG_SYMBOLS, _TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1, _TAG_DEST2 = range(5)
+
+# The normals of one block, in draw order: the symbols a1, a2, b1, b2, then
+# zu for phases 1-3, zv for phases 1-2 (relay v is silent in phase 3), zd1
+# for phases 1-3 and zd2 for phases 1-3.
+BLOCK_DRAWS = 15
 
 # run_scheme_trials sums a trial in leaves of LEAF triples.  Trials of one
-# leaf share tiles of at most GROUP_CAP elements per array; a longer trial
-# runs one leaf per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a
-# tile's eight chain arrays take at most 1 MB.
+# leaf share tiles of at most GROUP_CAP slots; a longer trial runs one leaf
+# per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a tile's draws,
+# chain scratch and squared errors take at most 1 MB.
 LEAF = 2 ** 12
 GROUP_CAP = 2 ** 14
 
@@ -92,46 +94,32 @@ class RateReport:
 
 
 def keyed_rng(purpose: int, seed: int, *key: int) -> np.random.Generator:
-    """The generator of one stream.  SeedSequence hashes the 32-bit words of
-    ``seed``, zero-padded to four, then ``(*key, purpose, 0)``.  Read from the
-    end these give back purpose, key and seed, so distinct keys hash distinct
-    words; ``default_rng(s)`` hashes s's words, at most four or ending in a
-    nonzero word, so no stream replays ``sample_channel``'s generator."""
+    """The SFC64 generator of one stream.  SeedSequence hashes the 32-bit
+    words of ``seed``, zero-padded to four, then ``(*key, purpose, 0)``.
+    Read from the end these give back purpose, key and seed, so distinct
+    keys hash distinct words.  ``sample_channel``'s ``default_rng(s)`` is a
+    PCG64 generator, so no keyed stream replays it."""
     if seed < 0 or not all(0 <= k < 2 ** 32 for k in key):
         raise ValueError(f"stream key {(seed, *key)}: a seed < 0 or entry >= 2**32")
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(*key, purpose, 0)))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(*key, purpose, 0))))
 
 
-def _sweep_rngs(seed) -> list[np.random.Generator]:
-    """A sweep point's five generators in tag order; a bare seed is point 0."""
-    seed, point = (seed, 0) if np.ndim(seed) == 0 else seed
-    return [keyed_rng(SWEEP, seed, point, tag) for tag in range(5)]
-
-
-def _chain(ch: ChannelRealization, mu_arr, lam_arr, x1, x2, zu, zv, zd1, zd2,
-           t1, t2):
+def _chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2, t1, t2):
     """Run the physical chain: each relay scales its received sample by its
-    slot's coefficient and both relays reach both destinations.  Works in
-    place, with t1 and t2 as scratch: yu then xu over zu, yv then xv over zv,
-    y1 over zd1 and y2 over zd2; x1 and x2 are only read."""
+    coefficient, a scalar or one per slot, and both relays reach both
+    destinations.  Works in place, with t1 and t2 as scratch: yu then xu
+    over zu, yv then xv over zv, y1 over zd1 and y2 over zd2; x1 and x2 are
+    only read."""
     def mix(a, x, b, y, z):  # z <- (a*x + b*y) + z
         np.add(np.multiply(x, a, out=t1), np.multiply(y, b, out=t2), out=t1)
         return np.add(t1, z, out=z)
 
-    xu = np.multiply(mix(ch.h_s1u, x1, ch.h_s2u, x2, zu), mu_arr, out=zu)
-    xv = np.multiply(mix(ch.h_s1v, x1, ch.h_s2v, x2, zv), lam_arr, out=zv)
+    xu = np.multiply(mix(ch.h_s1u, x1, ch.h_s2u, x2, zu), mu, out=zu)
+    xv = np.multiply(mix(ch.h_s1v, x1, ch.h_s2v, x2, zv), lam, out=zv)
     y1 = mix(ch.h_ud1, xu, ch.h_vd1, xv, zd1)
     y2 = mix(ch.h_ud2, xu, ch.h_vd2, xv, zd2)
     return y1, y2, xu, xv
-
-
-def _chain_noise(noise_rngs, noise):
-    """Draw the next relay and destination noise, in tag order, into the
-    arrays ``noise``."""
-    for rng, z in zip(noise_rngs, noise):
-        rng.standard_normal(out=z)
-    return noise
 
 
 def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
@@ -141,49 +129,59 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     Source symbols are zero-mean Gaussian with variance P.  Within each
     block, both sources repeat their phase-3 symbols as the scheme
     requires (user 1 resends its first symbol, user 2 its second): a block
-    sends (a1, b1), (a2, b2), (a1, b2).  Every trial runs the relays on
-    scheme_schedule(plan, n_triples) through _chain.
+    sends (a1, b1), (a2, b2), (a1, b2).  Each phase runs through _chain
+    with that phase's coefficients of plan.phase_pairs(), the slots of
+    scheme_schedule(plan, n_triples).  Relay v's phase-3 input is zero, as
+    its phase-3 coefficient must be: a plan with lambda_phase3 != 0 raises
+    ValueError.
 
-    ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; trial
-    t reads row t of the key's generators.  A trial's squared stream errors
-    are summed in consecutive leaves of LEAF triples, the last holding the
-    remainder, each by np.sum; math.fsum adds the leaf sums.  The chain runs
-    in tiles of rows x w triples, each generator filling a tile in C order:
-    as many whole trials as fit in GROUP_CAP elements per array when
-    n_triples <= LEAF, else one leaf of one trial.  Memory is one tile, and
-    results depend neither on the tiling nor on the number of trials.  Relay
+    ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; the
+    key's one generator feeds every trial in order.  A trial's squared
+    stream errors are summed in consecutive leaves of LEAF triples, the
+    last holding the remainder, each by np.sum; math.fsum adds the leaf
+    sums.  The chain runs in tiles of rows x w triples: as many whole
+    trials as fit in GROUP_CAP slots when n_triples <= LEAF, else one leaf
+    of one trial.  A tile fills a (rows, BLOCK_DRAWS, w) array in C order,
+    so each (trial, leaf) of w triples reads the next BLOCK_DRAWS * w
+    normals as a (BLOCK_DRAWS, w) block.  Memory is one tile, and results
+    depend neither on the tiling nor on the number of trials.  Relay
     powers are exact, not sampled: see scheme.relay_powers.
     """
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
-    sym_rng, *noise_rngs = _sweep_rngs(seed)
+    if plan.lambda_phase3 != 0.0:
+        raise ValueError(f"relay v must be silent in phase 3, but "
+                         f"lambda_phase3 = {plan.lambda_phase3!r}")
+    seed, point = (seed, 0) if np.ndim(seed) == 0 else seed
+    rng = keyed_rng(SWEEP, seed, point)
     span = min(n_triples, LEAF)  # the longest tile
     group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
     widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
-    schedule = scheme_schedule(plan, span)  # any tile's slots: blocks repeat
-    G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
-    # One tile's symbols and chain arrays, reused by every tile: x1, x2, zu,
-    # zv, zd1, zd2 and the chain's scratch t1, t2.  Then the tile's squared
-    # stream errors (a1, a2, b1, b2).
-    sym_buf = np.empty((group, span, 4))
-    buf = np.empty((8, group, 3 * span))
+    pairs = plan.phase_pairs()
+    G = [end_to_end(ch, mu, lam) for mu, lam in pairs]
+    # One tile's draws, the chain's scratch t1, t2 and relay v's phase-3
+    # input, and the tile's squared stream errors (a1, a2, b1, b2), reused
+    # by every tile.  _chain scales the zero input by lambda_phase3 = 0 in
+    # place, so it stays zero.
+    draws = np.empty(group * BLOCK_DRAWS * span)
+    scratch = np.zeros((3, group * span))
     sq = np.empty((4, group, span))
 
     def tile(w):
         """Run the next w triples of the current group's rows trials and
         return their (4, rows) squared-error sums."""
-        sym = sym_rng.standard_normal(out=sym_buf[:rows, :w])
-        sym *= math.sqrt(P)
-        a1, a2, b1, b2 = sym.transpose(2, 0, 1)
-        x1, x2, zu, zv, zd1, zd2, t1, t2 = buf[:, :rows, :3 * w]
-        x1[:, 0::3], x1[:, 1::3], x1[:, 2::3] = a1, a2, a1
-        x2[:, 0::3], x2[:, 1::3], x2[:, 2::3] = b1, b2, b2
-        _chain_noise(noise_rngs, (zu, zv, zd1, zd2))
-        y1, y2, _, _ = _chain(ch, schedule.mu[:3 * w], schedule.lam[:3 * w],
-                              x1, x2, zu, zv, zd1, zd2, t1, t2)
-        hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
-                *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
+        block = rng.standard_normal(out=draws[:rows * BLOCK_DRAWS * w])
+        block = block.reshape(rows, BLOCK_DRAWS, w)
+        block[:, :4] *= math.sqrt(P)
+        a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = block.transpose(1, 0, 2)
+        t1, t2, zv3 = scratch[:, :rows * w].reshape(3, rows, w)
+        inputs = ((a1, b1, zu1, zv1, zd[0], zd[3]),
+                  (a2, b2, zu2, zv2, zd[1], zd[4]),
+                  (a1, b2, zu3, zv3, zd[2], zd[5]))
+        y1, y2 = zip(*(_chain(ch, mu, lam, *phase, t1, t2)[:2]
+                       for (mu, lam), phase in zip(pairs, inputs)))
+        hats = (*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G))
         errs = sq[:, :rows, :w]
         for hat, x, out in zip(hats, (a1, a2, b1, b2), errs):
             np.square(np.subtract(hat, x, out=out), out=out)

@@ -13,7 +13,7 @@ from afdof import (
     plan_achievability,
 )
 from afdof.bounds import _draw_fuzz, _fuzz_values
-from afdof.simulate import _chain, _chain_noise, _sweep_rngs
+from afdof.simulate import SWEEP, _chain, keyed_rng
 
 # Derandomized: every run draws the same examples, so a property that can
 # catch a defect catches it on every run, not only on a lucky seed.
@@ -50,11 +50,11 @@ def schedule_from_pairs(pairs) -> AfSchedule:
 
 
 def sweep_noise(noise_seed, slots: int) -> np.ndarray:
-    """The (4, slots) relay and destination noise (zu, zv, zd1, zd2) of
-    trial 0 at a sweep key, as run_scheme_trials reads it; zero for None."""
+    """(4, slots) relay and destination noise (zu, zv, zd1, zd2), drawn in
+    one call from the sweep stream of seed noise_seed; zero for None."""
     if noise_seed is None:
         return np.zeros((4, slots))
-    return _chain_noise(_sweep_rngs(noise_seed)[1:], np.empty((4, slots)))
+    return keyed_rng(SWEEP, noise_seed, 0).standard_normal((4, slots))
 
 
 def chain_block(ch: ChannelRealization, schedule: AfSchedule, symbols,

@@ -21,10 +21,7 @@ import numpy as np
 import pytest
 
 from afdof import (
-    AfSchedule,
     StateCensus,
-    StateLabel,
-    achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,
     bound_slopes,

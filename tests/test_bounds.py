@@ -204,8 +204,9 @@ def test_impossible_pattern_only_for_scheduled_pairs():
 
 
 def test_random_schedule_draw_order(ref_channel, ref_plan):
-    # One (n, 2) index draw must replay the interleaved scalar draws (u index,
-    # then v index, slot by slot) so seeded fuzz schedules stay the same.
+    # One n-cell index draw must replay the scalar draws, slot by slot, of a
+    # cell of the 2 x 6 grid split into (u index, v index) by divmod(cell, 6),
+    # so seeded fuzz schedules stay the same.
     for seed in (0, 1, 7):
         sched = random_schedule(ref_channel, ref_plan, 300,
                                 np.random.default_rng(seed))
@@ -213,9 +214,8 @@ def test_random_schedule_draw_order(ref_channel, ref_plan):
         u_vals, v_vals = sched.alphabet.U, sched.alphabet.V
         assert v_vals[-1] == float(rng.uniform(0.2, 2.0))
         pairs = tuple((u_vals[i], v_vals[j]) for i, j in sched.index.tolist())
-        assert pairs == tuple(
-            (u_vals[int(rng.integers(2))], v_vals[int(rng.integers(6))])
-            for _ in range(300))
+        cells = (divmod(int(rng.integers(12)), 6) for _ in range(300))
+        assert pairs == tuple((u_vals[i], v_vals[j]) for i, j in cells)
 
 
 def loop_census_rows(ch, plan, n, schedules, rng):

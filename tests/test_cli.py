@@ -102,7 +102,7 @@ def test_run_achievability_deterministic(tmp_path):
     # new stream layout updates the digest).  Full-precision JSON floats may
     # differ in the last bits across numpy builds, so only the CSV is pinned.
     assert hashlib.sha256((out_a / "rates.csv").read_bytes()).hexdigest() == (
-        "a47503f58a126c428a7b9e801c95aedbc37f5302c2fe64f41e5e6a81e8fd86a5")
+        "6b379b4a82dbb392827bae455a2c0ead81263759f05cdb1c0104bd3a7f6cdd60")
 
 
 def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
@@ -115,7 +115,7 @@ def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
     assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 0
     # The digest pinned in test_run_achievability_deterministic.
     assert hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest() == (
-        "a47503f58a126c428a7b9e801c95aedbc37f5302c2fe64f41e5e6a81e8fd86a5")
+        "6b379b4a82dbb392827bae455a2c0ead81263759f05cdb1c0104bd3a7f6cdd60")
 
 
 def test_relay_power_check_can_fail(tmp_path, monkeypatch):
@@ -375,7 +375,7 @@ def test_fuzz_and_lemma_draws_pinned(tmp_path, monkeypatch, capsys):
         ",".join(f"{v:.12g}" for v in m.ravel()) for m in inst)
         for inst in instances[:5]]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "cfa907c10a2b17cbabdb2b32b19542a22278ba42ac7627e8f742a5ecec366287")
+        "b12b35eebfdd3a55e270414e0729470de416fe5bbfb7fc7e61fcf8ee913cb60c")
 
 
 def test_check_lemma2_usage_errors(tmp_path):

@@ -1,0 +1,35 @@
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads.  ``import a.b`` binds a, and
+    ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_finds_names_never_read():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nfrom math import pi, tau\nx = np.pi + tau\n")
+    assert unused_imports(source) == ["os", "pi"]
+
+
+def test_no_unused_imports():
+    # The package's __init__ imports are its public API, so it is exempt.
+    paths = [p for p in sorted((ROOT / "src" / "afdof").glob("*.py"))
+             if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+    unused = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
+              for p in paths}
+    assert {path: names for path, names in unused.items() if names} == {}

@@ -25,7 +25,7 @@ from afdof import (
     scheme_schedule,
 )
 from afdof.bounds import StateLabel, slot_states
-from conftest import REFERENCE_GAINS, reference_channel, schedule_from_pairs
+from conftest import REFERENCE_GAINS, schedule_from_pairs
 
 # Closed-form plan constants for the reference channel.
 REF_C = 1.0 / (2.0 * math.sqrt(11.0))

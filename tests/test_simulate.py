@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -29,11 +30,6 @@ from afdof.simulate import (
     LEMMA,
     SAMPLE_CONDITIONS,
     SWEEP,
-    _TAG_DEST1,
-    _TAG_DEST2,
-    _TAG_RELAY_U,
-    _TAG_RELAY_V,
-    _TAG_SYMBOLS,
     _chain,
     keyed_rng,
 )
@@ -105,54 +101,60 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
         assert y2[k] == pytest.approx(want2, rel=1e-12, abs=1e-15)
 
 
+def oracle_sq_errors(ch, plan, P, n, trials, seed, point):
+    """The (trials, n) squared stream errors (a1, a2, b1, b2) of the matrix
+    oracle on scheme_schedule's slots, fed what run_scheme_trials reads at a
+    sweep key with one leaf per trial: trial t's n blocks are row t of a
+    (trials, 15, n) draw.  Its rows are the symbols a1, a2, b1, b2, scaled
+    by sqrt(P), then zu for phases 1-3, zv for phases 1-2, zd1 and zd2 for
+    phases 1-3.  Relay v's phase-3 noise is zero: its output is scaled by 0."""
+    block = keyed_rng(SWEEP, seed, point).standard_normal((trials, 15, n))
+    block[:, :4] *= math.sqrt(P)
+    a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = block.transpose(1, 0, 2)
+    phases = [(a1, a2, a1), (b1, b2, b2), (zu1, zu2, zu3),
+              (zv1, zv2, np.zeros((trials, n))), zd[:3], zd[3:]]
+    # Slot 3 k + p of a trial is phase p + 1 of its block k.
+    slots = [np.stack(p, axis=2).reshape(trials, 3 * n) for p in phases]
+    sched = scheme_schedule(plan, n)
+    y1, y2 = matrix_chain(ch, sched.mu, sched.lam, *slots)
+    G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
+    hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
+            *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
+    return [(hat - x) ** 2 for hat, x in zip(hats, (a1, a2, b1, b2))]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
-    # A trial runs scheme_schedule through the chain; the matrix oracle on
-    # that schedule, with the trial's symbols and noise streams, must decode
-    # to the same stream errors.  One trial's error sum is n * mse.
+    # A trial runs scheme_schedule's phases through the chain; the matrix
+    # oracle on that schedule's slots, with the trial's symbols and noise,
+    # must decode to the same stream errors.  One trial's error sum is
+    # n * mse.
     P, n = 100.0, 200
     s = run_scheme_trials(ref_channel, ref_plan, P, n, trials=1, seed=seed)
-    sym = keyed_rng(SWEEP, seed, 0, _TAG_SYMBOLS).standard_normal((n, 4))
-    sym *= math.sqrt(P)
-    a1, a2, b1, b2 = sym.T
-    x1 = np.stack([a1, a2, a1], axis=1).ravel()
-    x2 = np.stack([b1, b2, b2], axis=1).ravel()
-    sched = scheme_schedule(ref_plan, n)
-    y1, y2 = matrix_chain(ref_channel, sched.mu, sched.lam, x1, x2,
-                          *sweep_noise(seed, 3 * n))
-    G = [end_to_end(ref_channel, mu, lam) for mu, lam in ref_plan.phase_pairs()]
-    a1_hat, a2_hat = reconstruct_d1(y1[0::3], y1[1::3], y1[2::3], *G)
-    b1_hat, b2_hat = reconstruct_d2(y2[0::3], y2[1::3], y2[2::3], *G)
-    want = [float(np.sum((hat - x) ** 2)) for hat, x in
-            ((a1_hat, a1), (a2_hat, a2), (b1_hat, b1), (b2_hat, b2))]
+    want = [float(np.sum(e)) for e in
+            oracle_sq_errors(ref_channel, ref_plan, P, n, 1, seed, 0)]
     got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
-    # Trial t must read row t of the (seed, point) key's generators: every
-    # trial's stream errors, rebuilt in matrix form from those rows of the
-    # symbols and of all four noises, give the trials' MSEs.
+    # Trial t must read row t of the (seed, point) key's (trials, 15, n)
+    # draw: every trial's stream errors, rebuilt in matrix form from those
+    # rows of the symbols and of all the noises, give the trials' MSEs.
     P, n, trials, seed, point = 100.0, 30, 3, 4, 2
     s = run_scheme_trials(ref_channel, ref_plan, P, n, trials, (seed, point))
-    sym = keyed_rng(SWEEP, seed, point, _TAG_SYMBOLS).standard_normal(
-        (trials, n, 4)) * math.sqrt(P)
-    zu, zv, zd1, zd2 = (keyed_rng(SWEEP, seed, point, tag).standard_normal(
-        (trials, 3 * n)) for tag in (_TAG_RELAY_U, _TAG_RELAY_V, _TAG_DEST1,
-                                     _TAG_DEST2))
-    a1, a2, b1, b2 = sym.transpose(2, 0, 1)
-    x1 = np.stack([a1, a2, a1], axis=2).reshape(trials, 3 * n)
-    x2 = np.stack([b1, b2, b2], axis=2).reshape(trials, 3 * n)
-    sched = scheme_schedule(ref_plan, n)
-    y1, y2 = matrix_chain(ref_channel, sched.mu, sched.lam, x1, x2,
-                          zu, zv, zd1, zd2)
-    Gp = [end_to_end(ref_channel, m, l) for m, l in ref_plan.phase_pairs()]
-    hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *Gp),
-            *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *Gp))
-    want = [float(np.mean((hat - x) ** 2))
-            for hat, x in zip(hats, (a1, a2, b1, b2))]
+    want = [float(np.mean(e)) for e in
+            oracle_sq_errors(ref_channel, ref_plan, P, n, trials, seed, point)]
     assert [s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2] == pytest.approx(
         want, rel=1e-12)
+
+
+def test_phase3_relay_v_must_be_silent(ref_channel, ref_plan):
+    # The trial loop feeds relay v no phase-3 noise, which is exact only
+    # when its phase-3 coefficient is zero.
+    loud = dataclasses.replace(ref_plan, lambda_phase3=0.1)
+    with pytest.raises(ValueError, match="lambda_phase3"):
+        run_scheme_trials(ref_channel, loud, P=1.0, n_triples=1, trials=1, seed=0)
 
 
 def test_trial_determinism(ref_channel, ref_plan):
@@ -178,7 +180,8 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
     # count here is a multiple of 3.  A trial of 2 * LEAF + 5 runs in three
     # leaves, one per tile, under every cap: the caps of 3 * LEAF * 3 and
     # 2**20 would group such trials if long trials were not kept one per
-    # tile, and then trial t would not read row t of each generator.
+    # tile, and then a trial's leaves would not follow one another in the
+    # sweep point's stream.
     assert afdof.simulate.GROUP_CAP >= 3 * min(trials * n, LEAF)
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
@@ -286,8 +289,8 @@ def test_relay_power_zero_schedule(ref_channel):
     # hears exactly its own noise only if both relays send zero.
     sched = schedule_from_pairs(((0.0, 0.0),) * 10)
     y1, y2 = chain_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
-    assert np.array_equal(y1, keyed_rng(SWEEP, 0, 0, _TAG_DEST1).standard_normal(10))
-    assert np.array_equal(y2, keyed_rng(SWEEP, 0, 0, _TAG_DEST2).standard_normal(10))
+    _, _, zd1, zd2 = sweep_noise(0, 10)
+    assert np.array_equal(y1, zd1) and np.array_equal(y2, zd2)
 
 
 def test_relay_power_reference_ratio(ref_channel, ref_plan):
@@ -453,19 +456,21 @@ def test_sweep_deterministic(ref_channel, ref_plan):
 
 
 def test_stream_keys_never_share_first_draws():
-    # Every purpose over 100 adjacent seeds, and the first sweep points and
-    # tags, against sample_channel's default_rng(s) for the same seeds: no two
+    # Every purpose over 100 adjacent seeds, and the first sweep points,
+    # against sample_channel's default_rng(s) for the same seeds: no two
     # generators start with the same draws.  The wide seeds s + p * 2**128
-    # spell seed s's words followed by purpose p's.
+    # spell seed s's words followed by purpose p's.  Keyed streams are
+    # SFC64 and default_rng's are PCG64, so none can replay sample_channel's.
     purposes = (FUZZ, LEMMA, SAMPLE_CONDITIONS)
     firsts = []
     for seed in range(100):
         firsts += [np.random.default_rng(seed + p * 2 ** 128).standard_normal(4)
                    for p in (0, *purposes)]
-        firsts += [keyed_rng(p, seed).standard_normal(4) for p in purposes]
-        firsts += [keyed_rng(SWEEP, seed, point, tag).standard_normal(4)
-                   for point in range(6) for tag in range(5)]
-    assert len({f.tobytes() for f in firsts}) == len(firsts) == 100 * 37
+        keyed = [keyed_rng(p, seed) for p in purposes]
+        keyed += [keyed_rng(SWEEP, seed, point) for point in range(6)]
+        assert all(type(g.bit_generator) is np.random.SFC64 for g in keyed)
+        firsts += [g.standard_normal(4) for g in keyed]
+    assert len({f.tobytes() for f in firsts}) == len(firsts) == 100 * 13
 
 
 def test_adjacent_seeds_do_not_share_sweep_points(ref_channel, ref_plan):
