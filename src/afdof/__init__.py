@@ -23,6 +23,7 @@ from .scheme import (
     InvalidPower,
     NonGenericChannel,
     PhasePlan,
+    StateLabel,
     achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,
@@ -46,7 +47,6 @@ from .bounds import (
     ImpossiblePattern,
     SingularCovariance,
     StateCensus,
-    StateLabel,
     bound_slopes,
     census,
     check_lemma2,

@@ -1,9 +1,9 @@
 """Computable artifacts of the sum-rate outer bound.
 
-Classifies each slot's end-to-end matrix by the position of its single
-zero entry (or lack of one), counts those states over a schedule, gives
-the slope coefficients of the three sum-rate bounds, whose minimum caps
-the sum-DoF at 4/3, fuzzes that census on random schedules against the
+Labels each slot's end-to-end matrix by the zero rule of scheme._label_ids
+(the position of its single zero entry, or lack of one), counts those
+states over a schedule, gives the slope coefficients of the three sum-rate
+bounds, whose minimum caps the sum-DoF at 4/3, fuzzes that census on random schedules against the
 channel's critical-ratio map, and numerically checks the Gaussian
 entropy-difference lemma the bound proofs lean on.
 """
@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .channel import (
-    ChannelRealization,
-    EndToEndMatrix,
-    end_to_end,
-    nulling_coefficients,
-)
-from .scheme import COEF_TOL, AfSchedule, PhasePlan
+from .channel import ChannelRealization, end_to_end, nulling_coefficients
+from .scheme import (_C1_ID, _LABELS, _ONE_ZERO_IDS, _ZERO_ID, AfSchedule,
+                     PhasePlan, StateLabel, _label_ids)
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -43,38 +38,15 @@ _FUZZ_GRID = (2, 6)
 
 
 class ImpossiblePattern(Exception):
-    """A zero pattern that generic channels cannot produce: two or more
-    zero entries with at least one nonzero entry."""
+    """A scheduled pair whose matrix no state describes: two or more zero
+    entries with at least one nonzero entry, or a vanishing matrix while a
+    relay sends.  Genericity does not rule it out: a channel that passes
+    check_conditions within COEF_TOL of a determinant boundary can give
+    two critical ratios that the zero rule cannot tell apart."""
 
 
 class SingularCovariance(Exception):
     """Covariance (or mixing matrix) too close to singular to evaluate."""
-
-
-class StateLabel(str, Enum):
-    A = "A"          # only the (2,1) entry is zero
-    B = "B"          # only the (1,2) entry is zero
-    C1 = "C1"        # no zero entries
-    C2 = "C2"        # only the (1,1) entry is zero
-    C3 = "C3"        # only the (2,2) entry is zero
-    ZERO = "Zero"    # all entries zero (both coefficients zero)
-
-
-# Label order is StateCensus's count order: nA, nB, nC1, nC2, nC3, nZero.
-_LABELS = tuple(StateLabel)
-
-# The label of a matrix whose only zero is entry e, in entry order
-# (alpha1, beta1, alpha2, beta2).
-_ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
-_ONE_ZERO_IDS = np.array([_LABELS.index(s) for s in _ONE_ZERO_LABELS])
-_C1_ID = _LABELS.index(StateLabel.C1)
-_ZERO_ID = _LABELS.index(StateLabel.ZERO)
-# Label position by zero pattern, bit e set when entry e is zero.  Two or
-# more zeros (-1) are impossible unless all four are, which _label_ids
-# labels Zero apart.
-_PATTERN_IDS = np.full(16, -1)
-_PATTERN_IDS[0] = _C1_ID
-_PATTERN_IDS[[1, 2, 4, 8]] = _ONE_ZERO_IDS
 
 
 @dataclass(frozen=True)
@@ -96,6 +68,11 @@ class StateCensus:
         if sum(counts) != self.n:
             raise ValueError("state counts must sum to n")
 
+    @classmethod
+    def of(cls, states: list[StateLabel]) -> StateCensus:
+        """The census of a schedule's per-slot states."""
+        return cls(*map(states.count, _LABELS), n=len(states))
+
     @property
     def nC(self) -> int:
         return self.nC1 + self.nC2 + self.nC3
@@ -103,23 +80,6 @@ class StateCensus:
     @property
     def nS(self) -> int:
         return self.n - self.nZero
-
-
-def _label_ids(G: EndToEndMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """State positions, in StateLabel order, of end-to-end matrices whose
-    fields are floats or same-shape arrays, and their (4, ...) zero mask.
-
-    This is the one zero rule: an entry is zero at or below COEF_TOL times
-    the largest-magnitude entry of its matrix, the decoders' rule.  An
-    all-zero matrix is Zero.  Two or three zeros cannot happen over a
-    generic channel, so those patterns get -1 (a tolerance or genericity
-    bug).
-    """
-    magnitude = np.abs(G.entries())
-    scale = magnitude.max(axis=0)
-    zero = magnitude <= COEF_TOL * scale
-    pattern = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
-    return np.where(scale == 0.0, _ZERO_ID, pattern), zero
 
 
 def _grid_label_ids(ch: ChannelRealization, mu: np.ndarray,
@@ -162,25 +122,18 @@ def _gather_label_ids(ch: ChannelRealization, U: tuple[float, ...],
     return ids, codes
 
 
-def _slot_label_ids(ch: ChannelRealization,
-                    schedule: AfSchedule) -> np.ndarray:
-    """Each slot's state as a position in StateLabel order."""
-    ids, _ = _gather_label_ids(ch, schedule.alphabet.U,
-                               np.array([schedule.alphabet.V]),
-                               schedule.index[None])
-    return ids[0]
-
-
 def slot_states(ch: ChannelRealization,
                 schedule: AfSchedule) -> list[StateLabel]:
     """Per-slot state labels for a schedule."""
-    return [_LABELS[i] for i in _slot_label_ids(ch, schedule).tolist()]
+    ids, _ = _gather_label_ids(ch, schedule.alphabet.U,
+                               np.array([schedule.alphabet.V]),
+                               schedule.index[None])
+    return [_LABELS[i] for i in ids[0].tolist()]
 
 
 def census(ch: ChannelRealization, schedule: AfSchedule) -> StateCensus:
     """Classify every slot of a schedule and count the states."""
-    ids = _slot_label_ids(ch, schedule)
-    return StateCensus(*np.bincount(ids, minlength=len(_LABELS)).tolist(), n=len(ids))
+    return StateCensus.of(slot_states(ch, schedule))
 
 
 def bound_slopes(census_counts: StateCensus) -> tuple[float, float, float]:

@@ -39,8 +39,8 @@ from .simulate import (FUZZ, LEMMA, SAMPLE_CONDITIONS, estimate_dof_slope,
 from .bounds import (
     RATIO_MAP_REL_TOL,
     SingularCovariance,
+    StateCensus,
     bound_slopes,
-    census,
     check_lemma2,
     fuzz_census,
     min_census_fraction,
@@ -271,7 +271,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     ch = _resolve_channel(cfg)
     plan = plan_achievability(ch)
     schedule = scheme_schedule(plan, n // 3)
-    cens = census(ch, schedule)
+    states = slot_states(ch, schedule)  # census.csv's state column
+    cens = StateCensus.of(states)
     set_name, fraction = min_census_fraction(cens)
     slope_dof = bound_slopes(cens)
     min_bound_slope = min(slope_dof)
@@ -288,8 +289,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "mu", "lambda", "state"])
-        labels = slot_states(ch, schedule)  # the state column
-        for k, (mu, lam, label) in enumerate(zip(schedule.mu, schedule.lam, labels)):
+        for k, (mu, lam, label) in enumerate(zip(schedule.mu, schedule.lam, states)):
             writer.writerow([k, _fmt(mu), _fmt(lam), label.value])
     _write_json(os.path.join(cfg.output_dir, "bounds.json"), {
         "census": asdict(cens),

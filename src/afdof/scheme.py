@@ -2,14 +2,17 @@
 
 Plans the relay coefficients that alternately cancel one source at one
 destination, builds periodic schedules over the induced finite alphabets,
-reconstructs both symbols at each destination from a three-slot block, and
-evaluates the resulting noise variances and achievable rates analytically.
+labels end-to-end matrices by their zero entries (the one zero rule, read
+by phase_matrices and the outer-bound census), reconstructs both symbols
+at each destination from a three-slot block, and evaluates the resulting
+noise variances and achievable rates analytically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -23,10 +26,10 @@ from .channel import (
     nulling_coefficients,
 )
 
-# The one zero test for end-to-end coefficients, used by the decoders and by
-# the state labels of bounds._label_ids.  Looser than channel.GENERIC_TOL
-# (1e-12) so it does not flap on accumulated rounding, still far below any
-# generic entry.
+# The one zero rule for end-to-end coefficients, read only by _label_ids:
+# an entry is zero at or below COEF_TOL times the largest-magnitude entry of
+# its own matrix.  Looser than channel.GENERIC_TOL (1e-12) so it does not
+# flap on accumulated rounding, still far below any generic entry.
 COEF_TOL = 1e-9
 
 
@@ -35,7 +38,8 @@ class NonGenericChannel(Exception):
 
 
 class DegenerateCoefficients(Exception):
-    """An end-to-end coefficient required by the decoder is (near) zero."""
+    """A phase of the plan is not in the state its decoders need (B, A and
+    C1 for phases 1, 2 and 3) by the zero rule; raised by phase_matrices."""
 
 
 class InvalidPower(Exception):
@@ -47,6 +51,52 @@ def check_power(P: float) -> None:
     """Raise InvalidPower unless 1 <= P < inf (so nan fails too)."""
     if not 1 <= P < math.inf:
         raise InvalidPower(f"P must be finite and >= 1, got {P}")
+
+
+class StateLabel(str, Enum):
+    A = "A"          # only the (2,1) entry is zero
+    B = "B"          # only the (1,2) entry is zero
+    C1 = "C1"        # no zero entries
+    C2 = "C2"        # only the (1,1) entry is zero
+    C3 = "C3"        # only the (2,2) entry is zero
+    ZERO = "Zero"    # all entries zero (both coefficients zero)
+
+
+# Label order is bounds.StateCensus's count order: nA, nB, nC1, nC2, nC3,
+# nZero.
+_LABELS = tuple(StateLabel)
+
+# The label of a matrix whose only zero is entry e, in entry order
+# (alpha1, beta1, alpha2, beta2).
+_ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
+_ONE_ZERO_IDS = np.array([_LABELS.index(s) for s in _ONE_ZERO_LABELS])
+_C1_ID = _LABELS.index(StateLabel.C1)
+_ZERO_ID = _LABELS.index(StateLabel.ZERO)
+# Label position by zero pattern, bit e set when entry e is zero.  Two or
+# more zeros (-1) are impossible unless all four are, which _label_ids
+# labels Zero apart.
+_PATTERN_IDS = np.full(16, -1)
+_PATTERN_IDS[0] = _C1_ID
+_PATTERN_IDS[[1, 2, 4, 8]] = _ONE_ZERO_IDS
+
+# The states the decoders need: phase 1 nulls beta1, phase 2 alpha2.
+_PHASE_STATES = (StateLabel.B, StateLabel.A, StateLabel.C1)
+
+
+def _label_ids(G: EndToEndMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """State positions, in StateLabel order, of end-to-end matrices whose
+    fields are floats or same-shape arrays, and their (4, ...) zero mask.
+
+    This is the one zero rule: an entry is zero at or below COEF_TOL times
+    the largest-magnitude entry of its matrix.  An all-zero matrix is Zero.
+    Two or three zeros cannot happen unless a channel sits within COEF_TOL
+    of a genericity boundary, so those patterns get -1.
+    """
+    magnitude = np.abs(G.entries())
+    scale = magnitude.max(axis=0)
+    zero = magnitude <= COEF_TOL * scale
+    pattern = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
+    return np.where(scale == 0.0, _ZERO_ID, pattern), zero
 
 
 @dataclass(frozen=True)
@@ -98,28 +148,25 @@ class AfSchedule:
 class PhasePlan:
     """Coefficients of the three-phase scheme for one channel.
 
-    mu_all is the common u-relay gain; lambda_phase1 cancels source 2 at
-    destination 1, lambda_phase2 cancels source 1 at destination 2, and
-    lambda_phase3 silences relay v.  c and l are the power-normalizing
+    lambda_phase1 cancels source 2 at destination 1 and lambda_phase2
+    cancels source 1 at destination 2.  c and l are the power-normalizing
     constants that keep both relays inside the transmit power budget for
-    every P >= 1.
+    every P >= 1.  phase_pairs() is the one definition of the phases.
     """
 
     c: float
     l: float
     lambda_phase1: float
     lambda_phase2: float
-    lambda_phase3: float
-    mu_all: float
 
     def phase_pairs(self) -> tuple[tuple[float, float], ...]:
-        return ((self.mu_all, self.lambda_phase1),
-                (self.mu_all, self.lambda_phase2),
-                (self.mu_all, self.lambda_phase3))
+        """(mu, lam) of phases 1, 2 and 3; relay v is silent in phase 3."""
+        return ((self.c, self.lambda_phase1), (self.c, self.lambda_phase2),
+                (self.c, 0.0))
 
     def alphabet(self) -> AfAlphabet:
-        return AfAlphabet(U=(self.mu_all,), V=tuple(dict.fromkeys(
-            (self.lambda_phase3, self.lambda_phase1, self.lambda_phase2))))
+        (mu, lam1), (_, lam2), (_, lam3) = self.phase_pairs()
+        return AfAlphabet(U=(mu,), V=tuple(dict.fromkeys((lam3, lam1, lam2))))
 
 
 def plan_achievability(ch: ChannelRealization) -> PhasePlan:
@@ -143,8 +190,7 @@ def plan_achievability(ch: ChannelRealization) -> PhasePlan:
     c = min(math.sqrt(1.0 / (ch.h_s1u ** 2 + ch.h_s2u ** 2 + 1.0)),
             l * math.sqrt(1.0 / (ch.h_s1v ** 2 + ch.h_s2v ** 2 + 1.0)))
     _, lam1, lam2, _ = nulling_coefficients(ch, c)
-    return PhasePlan(c=c, l=l, lambda_phase1=lam1, lambda_phase2=lam2,
-                     lambda_phase3=0.0, mu_all=c)
+    return PhasePlan(c=c, l=l, lambda_phase1=lam1, lambda_phase2=lam2)
 
 
 def relay_powers(ch: ChannelRealization, plan: PhasePlan,
@@ -172,18 +218,27 @@ def scheme_schedule(plan: PhasePlan, n_triples: int) -> AfSchedule:
     return AfSchedule(alphabet, index)
 
 
-def _coef_scale(*matrices: EndToEndMatrix) -> float:
-    return max(g.max_abs() for g in matrices)
+def phase_matrices(ch: ChannelRealization,
+                   plan: PhasePlan) -> tuple[EndToEndMatrix, ...]:
+    """The end-to-end matrices of plan.phase_pairs(), labelled by the zero
+    rule of _label_ids in one call.
 
-
-def _need_nonzero(value: float, scale: float, name: str) -> None:
-    if abs(value) <= COEF_TOL * scale:
-        raise DegenerateCoefficients(f"{name} is below tolerance ({value!r})")
-
-
-def _need_zero(value: float, scale: float, name: str) -> None:
-    if abs(value) > COEF_TOL * scale:
-        raise DegenerateCoefficients(f"{name} must vanish but is {value!r}")
+    Raises DegenerateCoefficients, naming the first offending phase, its
+    state and its entries, unless phases 1, 2 and 3 are in states B, A and
+    C1: exactly the entries reconstruct_d1 and reconstruct_d2 divide by are
+    nonzero, and the two they ignore are zero.
+    """
+    mu, lam = np.transpose(plan.phase_pairs())
+    G = end_to_end(ch, mu, lam)
+    rows = np.transpose(G.entries()).tolist()
+    for phase, (i, want, row) in enumerate(
+            zip(_label_ids(G)[0].tolist(), _PHASE_STATES, rows), 1):
+        state = _LABELS[i].value if i >= 0 else "impossible"
+        if state != want.value:
+            raise DegenerateCoefficients(
+                f"phase {phase} is {state}, not {want.value}: entries "
+                f"(alpha1, beta1, alpha2, beta2) = {tuple(row)}")
+    return tuple(EndToEndMatrix(*row) for row in rows)
 
 
 def reconstruct_d1(y11, y12, y13,
@@ -193,13 +248,10 @@ def reconstruct_d1(y11, y12, y13,
     Slot 1 carries the first stream alone (the cross coefficient is
     nulled); slot 3 is used to strip the first stream and the known
     interference symbol out of slot 2, leaving the second stream.  Inputs
-    may be scalars or equal-length arrays.
+    may be scalars or equal-length arrays.  The matrices must be ones
+    phase_matrices accepted: G1.alpha1, G2.alpha1 and G3.beta1 nonzero and
+    G1.beta1 zero, which is ignored.
     """
-    scale = _coef_scale(G1, G2, G3)
-    _need_nonzero(G1.alpha1, scale, "G1.alpha1")
-    _need_nonzero(G2.alpha1, scale, "G2.alpha1")
-    _need_nonzero(G3.beta1, scale, "G3.beta1")
-    _need_zero(G1.beta1, scale, "G1.beta1")
     a1_hat = y11 / G1.alpha1
     a2_hat = (y12 - (G2.beta1 / G3.beta1) * (y13 - G3.alpha1 * a1_hat)) / G2.alpha1
     return a1_hat, a2_hat
@@ -211,13 +263,9 @@ def reconstruct_d2(y21, y22, y23,
 
     Slot 2 carries the second stream alone; slot 3 recovers the other
     user's repeated symbol, which slot 1 then cancels to expose the first
-    stream.
+    stream.  The matrices must be ones phase_matrices accepted: G2.beta2,
+    G3.alpha2 and G1.beta2 nonzero and G2.alpha2 zero, which is ignored.
     """
-    scale = _coef_scale(G1, G2, G3)
-    _need_nonzero(G2.beta2, scale, "G2.beta2")
-    _need_nonzero(G3.alpha2, scale, "G3.alpha2")
-    _need_nonzero(G1.beta2, scale, "G1.beta2")
-    _need_zero(G2.alpha2, scale, "G2.alpha2")
     b2_hat = y22 / G2.beta2
     a1_mid = (y23 - G3.beta2 * b2_hat) / G3.alpha2
     b1_hat = (y21 - G1.alpha2 * a1_mid) / G1.beta2
@@ -233,10 +281,10 @@ def analytic_noise_variances(ch: ChannelRealization, plan: PhasePlan):
     the three unit impulses gives each stream's weights on the block's
     samples.  The three phases forward disjoint relay noise samples, so a
     stream's variance is its squared weights times the per-phase effective
-    noise variances.  Raises DegenerateCoefficients when the decoders do.
+    noise variances.  Raises DegenerateCoefficients as phase_matrices does.
     """
     pairs = plan.phase_pairs()
-    G = [end_to_end(ch, mu, lam) for mu, lam in pairs]
+    G = phase_matrices(ch, plan)
     variances = []
     for dest, decode in ((1, reconstruct_d1), (2, reconstruct_d2)):
         noise = [effective_noise_variance(ch, mu, lam, dest) for mu, lam in pairs]

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, end_to_end
+from .channel import ChannelRealization
 from .scheme import (
     PhasePlan,
     achievable_rate,
     check_power,
+    phase_matrices,
     reconstruct_d1,
     reconstruct_d2,
 )
@@ -131,9 +132,10 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     requires (user 1 resends its first symbol, user 2 its second): a block
     sends (a1, b1), (a2, b2), (a1, b2).  Each phase runs through _chain
     with that phase's coefficients of plan.phase_pairs(), the slots of
-    scheme_schedule(plan, n_triples).  Relay v's phase-3 input is zero, as
-    its phase-3 coefficient must be: a plan with lambda_phase3 != 0 raises
-    ValueError.
+    scheme_schedule(plan, n_triples).  Relay v is silent in phase 3, so
+    its phase-3 input is zero and no noise is drawn for it.  The decoders
+    read phase_matrices(ch, plan), which raises DegenerateCoefficients
+    before any draw unless the phases are in states B, A and C1.
 
     ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; the
     key's one generator feeds every trial in order.  A trial's squared
@@ -150,19 +152,16 @@ def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
     check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
-    if plan.lambda_phase3 != 0.0:
-        raise ValueError(f"relay v must be silent in phase 3, but "
-                         f"lambda_phase3 = {plan.lambda_phase3!r}")
+    G = phase_matrices(ch, plan)
     seed, point = (seed, 0) if np.ndim(seed) == 0 else seed
     rng = keyed_rng(SWEEP, seed, point)
     span = min(n_triples, LEAF)  # the longest tile
     group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
     widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
     pairs = plan.phase_pairs()
-    G = [end_to_end(ch, mu, lam) for mu, lam in pairs]
     # One tile's draws, the chain's scratch t1, t2 and relay v's phase-3
     # input, and the tile's squared stream errors (a1, a2, b1, b2), reused
-    # by every tile.  _chain scales the zero input by lambda_phase3 = 0 in
+    # by every tile.  _chain scales the zero input by phase 3's lam = 0 in
     # place, so it stays zero.
     draws = np.empty(group * BLOCK_DRAWS * span)
     scratch = np.zeros((3, group * span))

@@ -125,8 +125,8 @@ def test_criterion_03_interference_nulling():
     for seed in range(10_000):
         ch = sample_channel(seed)
         plan = plan_achievability(ch)
-        G1 = end_to_end(ch, plan.mu_all, plan.lambda_phase1)
-        G2 = end_to_end(ch, plan.mu_all, plan.lambda_phase2)
+        G1 = end_to_end(ch, plan.c, plan.lambda_phase1)
+        G2 = end_to_end(ch, plan.c, plan.lambda_phase2)
         worst = max(worst,
                     abs(G1.beta1) / G1.max_abs(),
                     abs(G2.alpha2) / G2.max_abs())

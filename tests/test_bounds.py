@@ -14,11 +14,13 @@ from afdof import (
     DegenerateCoefficients,
     EndToEndMatrix,
     ImpossiblePattern,
+    NonGenericChannel,
     SingularCovariance,
     StateCensus,
     StateLabel,
     bound_slopes,
     census,
+    analytic_noise_variances,
     check_lemma2,
     gaussian_entropy,
     min_census_fraction,
@@ -30,11 +32,10 @@ from afdof import (
     slot_states,
     end_to_end,
 )
-import afdof.bounds
-from afdof.bounds import (FUZZ_CHUNK, _LABELS, _fuzz_chunks, _label_ids,
-                          fuzz_census, random_spd)
+import afdof.scheme
+from afdof.bounds import FUZZ_CHUNK, _fuzz_chunks, fuzz_census, random_spd
 from afdof.channel import nulling_coefficients
-from afdof.scheme import COEF_TOL
+from afdof.scheme import COEF_TOL, _LABELS, _label_ids, phase_matrices
 from conftest import random_schedule, schedule_from_pairs
 
 
@@ -76,20 +77,85 @@ def test_classify_impossible_patterns():
     assert label_id(G((1, 0, 0, 0))) == -1
 
 
-@pytest.mark.parametrize("factor,label", [(0.9, StateLabel.B),
-                                          (1.1, StateLabel.C1)])
-def test_state_labels_and_decoder_share_zero_rule(factor, label):
+@pytest.mark.parametrize("factor,label,others", [
+    pytest.param(0.9, StateLabel.B, 1.0, id="0.9-B"),
+    pytest.param(1.1, StateLabel.C1, 1.0, id="1.1-C1"),
+    pytest.param(0.9, StateLabel.B, 25.0, id="0.9-B-others-25x"),
+    pytest.param(1.1, StateLabel.C1, 25.0, id="1.1-C1-others-25x"),
+])
+def test_state_labels_and_decoder_share_zero_rule(monkeypatch, ref_channel,
+                                                  ref_plan, factor, label,
+                                                  others):
     # beta1 of the phase-1 matrix just inside or just outside the zero
-    # tolerance: the label and the decoder must agree on which side it is.
+    # tolerance of its own matrix, with the other two phases at its scale
+    # or about 25x larger: the label and the decoders' phase check must
+    # agree on which side it is.
     scale = 4.0
     G1 = G((scale, factor * COEF_TOL * scale, -scale, 2.0))
-    G2, G3 = G((1.0, 2.0, 0.0, 1.0)), G((1.0, 1.0, 2.0, 1.0))
+    G2 = G((others, 2 * others, 0.0, others))
+    G3 = G((others, others, 2 * others, others))
+    phases = G(np.transpose([G1.entries(), G2.entries(), G3.entries()]))
+    monkeypatch.setattr(afdof.scheme, "end_to_end", lambda ch, mu, lam: phases)
     assert label_id(G1) == _LABELS.index(label)
     if label is StateLabel.B:
+        assert phase_matrices(ref_channel, ref_plan) == (G1, G2, G3)
         reconstruct_d1(1.0, 1.0, 1.0, G1, G2, G3)
     else:
-        with pytest.raises(DegenerateCoefficients):
-            reconstruct_d1(1.0, 1.0, 1.0, G1, G2, G3)
+        with pytest.raises(DegenerateCoefficients, match="phase 1 is C1, not B"):
+            phase_matrices(ref_channel, ref_plan)
+
+
+# Each genericity determinant m11 m22 - m12 m21 of check_conditions, by its
+# entries as functions of the gains, and the gain its m22 is proportional to.
+DETERMINANTS = (
+    ("s2v", lambda g: (g["s1u"], g["s2u"], g["s1v"], g["s2v"])),
+    ("vd2", lambda g: (g["ud1"], g["vd1"], g["ud2"], g["vd2"])),
+    ("vd2", lambda g: (g["ud1"] * g["s1u"], g["vd1"] * g["s1v"],
+                       g["ud2"] * g["s2u"], g["vd2"] * g["s2v"])),
+    ("vd2", lambda g: (g["ud1"] * g["s2u"], g["vd1"] * g["s2v"],
+                       g["ud2"] * g["s1u"], g["vd2"] * g["s1v"])),
+)
+
+
+def near_boundary_channels(bases, ks):
+    """Channels from default_rng(b)'s gains with one genericity determinant
+    moved to 10^-k times check_conditions' scale for it, by rescaling the
+    one gain its m22 entry is proportional to."""
+    for b in bases:
+        g = ChannelRealization(
+            *np.random.default_rng(b).standard_normal(8).tolist()).to_dict()
+        for k in ks:
+            for key, entries in DETERMINANTS:
+                m11, m12, m21, m22 = entries(g)
+                scale = max(abs(m11), abs(m12)) * max(abs(m21), abs(m22))
+                target = (m12 * m21 + 10.0 ** -k * scale) / m11
+                yield ChannelRealization.from_dict({**g, key: g[key] * target / m22})
+
+
+def test_phase_check_matches_census_near_genericity_boundaries():
+    # Channels that pass genericity within COEF_TOL of a determinant
+    # boundary may not decode, but the scheme's phase check and the census
+    # must give the same verdict: the variances exist exactly when the
+    # scheme's one-block schedule is labelled B, A, C1.
+    planned, disagree = 0, []
+    for ch in near_boundary_channels(range(10), range(6, 15)):
+        try:
+            plan = plan_achievability(ch)
+        except NonGenericChannel:
+            continue
+        planned += 1
+        try:
+            labelled = slot_states(ch, scheme_schedule(plan, 1)) == [
+                StateLabel.B, StateLabel.A, StateLabel.C1]
+        except ImpossiblePattern:
+            labelled = False
+        try:
+            decodes = bool(analytic_noise_variances(ch, plan))
+        except DegenerateCoefficients:
+            decodes = False
+        if labelled != decodes:
+            disagree.append(ch)
+    assert planned > 200 and disagree == []
 
 
 def test_census_achievability_schedule(ref_channel, ref_plan):
@@ -247,9 +313,9 @@ def test_fuzz_impossible_pattern_matches_census(monkeypatch, ref_channel,
                                                 ref_plan, pattern):
     # With one label made impossible, the fuzz raises exactly when some
     # schedule uses a pair with that label, naming the pair census names.
-    mutant = afdof.bounds._PATTERN_IDS.copy()
+    mutant = afdof.scheme._PATTERN_IDS.copy()
     mutant[pattern] = -1
-    monkeypatch.setattr(afdof.bounds, "_PATTERN_IDS", mutant)
+    monkeypatch.setattr(afdof.scheme, "_PATTERN_IDS", mutant)
 
     def outcome(run):
         try:

@@ -11,6 +11,7 @@ import pytest
 import afdof.bounds
 import afdof.channel
 import afdof.cli
+import afdof.scheme
 import afdof.simulate
 from afdof import (ChannelRealization, check_conditions, plan_achievability,
                    relay_powers)
@@ -85,7 +86,7 @@ def test_run_achievability(tmp_path):
 
     plan = json.loads((out / "plan.json").read_text())
     assert set(plan) == {"c", "l", "lambda_phase1", "lambda_phase2",
-                         "lambda_phase3", "mu_all", "alphabet", "channel"}
+                         "alphabet", "channel"}
     assert set(plan["alphabet"]) == {"U", "V"}
     assert plan["c"] == pytest.approx(0.15075567228888181)
     assert plan["channel"]["s1u"] == 1.0
@@ -178,12 +179,19 @@ def test_verify_bounds(tmp_path):
     assert bounds["min_bound_slope"] == min(bounds["slope_dof"])
 
 
+def swap_labels(monkeypatch, e, f):
+    """Swap the labels of the one-zero patterns of entries e and f, in
+    (alpha1, beta1, alpha2, beta2) order, in the one zero rule."""
+    swapped = afdof.scheme._PATTERN_IDS.copy()
+    swapped[[1 << e, 1 << f]] = swapped[[1 << f, 1 << e]]
+    monkeypatch.setattr(afdof.scheme, "_PATTERN_IDS", swapped)
+
+
 def test_fuzz_ratio_map_check_can_fail(tmp_path, monkeypatch):
-    # Swapping the A and B labels keeps every census balanced, so the
-    # pigeonhole checks pass; only the critical-ratio map sees the swap.
-    swapped = afdof.bounds._PATTERN_IDS.copy()
-    swapped[[2, 4]] = swapped[[4, 2]]
-    monkeypatch.setattr(afdof.bounds, "_PATTERN_IDS", swapped)
+    # Swapping the C2 and C3 labels keeps every census balanced and leaves
+    # the scheme's phases (B, A, C1) alone, so the pigeonhole checks and
+    # phase_matrices pass; only the critical-ratio map sees the swap.
+    swap_labels(monkeypatch, 0, 3)
     out = tmp_path / "out"
     assert main(["verify-bounds", "--fuzz", "20", "--out", str(out)]) == 1
     err = json.loads((out / "error.json").read_text())
@@ -192,6 +200,19 @@ def test_fuzz_ratio_map_check_can_fail(tmp_path, monkeypatch):
     bounds = json.loads((out / "bounds.json").read_text())
     assert bounds["fuzz"] == {"schedules": 20, "violations": 0}
     assert 0 < err["detail"]["fuzz_ratio_map"] == bounds["ratio_map"]["disagreements"]
+
+
+def test_label_swap_stops_the_scheme(tmp_path, monkeypatch):
+    # With A and B swapped, phase 1 is labelled A: phase_matrices refuses
+    # to decode, before any trial runs.
+    swap_labels(monkeypatch, 1, 2)
+    out = tmp_path / "out"
+    assert main(["run-achievability", "--trials", "1", "--n-triples", "10",
+                 "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DegenerateCoefficients"
+    assert err["detail"].startswith("phase 1 is A, not B: entries")
+    assert not (out / "rates.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [["--slots", "31"], ["--fuzz", "-5"],

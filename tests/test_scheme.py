@@ -25,6 +25,7 @@ from afdof import (
     scheme_schedule,
 )
 from afdof.bounds import StateLabel, slot_states
+from afdof.scheme import phase_matrices
 from conftest import REFERENCE_GAINS, schedule_from_pairs
 
 # Closed-form plan constants for the reference channel.
@@ -43,10 +44,11 @@ def ref_phase_entries(c: float) -> dict:
 def test_plan_reference_values(ref_channel, ref_plan):
     assert ref_plan.l == pytest.approx(0.5)
     assert ref_plan.c == pytest.approx(REF_C, rel=1e-15)
-    assert ref_plan.mu_all == ref_plan.c
     assert ref_plan.lambda_phase1 == pytest.approx(-2 * ref_plan.c, rel=1e-15)
     assert ref_plan.lambda_phase2 == pytest.approx(-2 * ref_plan.c / 3, rel=1e-15)
-    assert ref_plan.lambda_phase3 == 0.0
+    assert ref_plan.phase_pairs() == ((ref_plan.c, ref_plan.lambda_phase1),
+                                      (ref_plan.c, ref_plan.lambda_phase2),
+                                      (ref_plan.c, 0.0))
     alphabet = ref_plan.alphabet()
     assert alphabet.U == (ref_plan.c,)
     assert set(alphabet.V) == {0.0, ref_plan.lambda_phase1, ref_plan.lambda_phase2}
@@ -60,8 +62,8 @@ def test_plan_rejects_nongeneric():
 
 
 def test_plan_nulls_the_targeted_entries(ref_channel, ref_plan):
-    G1 = end_to_end(ref_channel, ref_plan.mu_all, ref_plan.lambda_phase1)
-    G2 = end_to_end(ref_channel, ref_plan.mu_all, ref_plan.lambda_phase2)
+    G1 = end_to_end(ref_channel, ref_plan.c, ref_plan.lambda_phase1)
+    G2 = end_to_end(ref_channel, ref_plan.c, ref_plan.lambda_phase2)
     assert abs(G1.beta1) <= 1e-12 * G1.max_abs()
     assert abs(G2.alpha2) <= 1e-12 * G2.max_abs()
 
@@ -71,12 +73,10 @@ def test_plan_nulling_fuzz():
     for seed in range(300):
         ch = sample_channel(seed)
         plan = plan_achievability(ch)
-        G1 = end_to_end(ch, plan.mu_all, plan.lambda_phase1)
-        G2 = end_to_end(ch, plan.mu_all, plan.lambda_phase2)
+        G1, G2, G3 = (end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs())
         assert abs(G1.beta1) <= 1e-12 * G1.max_abs()
         assert abs(G2.alpha2) <= 1e-12 * G2.max_abs()
         # remaining coefficients of all three phases stay nonzero
-        G3 = end_to_end(ch, plan.mu_all, plan.lambda_phase3)
         for value in (G1.alpha1, G1.alpha2, G1.beta2,
                       G2.alpha1, G2.beta1, G2.beta2) + G3.entries():
             assert abs(value) > 1e-9 * max(G1.max_abs(), G2.max_abs(), G3.max_abs())
@@ -205,13 +205,29 @@ def test_reconstruct_unit_noise_matches_hand_formula(ref_channel, ref_plan):
     assert b1_hat == pytest.approx(expected_b1, rel=1e-12)
 
 
+class PairsPlan:
+    """A stand-in plan whose phase_pairs() are given directly, so phases no
+    PhasePlan can write reach phase_matrices."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def phase_pairs(self):
+        return self.pairs
+
+
 def test_reconstruct_rejects_degenerate_coefficients(ref_channel, ref_plan):
-    G1, G2, G3 = _ref_G(ref_channel, ref_plan)
-    bad_G3 = end_to_end(ref_channel, ref_plan.mu_all, ref_plan.lambda_phase1)
-    with pytest.raises(DegenerateCoefficients):
-        reconstruct_d1(1.0, 1.0, 1.0, G1, G2, bad_G3)  # beta1 of phase 1 is 0
-    with pytest.raises(DegenerateCoefficients):
-        reconstruct_d2(1.0, 1.0, 1.0, G1, G1, G3)  # alpha2 of phase 1 is nonzero
+    p1, p2, p3 = ref_plan.phase_pairs()
+    assert phase_matrices(ref_channel, ref_plan) == _ref_G(ref_channel, ref_plan)
+    # Phase 3 repeats phase 1, so its beta1, which reconstruct_d1 divides
+    # by, is 0.
+    with pytest.raises(DegenerateCoefficients,
+                       match=r"phase 3 is B, not C1: entries \(alpha1, beta1"):
+        phase_matrices(ref_channel, PairsPlan(p1, p2, p1))
+    # Phase 2 repeats phase 1, so its alpha2, which reconstruct_d2 ignores,
+    # is nonzero.
+    with pytest.raises(DegenerateCoefficients, match="phase 2 is B, not A"):
+        phase_matrices(ref_channel, PairsPlan(p1, p1, p3))
 
 
 def test_analytic_variances_reference(ref_channel, ref_plan):
@@ -254,7 +270,7 @@ def test_variances_exceed_destination_noise_floor():
         ch = sample_channel(seed)
         plan = plan_achievability(ch)
         (s1, s2), (t1, t2) = analytic_noise_variances(ch, plan)
-        g1 = end_to_end(ch, plan.mu_all, plan.lambda_phase1).alpha1
+        g1 = end_to_end(ch, plan.c, plan.lambda_phase1).alpha1
         assert s1 >= 1.0 / g1 ** 2
         assert min(s1, s2, t1, t2) > 0
 
@@ -314,6 +330,6 @@ def test_relay_power_budget_analytic(seed):
     plan = plan_achievability(ch)
     su = ch.h_s1u ** 2 + ch.h_s2u ** 2 + 1.0
     sv = ch.h_s1v ** 2 + ch.h_s2v ** 2 + 1.0
-    assert plan.mu_all ** 2 * su <= 1.0 + 1e-12
+    assert plan.c ** 2 * su <= 1.0 + 1e-12
     for lam in plan.alphabet().V:
         assert lam ** 2 * sv <= 1.0 + 1e-12

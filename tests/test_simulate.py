@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import tracemalloc
@@ -147,14 +146,6 @@ def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
             oracle_sq_errors(ref_channel, ref_plan, P, n, trials, seed, point)]
     assert [s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2] == pytest.approx(
         want, rel=1e-12)
-
-
-def test_phase3_relay_v_must_be_silent(ref_channel, ref_plan):
-    # The trial loop feeds relay v no phase-3 noise, which is exact only
-    # when its phase-3 coefficient is zero.
-    loud = dataclasses.replace(ref_plan, lambda_phase3=0.1)
-    with pytest.raises(ValueError, match="lambda_phase3"):
-        run_scheme_trials(ref_channel, loud, P=1.0, n_triples=1, trials=1, seed=0)
 
 
 def test_trial_determinism(ref_channel, ref_plan):
