@@ -174,9 +174,6 @@ class EndToEndMatrix:
     def entries(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.beta1, self.alpha2, self.beta2)
 
-    def max_abs(self) -> float:
-        return max(abs(e) for e in self.entries())
-
 
 def end_to_end(ch: ChannelRealization, mu: float, lam: float) -> EndToEndMatrix:
     """End-to-end matrix seen through relays scaling by mu (u) and lam (v)."""

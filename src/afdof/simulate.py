@@ -1,17 +1,17 @@
 """Sample-level Monte Carlo simulation of the two-hop chain.
 
-run_scheme_trials is the one entry to the chain.  Relay slot k forwards
-the relays' slot-k received sample scaled by the schedule's slot-k
-coefficients, so L schedule slots carry L source slots to L destination
-samples; the relays' one-slot latency shifts every sample alike and is not
-modelled.  keyed_rng builds every random stream but the channel draw.  A
-sweep point has one generator, and a block of its trials reads the next
-BLOCK_DRAWS normals: trial t's blocks follow trial t - 1's.  A trial is
-summed in leaves of LEAF triples by np.sum, and its leaf sums by
-math.fsum; the chain runs phase by phase in tiles of whole trials, or of
-one leaf of a longer trial, so memory is one tile and results depend on
-neither the tiling nor the number of trials.  Relay powers have a closed
-form, scheme.relay_powers, and are not measured here.
+sweep_power_grid is the one entry to the chain; run_scheme_trials is its
+grid of one.  Relay slot k forwards the relays' slot-k received sample
+scaled by the schedule's slot-k coefficients, so L schedule slots carry L
+source slots to L destination samples; the relays' one-slot latency shifts
+every sample alike and is not modelled.  keyed_rng builds every random
+stream but the channel draw.  A sweep has one generator whose draws every
+power reads, BLOCK_DRAWS normals per block, trial t's after trial t - 1's.
+A trial is summed in leaves of LEAF triples by np.sum, and its leaf sums
+by math.fsum; the chain runs phase by phase in tiles of whole trials, or
+of one leaf of a longer trial, so memory is a tile and one power's copy,
+and results depend on neither the tiling, the number of trials nor the
+rest of the grid.  Relay powers have a closed form, scheme.relay_powers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .scheme import (
     reconstruct_d2,
 )
 
-# Stream purposes: a sweep's key is its point, the other purposes have none.
+# Stream purposes.  Each purpose has one stream per seed.
 SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 
 # The normals of one block, in draw order: the symbols a1, a2, b1, b2, then
@@ -39,10 +39,10 @@ SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 # for phases 1-3 and zd2 for phases 1-3.
 BLOCK_DRAWS = 15
 
-# run_scheme_trials sums a trial in leaves of LEAF triples.  Trials of one
+# sweep_power_grid sums a trial in leaves of LEAF triples.  Trials of one
 # leaf share tiles of at most GROUP_CAP slots; a longer trial runs one leaf
 # per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a tile's draws,
-# chain scratch and squared errors take at most 1 MB.
+# their one-power copy, chain scratch and squared errors take at most 2 MB.
 LEAF = 2 ** 12
 GROUP_CAP = 2 ** 14
 
@@ -123,78 +123,93 @@ def _chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2, t1, t2):
     return y1, y2, xu, xv
 
 
-def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
-                      n_triples: int, trials: int, seed) -> SchemeStats:
-    """Simulate trials of n_triples three-phase blocks, decode and aggregate.
+def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
+                     n_triples: int, trials: int, seed: int) -> list[SchemeStats]:
+    """Simulate trials of n_triples three-phase blocks at each power of the
+    grid, decode, and return one SchemeStats per power, in grid order.
 
-    Source symbols are zero-mean Gaussian with variance P.  Within each
-    block, both sources repeat their phase-3 symbols as the scheme
-    requires (user 1 resends its first symbol, user 2 its second): a block
-    sends (a1, b1), (a2, b2), (a1, b2).  Each phase runs through _chain
-    with that phase's coefficients of plan.phase_pairs(), the slots of
-    scheme_schedule(plan, n_triples).  Relay v is silent in phase 3, so
-    its phase-3 input is zero and no noise is drawn for it.  The decoders
-    read phase_matrices(ch, plan), which raises DegenerateCoefficients
-    before any draw unless the phases are in states B, A and C1.
+    Source symbols are zero-mean Gaussian with variance P.  A block sends
+    (a1, b1), (a2, b2), (a1, b2): in phase 3 user 1 resends its first
+    symbol and user 2 its second.  Each phase runs through _chain with its
+    coefficients of plan.phase_pairs(), the slots of scheme_schedule(plan,
+    n_triples); relay v is silent in phase 3, so no noise is drawn for it.
+    check_power (on every power) and phase_matrices (DegenerateCoefficients
+    unless the phases are B, A and C1) run before any draw.
 
-    ``seed`` is a (seed, point) sweep key, or a bare seed for point 0; the
-    key's one generator feeds every trial in order.  A trial's squared
-    stream errors are summed in consecutive leaves of LEAF triples, the
-    last holding the remainder, each by np.sum; math.fsum adds the leaf
-    sums.  The chain runs in tiles of rows x w triples: as many whole
-    trials as fit in GROUP_CAP slots when n_triples <= LEAF, else one leaf
-    of one trial.  A tile fills a (rows, BLOCK_DRAWS, w) array in C order,
-    so each (trial, leaf) of w triples reads the next BLOCK_DRAWS * w
-    normals as a (BLOCK_DRAWS, w) block.  Memory is one tile, and results
-    depend neither on the tiling nor on the number of trials.  Relay
-    powers are exact, not sampled: see scheme.relay_powers.
+    The sweep has one generator, keyed_rng(SWEEP, seed), and every power
+    reads its draws (common random numbers): a tile is drawn once, and
+    each power copies it, scales the symbols by sqrt(P) and runs the chain
+    on the copy.  So point i equals run_scheme_trials at grid[i] and the
+    same seed.  A decoded stream's error is noise only, so its MSE agrees
+    across the grid up to rounding.  Each point's N * MSE / sigma^2 is
+    still chi-square with N degrees of freedom, and the bounds read from a
+    sweep are union bounds over its points, which need no independence.
+    Rates come from the analytic formula fed by these MSEs.
+
+    A trial's squared stream errors are summed in consecutive leaves of
+    LEAF triples (the last holds the remainder), each by np.sum, and the
+    leaf sums by math.fsum.  A tile is as many whole trials as fit in
+    GROUP_CAP slots when n_triples <= LEAF, else one leaf of one trial; it
+    fills a (rows, BLOCK_DRAWS, w) array in C order, so each (trial, leaf)
+    of w triples reads the next BLOCK_DRAWS * w normals.  Memory is a
+    tile's draws and one power's copy, and results depend neither on the
+    tiling nor on the number of trials.
     """
-    check_power(P)
+    grid = [float(P) for P in grid]
+    for P in grid:
+        check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     G = phase_matrices(ch, plan)
-    seed, point = (seed, 0) if np.ndim(seed) == 0 else seed
-    rng = keyed_rng(SWEEP, seed, point)
+    rng = keyed_rng(SWEEP, seed)
     span = min(n_triples, LEAF)  # the longest tile
     group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
     widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
-    pairs = plan.phase_pairs()
-    # One tile's draws, the chain's scratch t1, t2 and relay v's phase-3
-    # input, and the tile's squared stream errors (a1, a2, b1, b2), reused
-    # by every tile.  _chain scales the zero input by phase 3's lam = 0 in
-    # place, so it stays zero.
-    draws = np.empty(group * BLOCK_DRAWS * span)
+    # A tile's draws and one power's copy, which the chain overwrites; the
+    # chain's scratch t1, t2 and relay v's phase-3 input, which phase 3's
+    # lam = 0 keeps zero; the squared stream errors (a1, a2, b1, b2).
+    draws, copy = np.empty((2, group * BLOCK_DRAWS * span))
     scratch = np.zeros((3, group * span))
     sq = np.empty((4, group, span))
 
-    def tile(w):
-        """Run the next w triples of the current group's rows trials and
-        return their (4, rows) squared-error sums."""
-        block = rng.standard_normal(out=draws[:rows * BLOCK_DRAWS * w])
-        block = block.reshape(rows, BLOCK_DRAWS, w)
-        block[:, :4] *= math.sqrt(P)
-        a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = block.transpose(1, 0, 2)
+    def run(rows, w, P):
+        """The (4, rows) squared-error sums of the drawn tile at power P."""
+        block, x = (b[:rows * BLOCK_DRAWS * w].reshape(rows, BLOCK_DRAWS, w)
+                    for b in (draws, copy))
+        np.multiply(block[:, :4], math.sqrt(P), out=x[:, :4])
+        x[:, 4:] = block[:, 4:]
+        a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = x.transpose(1, 0, 2)
         t1, t2, zv3 = scratch[:, :rows * w].reshape(3, rows, w)
         inputs = ((a1, b1, zu1, zv1, zd[0], zd[3]),
                   (a2, b2, zu2, zv2, zd[1], zd[4]),
                   (a1, b2, zu3, zv3, zd[2], zd[5]))
         y1, y2 = zip(*(_chain(ch, mu, lam, *phase, t1, t2)[:2]
-                       for (mu, lam), phase in zip(pairs, inputs)))
+                       for (mu, lam), phase in zip(plan.phase_pairs(), inputs)))
         hats = (*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G))
         errs = sq[:, :rows, :w]
-        for hat, x, out in zip(hats, (a1, a2, b1, b2), errs):
-            np.square(np.subtract(hat, x, out=out), out=out)
+        for hat, sent, out in zip(hats, (a1, a2, b1, b2), errs):
+            np.square(np.subtract(hat, sent, out=out), out=out)
         return np.sum(errs, axis=2)
 
-    sq_errs = []  # per trial: (a1, a2, b1, b2)
+    sq_errs = [[] for _ in grid]  # per power, per trial: (a1, a2, b1, b2)
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        leaf_sums = np.transpose([tile(w) for w in widths])  # (rows, 4, leaves)
-        sq_errs += [list(map(math.fsum, trial)) for trial in leaf_sums.tolist()]
-    mse_a1, mse_a2, mse_b1, mse_b2 = (sum(col) / (trials * n_triples)
-                                      for col in zip(*sq_errs))
-    return SchemeStats(P=P, mse_a1=mse_a1, mse_a2=mse_a2, mse_b1=mse_b1,
-                       mse_b2=mse_b2)
+        leaf_sums = []  # (leaves, powers, 4, rows)
+        for w in widths:
+            rng.standard_normal(out=draws[:rows * BLOCK_DRAWS * w])
+            leaf_sums.append([run(rows, w, P) for P in grid])
+        for point, sums in zip(sq_errs, np.transpose(leaf_sums, (1, 3, 2, 0)).tolist()):
+            point += [list(map(math.fsum, trial)) for trial in sums]
+    return [SchemeStats(P, *(sum(c) / (trials * n_triples) for c in zip(*point)))
+            for P, point in zip(grid, sq_errs)]
+
+
+def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
+                      n_triples: int, trials: int, seed: int) -> SchemeStats:
+    """The stream MSEs at one power: the grid of one, sweep_power_grid(ch,
+    plan, (P,), n_triples, trials, seed)[0], and so point i of any sweep at
+    this seed whose grid[i] is P."""
+    return sweep_power_grid(ch, plan, (P,), n_triples, trials, seed)[0]
 
 
 def estimate_dof_slope(rates) -> SlopeFit:
@@ -226,18 +241,6 @@ def estimate_dof_slope(rates) -> SlopeFit:
     return SlopeFit(grid=tuple(powers), sum_rates=tuple(y),
                     slope=float(slope), intercept=float(intercept),
                     residual=resid)
-
-
-def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
-                     n_triples: int, trials: int, seed: int) -> list[SchemeStats]:
-    """Measure rates over a power grid, one SchemeStats per power.
-
-    Rates come from the analytic formula fed by the empirical stream MSEs,
-    not from bit-error counting.  Grid point i runs on the (seed, i) sweep
-    key, so no two points or seeds share a stream.
-    """
-    return [run_scheme_trials(ch, plan, float(P), n_triples, trials, (seed, i))
-            for i, P in enumerate(grid)]
 
 
 def fit_rate_report(points: list[SchemeStats]) -> RateReport:

@@ -54,7 +54,7 @@ def sweep_noise(noise_seed, slots: int) -> np.ndarray:
     one call from the sweep stream of seed noise_seed; zero for None."""
     if noise_seed is None:
         return np.zeros((4, slots))
-    return keyed_rng(SWEEP, noise_seed, 0).standard_normal((4, slots))
+    return keyed_rng(SWEEP, noise_seed).standard_normal((4, slots))
 
 
 def chain_block(ch: ChannelRealization, schedule: AfSchedule, symbols,

@@ -103,7 +103,7 @@ def test_run_achievability_deterministic(tmp_path):
     # new stream layout updates the digest).  Full-precision JSON floats may
     # differ in the last bits across numpy builds, so only the CSV is pinned.
     assert hashlib.sha256((out_a / "rates.csv").read_bytes()).hexdigest() == (
-        "6b379b4a82dbb392827bae455a2c0ead81263759f05cdb1c0104bd3a7f6cdd60")
+        "3092337ac1da5710a66af414320dc08d7796c95466385daa44c48defa3073c6c")
 
 
 def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
@@ -116,7 +116,7 @@ def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
     assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 0
     # The digest pinned in test_run_achievability_deterministic.
     assert hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest() == (
-        "6b379b4a82dbb392827bae455a2c0ead81263759f05cdb1c0104bd3a7f6cdd60")
+        "3092337ac1da5710a66af414320dc08d7796c95466385daa44c48defa3073c6c")
 
 
 def test_relay_power_check_can_fail(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afdof.simulate
 from afdof import (
@@ -42,6 +44,7 @@ from conftest import (
     laurent_massart_deviations,
     matrix_chain,
     random_schedule,
+    reference_channel,
     schedule_from_pairs,
     sweep_noise,
 )
@@ -100,14 +103,15 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
         assert y2[k] == pytest.approx(want2, rel=1e-12, abs=1e-15)
 
 
-def oracle_sq_errors(ch, plan, P, n, trials, seed, point):
+def oracle_sq_errors(ch, plan, P, n, trials, seed):
     """The (trials, n) squared stream errors (a1, a2, b1, b2) of the matrix
-    oracle on scheme_schedule's slots, fed what run_scheme_trials reads at a
-    sweep key with one leaf per trial: trial t's n blocks are row t of a
-    (trials, 15, n) draw.  Its rows are the symbols a1, a2, b1, b2, scaled
-    by sqrt(P), then zu for phases 1-3, zv for phases 1-2, zd1 and zd2 for
+    oracle on scheme_schedule's slots, fed what a sweep at seed ``seed``
+    reads at power P with one leaf per trial: trial t's n blocks are row t
+    of a (trials, 15, n) draw of the sweep's one generator, the same at
+    every power.  Its rows are the symbols a1, a2, b1, b2, scaled by
+    sqrt(P), then zu for phases 1-3, zv for phases 1-2, zd1 and zd2 for
     phases 1-3.  Relay v's phase-3 noise is zero: its output is scaled by 0."""
-    block = keyed_rng(SWEEP, seed, point).standard_normal((trials, 15, n))
+    block = keyed_rng(SWEEP, seed).standard_normal((trials, 15, n))
     block[:, :4] *= math.sqrt(P)
     a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = block.transpose(1, 0, 2)
     phases = [(a1, a2, a1), (b1, b2, b2), (zu1, zu2, zu3),
@@ -131,21 +135,23 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     P, n = 100.0, 200
     s = run_scheme_trials(ref_channel, ref_plan, P, n, trials=1, seed=seed)
     want = [float(np.sum(e)) for e in
-            oracle_sq_errors(ref_channel, ref_plan, P, n, 1, seed, 0)]
+            oracle_sq_errors(ref_channel, ref_plan, P, n, 1, seed)]
     got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
-    # Trial t must read row t of the (seed, point) key's (trials, 15, n)
-    # draw: every trial's stream errors, rebuilt in matrix form from those
-    # rows of the symbols and of all the noises, give the trials' MSEs.
-    P, n, trials, seed, point = 100.0, 30, 3, 4, 2
-    s = run_scheme_trials(ref_channel, ref_plan, P, n, trials, (seed, point))
-    want = [float(np.mean(e)) for e in
-            oracle_sq_errors(ref_channel, ref_plan, P, n, trials, seed, point)]
-    assert [s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2] == pytest.approx(
-        want, rel=1e-12)
+    # At every power of a sweep, trial t must read row t of the sweep's one
+    # (trials, 15, n) draw: every trial's stream errors, rebuilt in matrix
+    # form from those rows of the symbols and of all the noises, give each
+    # point's MSEs.
+    n, trials, seed = 30, 3, 4
+    points = sweep_power_grid(ref_channel, ref_plan, (1e2, 1e5), n, trials, seed)
+    for s in points:
+        want = [float(np.mean(e)) for e in
+                oracle_sq_errors(ref_channel, ref_plan, s.P, n, trials, seed)]
+        assert [s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2] == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_trial_determinism(ref_channel, ref_plan):
@@ -172,23 +178,24 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
     # leaves, one per tile, under every cap: the caps of 3 * LEAF * 3 and
     # 2**20 would group such trials if long trials were not kept one per
     # tile, and then a trial's leaves would not follow one another in the
-    # sweep point's stream.
+    # sweep's stream.  Every power of the grid reuses each tile's draws, so
+    # no power may see another's tiling either.
     assert afdof.simulate.GROUP_CAP >= 3 * min(trials * n, LEAF)
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
-        for P in (1e3, 1e9):
-            kw = dict(P=P, n_triples=n, trials=trials, seed=3)
-            with monkeypatch.context() as m:
-                grouped = run_scheme_trials(ch, plan, **kw)
-                for cap in (1, 3 * 7, 3 * 300, 3 * 3 * n, 3 * LEAF * 3, 2 ** 20):
-                    m.setattr(afdof.simulate, "GROUP_CAP", cap)
-                    assert run_scheme_trials(ch, plan, **kw) == grouped
+        kw = dict(grid=(1e3, 1e6, 1e9), n_triples=n, trials=trials, seed=3)
+        with monkeypatch.context() as m:
+            grouped = sweep_power_grid(ch, plan, **kw)
+            for cap in (1, 3 * 7, 3 * 300, 3 * 3 * n, 3 * LEAF * 3, 2 ** 20):
+                m.setattr(afdof.simulate, "GROUP_CAP", cap)
+                assert sweep_power_grid(ch, plan, **kw) == grouped
 
 
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
     # A long trial runs one leaf of LEAF triples per tile and each tile sums
-    # its own squared stream errors, so the traced peak is one tile (about
-    # 1.5 MB) whatever the trial length or number of trials.
+    # its own squared stream errors, so the traced peak is one tile's draws
+    # and their one-power copy (about 1.4 MB) whatever the trial length or
+    # number of trials.
     # Per-triple error rows would add 32 B per triple and trial: 12.8 MB at
     # 4e5 triples.  A first short call loads numpy.random, which numpy
     # imports lazily, so the test measures the same whether it runs alone
@@ -264,6 +271,32 @@ def test_mse_power_independent(ref_channel, ref_plan):
                            trials=10, seed=5)
     for name in ("mse_a1", "mse_a2", "mse_b1", "mse_b2"):
         assert getattr(lo, name) == pytest.approx(getattr(hi, name), rel=0.05)
+
+
+def test_sweep_mse_is_power_independent(ref_channel, ref_plan):
+    # Every power of a sweep decodes the same noise, so each stream's MSE
+    # agrees across the grid up to rounding (1.1e-13 relative at most here);
+    # any symbol leaking into a decoded stream shows as a spread growing
+    # with P.
+    points = sweep_power_grid(ref_channel, ref_plan, GRID, n_triples=2000,
+                              trials=3, seed=6)
+    for name in ("mse_a1", "mse_a2", "mse_b1", "mse_b2"):
+        mses = [getattr(p, name) for p in points]
+        assert max(mses) - min(mses) <= 1e-12 * min(mses), (name, mses)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.lists(st.floats(1.0, 1e12), min_size=1, max_size=4),
+       n=st.integers(1, 40), trials=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_point_is_its_grid_of_one(grid, n, trials, seed):
+    # Point i of a sweep equals run_scheme_trials at grid[i] and the same
+    # seed, bit for bit, whatever the other powers.
+    ch = reference_channel()
+    plan = plan_achievability(ch)
+    points = sweep_power_grid(ch, plan, grid, n, trials, seed)
+    assert points == [run_scheme_trials(ch, plan, P, n, trials, seed)
+                      for P in grid]
 
 
 def test_noiseless_reconstruction_at_extreme_power(ref_channel, ref_plan):
@@ -447,30 +480,31 @@ def test_sweep_deterministic(ref_channel, ref_plan):
 
 
 def test_stream_keys_never_share_first_draws():
-    # Every purpose over 100 adjacent seeds, and the first sweep points,
-    # against sample_channel's default_rng(s) for the same seeds: no two
-    # generators start with the same draws.  The wide seeds s + p * 2**128
-    # spell seed s's words followed by purpose p's.  Keyed streams are
-    # SFC64 and default_rng's are PCG64, so none can replay sample_channel's.
-    purposes = (FUZZ, LEMMA, SAMPLE_CONDITIONS)
+    # Every purpose, the sweep's one key per seed included, over 100
+    # adjacent seeds, against sample_channel's default_rng(s) for the same
+    # seeds: no two generators start with the same draws.  The wide seeds
+    # s + p * 2**128 spell seed s's words followed by purpose p's.  Keyed
+    # streams are SFC64 and default_rng's are PCG64, so none can replay
+    # sample_channel's.
+    purposes = (SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS)
     firsts = []
     for seed in range(100):
         firsts += [np.random.default_rng(seed + p * 2 ** 128).standard_normal(4)
-                   for p in (0, *purposes)]
+                   for p in purposes]
         keyed = [keyed_rng(p, seed) for p in purposes]
-        keyed += [keyed_rng(SWEEP, seed, point) for point in range(6)]
         assert all(type(g.bit_generator) is np.random.SFC64 for g in keyed)
         firsts += [g.standard_normal(4) for g in keyed]
-    assert len({f.tobytes() for f in firsts}) == len(firsts) == 100 * 13
+    assert len({f.tobytes() for f in firsts}) == len(firsts) == 100 * 8
 
 
 def test_adjacent_seeds_do_not_share_sweep_points(ref_channel, ref_plan):
-    # Seeding point i with seed + i would make it replay point i - 1 of seed
-    # s + 1, which at one repeated power shows as equal stats.
+    # Every power of a sweep reads the sweep's one stream, so at a repeated
+    # power its two points are equal; adjacent seeds read distinct streams.
     one = sweep_power_grid(ref_channel, ref_plan, (1e3, 1e3), 50, 2, seed=1)
     two = sweep_power_grid(ref_channel, ref_plan, (1e3, 1e3), 50, 2, seed=2)
-    assert one[1] != two[0] and one[0] != one[1]
-    # A bare seed is point 0 of its sweep.
+    assert one[0] == one[1]
+    assert one[0] != two[0]
+    # A bare power is the grid of one.
     assert run_scheme_trials(ref_channel, ref_plan, 1e3, 50, 2, seed=1) == one[0]
 
 
