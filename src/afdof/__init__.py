@@ -50,10 +50,10 @@ from .bounds import (
     bound_slopes,
     census,
     check_lemma2,
-    fuzz_census,
     gaussian_entropy,
     min_census_fraction,
     random_lemma2_instance,
+    ratio_map_probe,
     slot_states,
 )
 

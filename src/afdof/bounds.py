@@ -3,9 +3,10 @@
 Labels each slot's end-to-end matrix by the zero rule of scheme._label_ids
 (the position of its single zero entry, or lack of one), counts those
 states over a schedule, gives the slope coefficients of the three sum-rate
-bounds, whose minimum caps the sum-DoF at 4/3, fuzzes that census on random schedules against the
-channel's critical-ratio map, and numerically checks the Gaussian
-entropy-difference lemma the bound proofs lean on.
+bounds, whose minimum caps the sum-DoF at 4/3, probes the zero rule against
+the channel's critical-ratio map on both sides of each critical ratio, and
+numerically checks the Gaussian entropy-difference lemma the bound proofs
+lean on.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, end_to_end, nulling_coefficients
-from .scheme import (_C1_ID, _LABELS, _ONE_ZERO_IDS, _ZERO_ID, AfSchedule,
-                     PhasePlan, StateLabel, _label_ids)
+from .scheme import (_C1_ID, _LABELS, _ONE_ZERO_IDS, _ONE_ZERO_LABELS,
+                     _ZERO_ID, AfSchedule, PhasePlan, StateLabel, _label_ids)
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -29,12 +30,12 @@ LEMMA2_SLACK = 1e-9
 # |lam/mu - r| <= RATIO_MAP_REL_TOL * max(|lam/mu|, |r|), math.isclose's rule.
 RATIO_MAP_REL_TOL = 1e-9
 
-# Fuzz schedules are drawn into and labelled from (FUZZ_CHUNK, n) arrays, so
-# the fuzz's memory does not grow with the number of schedules.
-FUZZ_CHUNK = 32
+# The ratio-map probe visits both sides of each critical ratio at these
+# relative offsets, smallest first: 1e-13 ... 1e-3.
+PROBE_OFFSETS = np.array([10.0 ** -k for k in range(13, 2, -1)])
 
-# A fuzz alphabet's sizes: U is (c, 0), V five fixed values and a filler.
-_FUZZ_GRID = (2, 6)
+# The range of the probe's random filler values of lambda.
+FILLER_RANGE = (0.2, 2.0)
 
 
 class ImpossiblePattern(Exception):
@@ -92,43 +93,27 @@ def _grid_label_ids(ch: ChannelRealization, mu: np.ndarray,
     return table, zero
 
 
-def _impossible(mu: float, lam: float, zeros: int) -> ImpossiblePattern:
-    return ImpossiblePattern(
-        f"pair ({mu}, {lam}): {zeros} zero entries with nonzero coefficients")
-
-
-def _gather_label_ids(ch: ChannelRealization, U: tuple[float, ...],
-                      V: np.ndarray,
-                      index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each slot's state, as an int8 position in StateLabel order, and its
-    grid code i * |V| + j, for k schedules of n slots over one U and k rows
-    of V, with (k, n, 2) index pairs (i, j).
-
-    A slot's state depends only on its (mu, lambda) pair, so the k U x V
-    grids are labelled at once and every slot reads its pair's label from
-    them.  Only the pairs the schedules use can raise ImpossiblePattern,
-    which names the first.
-    """
-    U = np.asarray(U, dtype=float)
-    k, n = index.shape[:2]
-    table, zero = _grid_label_ids(ch, U[:, None], V[:, None, :])
-    codes = index[..., 0].astype(np.intp) * V.shape[1] + index[..., 1]
-    ids = np.take_along_axis(table.reshape(k, -1).astype(np.int8), codes, 1)
-    if table.min() < 0 and (ids < 0).any():
-        j, slot = divmod(int(np.argmax(ids < 0)), n)
-        i, v = index[j, slot]
-        raise _impossible(float(U[i]), float(V[j, v]),
-                          np.count_nonzero(zero[:, j, i, v]))
-    return ids, codes
-
-
 def slot_states(ch: ChannelRealization,
                 schedule: AfSchedule) -> list[StateLabel]:
-    """Per-slot state labels for a schedule."""
-    ids, _ = _gather_label_ids(ch, schedule.alphabet.U,
-                               np.array([schedule.alphabet.V]),
-                               schedule.index[None])
-    return [_LABELS[i] for i in ids[0].tolist()]
+    """Per-slot state labels for a schedule.
+
+    A slot's state depends only on its (mu, lambda) pair, so the schedule's
+    U x V alphabet grid is labelled at once and every slot reads its pair's
+    label from it.  Only the pairs the schedule uses can raise
+    ImpossiblePattern, which names the first.
+    """
+    U, V = (np.asarray(a, dtype=float) for a in (schedule.alphabet.U,
+                                                schedule.alphabet.V))
+    table, zero = _grid_label_ids(ch, U[:, None], V)
+    i, j = schedule.index.astype(np.intp).T
+    ids = table[i, j]
+    if (ids < 0).any():
+        k = int(np.argmax(ids < 0))
+        raise ImpossiblePattern(
+            f"pair ({U[i[k]]}, {V[j[k]]}): "
+            f"{np.count_nonzero(zero[:, i[k], j[k]])} zero entries with "
+            "nonzero coefficients")
+    return [_LABELS[k] for k in ids.tolist()]
 
 
 def census(ch: ChannelRealization, schedule: AfSchedule) -> StateCensus:
@@ -283,21 +268,12 @@ def random_lemma2_instance(rng: np.random.Generator, max_dim: int = 4):
 
 def _fuzz_values(ch: ChannelRealization,
                  plan: PhasePlan) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """A fuzz alphabet's U and the five fixed values of its V: the plan's
+    """The fuzz alphabet's U and the five fixed values of its V: the plan's
     cancelling values, the two values nulling the remaining diagonal
-    entries, and zeros so some slots idle both relays."""
+    entries, and zeros, so its grid holds every state."""
     null_c2, _, _, null_c3 = nulling_coefficients(ch, plan.c)
     return (plan.c, 0.0), (0.0, plan.lambda_phase1, plan.lambda_phase2,
                            null_c2, null_c3)
-
-
-def _draw_fuzz(rng: np.random.Generator, n: int) -> tuple[float, np.ndarray]:
-    """One fuzz schedule's draws, in stream order: its V filler, then its
-    (n, 2) alphabet index pairs, each split from one uniform draw over the
-    U x V grid."""
-    filler = float(rng.uniform(0.2, 2.0))
-    cell = rng.integers(_FUZZ_GRID[0] * _FUZZ_GRID[1], size=n)
-    return filler, np.transpose(np.divmod(cell, _FUZZ_GRID[1]))
 
 
 def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
@@ -322,51 +298,68 @@ def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
     return np.where((mu == 0.0) & (lam == 0.0), _ZERO_ID, ids)
 
 
-def _fuzz_chunks(ch: ChannelRealization, plan: PhasePlan, n: int,
-                 schedules: int, rng: np.random.Generator):
-    """Census rows of ``schedules`` random schedules of n slots, each drawn
-    from rng by _draw_fuzz, at most FUZZ_CHUNK at a time.
+@dataclass(frozen=True)
+class RatioProbe:
+    """How the zero rule's labels compare with the critical-ratio map's on
+    the pairs of ratio_map_probe."""
 
-    Yields, per chunk of k schedules, their (k, 6) state counts in
-    StateLabel order, row for row the census of each schedule, and their
-    (k,) counts of slots whose state differs from _ratio_map_ids'.  Each
-    schedule's alphabet is the fixed U x V[:5] grid plus its filler column,
-    so a chunk's k grids are labelled in one _gather_label_ids call.
+    probes: int  # pairs labelled by both rules
+    violations: int  # pairs that break the agreement rule
+    disagreements: int  # pairs labelled differently inside a band
+    band: dict[str, float]  # per entry, keyed by its one-zero state
+
+
+def ratio_map_probe(ch: ChannelRealization, plan: PhasePlan,
+                    fillers) -> RatioProbe:
+    """Label probe pairs once by the zero rule and once by the critical-ratio
+    map, and count the pairs that break the rule the two must agree by.
+
+    The pairs are the U x V grid of _fuzz_values, a walk to each side of
+    each critical value c r_e of lambda, (c, c r_e (1 -+ d)) for d in
+    PROBE_OFFSETS, and (c, f) and (0, f) for each filler f.
+
+    The two rules measure different things near r_e: the zero rule entry
+    e's size against the largest entry, the map lambda/mu's distance from
+    r_e against RATIO_MAP_REL_TOL.  So along each walk both rules must
+    switch once, from entry e's state to C1, with the state at the smallest
+    offset and C1 at the largest; between the two switches they may
+    disagree.  Entry e's band is the smallest probed offset at which both
+    rules have switched to C1 on both sides.  A filler inside a band may get
+    that entry's state or C1 from either rule; every other pair must get
+    the same label from both.
     """
+    crit = np.array(nulling_coefficients(ch, plan.c))
+    walks = crit[:, None, None] * (
+        1.0 + np.array([-1.0, 1.0])[:, None] * PROBE_OFFSETS)  # entry, side, d
+    fillers = np.asarray(fillers, dtype=float)
     u_vals, v_fixed = _fuzz_values(ch, plan)
-    mu = np.array(u_vals)[:, None]
-    pairs = np.empty((FUZZ_CHUNK, n, 2), dtype=np.uint8)
-    lam = np.empty((FUZZ_CHUNK, _FUZZ_GRID[1]))
-    lam[:, :-1] = v_fixed
-    for start in range(0, schedules, FUZZ_CHUNK):
-        k = min(FUZZ_CHUNK, schedules - start)
-        for j in range(k):
-            lam[j, -1], pairs[j] = _draw_fuzz(rng, n)
-        ids, codes = _gather_label_ids(ch, u_vals, lam[:k], pairs[:k])
-        expected = _ratio_map_ids(ch, mu, lam[:k, None]).reshape(k, -1)
-        rows = len(_LABELS) * np.arange(k)[:, None]
-        counts = np.bincount((ids + rows).ravel(), minlength=len(_LABELS) * k)
-        yield (counts.reshape(k, len(_LABELS)), np.count_nonzero(
-            ids != np.take_along_axis(expected, codes, 1), axis=1))
+    grid_mu, grid_lam = np.meshgrid(u_vals, v_fixed, indexing="ij")
+    mu = np.concatenate([np.full(walks.size + len(fillers), plan.c),
+                         grid_mu.ravel(), np.zeros(len(fillers))])
+    lam = np.concatenate([walks.ravel(), fillers, grid_lam.ravel(), fillers])
+    ids = np.stack([_grid_label_ids(ch, mu, lam)[0],
+                    _ratio_map_ids(ch, mu, lam)])  # (rule, pair)
+    differ = ids[0] != ids[1]
 
+    # Each rule's single switch along a walk: as many of entry e's state as
+    # the walk has, then C1, and never C1 first or the state last.
+    walk_ids = ids[:, :walks.size].reshape(2, *walks.shape)
+    state = _ONE_ZERO_IDS[:, None, None]
+    switch = np.count_nonzero(walk_ids == state, axis=-1, keepdims=True)
+    step = np.where(np.arange(len(PROBE_OFFSETS)) < switch, state, _C1_ID)
+    step[..., 0], step[..., -1] = state[..., 0], _C1_ID
+    off_walk = (walk_ids != step).any(axis=0).ravel()
+    band = PROBE_OFFSETS[np.minimum(switch, len(PROBE_OFFSETS) - 1)].max(
+        axis=(0, 2, 3))
 
-def fuzz_census(ch: ChannelRealization, plan: PhasePlan, n: int,
-                schedules: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Census of ``schedules`` random schedules of n slots, drawn from rng
-    over _fuzz_values' alphabet plus a random filler, which reaches every
-    state.
-
-    Returns (violations, disagreements): the schedules whose smallest of
-    |A|/n, |B|/n and |C|/n exceeds 1/3 (pigeonhole arithmetic, never on a
-    valid census), and the slots whose census state is not the state the
-    critical-ratio map gives their (mu, lam) pair.
-    """
-    if n < 1:
-        raise ValueError("fuzz schedules need n >= 1 slots")
-    violations = disagreements = 0
-    for counts, wrong in _fuzz_chunks(ch, plan, n, schedules, rng):
-        smallest = np.minimum(np.minimum(counts[:, 0], counts[:, 1]),
-                              counts[:, 2:5].sum(axis=1))
-        violations += int(np.count_nonzero(smallest / n > 1.0 / 3.0 + 1e-12))
-        disagreements += int(wrong.sum())
-    return violations, disagreements
+    fill = slice(walks.size, walks.size + len(fillers))
+    in_band = np.abs(fillers[:, None] / crit - 1.0) < band
+    either = ((ids[:, fill, None] == _ONE_ZERO_IDS)
+              | (ids[:, fill, None] == _C1_ID)).all(axis=0)
+    bad = differ.copy()
+    bad[:walks.size] = off_walk
+    bad[fill] &= ~(in_band & either).any(axis=1)
+    return RatioProbe(
+        probes=len(mu), violations=int(np.count_nonzero(bad)),
+        disagreements=int(np.count_nonzero(differ & ~bad)),
+        band={s.value: float(b) for s, b in zip(_ONE_ZERO_LABELS, band)})

@@ -37,14 +37,15 @@ from .scheme import (
 from .simulate import (FUZZ, LEMMA, SAMPLE_CONDITIONS, estimate_dof_slope,
                        fit_rate_report, keyed_rng, sweep_power_grid)
 from .bounds import (
+    FILLER_RANGE,
     RATIO_MAP_REL_TOL,
     SingularCovariance,
     StateCensus,
     bound_slopes,
     check_lemma2,
-    fuzz_census,
     min_census_fraction,
     random_lemma2_instance,
+    ratio_map_probe,
     slot_states,
 )
 
@@ -282,8 +283,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
                 for P in cfg.power_grid]
     achieved_fit = estimate_dof_slope(achieved)
 
-    fuzz_violations, disagreements = fuzz_census(ch, plan, n, cfg.fuzz,
-                                                 keyed_rng(FUZZ, cfg.seed))
+    fillers = keyed_rng(FUZZ, cfg.seed).uniform(*FILLER_RANGE, cfg.fuzz)
+    probe = ratio_map_probe(ch, plan, fillers)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
@@ -297,8 +298,9 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
         "achieved_sum_slope": achieved_fit.slope,
         "min_bound_slope": min_bound_slope,
         "slope_dof": slope_dof,
-        "fuzz": {"schedules": cfg.fuzz, "violations": fuzz_violations},
-        "ratio_map": {"slots": cfg.fuzz * n, "disagreements": disagreements,
+        "fuzz": {"schedules": cfg.fuzz, "violations": probe.violations},
+        "ratio_map": {"probes": probe.probes, "band": probe.band,
+                      "disagreements": probe.disagreements,
                       "rel_tol": RATIO_MAP_REL_TOL},
     })
 
@@ -310,8 +312,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
         ("slope_dominance",
          achieved_fit.slope <= min_bound_slope + SLOPE_DOMINANCE_TOL,
          {"achieved": achieved_fit.slope, "min_bound": min_bound_slope}),
-        ("fuzz_violations", fuzz_violations == 0, fuzz_violations),
-        ("fuzz_ratio_map", disagreements == 0, disagreements),
+        ("fuzz_ratio_map", probe.violations == 0, probe.violations),
     ]
 
 
@@ -376,7 +377,7 @@ _COMMANDS = {  # name: (function, help, flags beyond --config, --seed, --out)
                           "rate sweep over a power grid plus TDMA baseline",
                           ("--grid", "--trials", "--n-triples", "--channel-seed")),
     "verify-bounds": (cmd_verify_bounds,
-                      "state census, slope bounds and pigeonhole checks",
+                      "state census, slope bounds and the ratio-map probe",
                       ("--grid", "--slots", "--fuzz", "--channel-seed")),
     "check-lemma2": (cmd_check_lemma2,
                      "random Gaussian instances of the entropy lemma",
@@ -392,7 +393,7 @@ _FLAGS = {  # flag: (ExperimentConfig field it sets, help)
     "--n-triples": ("n_triples", None),
     "--channel-seed": ("channel_seed", None),
     "--slots": ("schedule_slots", "schedule length (multiple of 3)"),
-    "--fuzz": ("fuzz", "number of random schedules to fuzz"),
+    "--fuzz": ("fuzz", "number of random filler values to probe"),
     "--count": ("count", None),
     "--max-dim": ("max_dim", None),
     "--samples": ("samples", None),

@@ -94,16 +94,16 @@ class RateReport:
         return self.sum_fit.slope
 
 
-def keyed_rng(purpose: int, seed: int, *key: int) -> np.random.Generator:
+def keyed_rng(purpose: int, seed: int) -> np.random.Generator:
     """The SFC64 generator of one stream.  SeedSequence hashes the 32-bit
-    words of ``seed``, zero-padded to four, then ``(*key, purpose, 0)``.
-    Read from the end these give back purpose, key and seed, so distinct
-    keys hash distinct words.  ``sample_channel``'s ``default_rng(s)`` is a
+    words of ``seed``, zero-padded to four, then ``(purpose, 0)``.  Read
+    from the end these give back purpose and seed, so distinct purposes
+    hash distinct words.  ``sample_channel``'s ``default_rng(s)`` is a
     PCG64 generator, so no keyed stream replays it."""
-    if seed < 0 or not all(0 <= k < 2 ** 32 for k in key):
-        raise ValueError(f"stream key {(seed, *key)}: a seed < 0 or entry >= 2**32")
+    if seed < 0:
+        raise ValueError(f"stream seed {seed} < 0")
     return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed, spawn_key=(*key, purpose, 0))))
+        np.random.SeedSequence(seed, spawn_key=(purpose, 0))))
 
 
 def _chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2, t1, t2):

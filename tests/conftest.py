@@ -12,7 +12,7 @@ from afdof import (
     end_to_end,
     plan_achievability,
 )
-from afdof.bounds import _draw_fuzz, _fuzz_values
+from afdof.bounds import FILLER_RANGE, _fuzz_values
 from afdof.simulate import SWEEP, _chain, keyed_rng
 
 # Derandomized: every run draws the same examples, so a property that can
@@ -79,14 +79,15 @@ def matrix_chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2):
     return G.alpha1 * x1 + G.beta1 * x2 + zt1, G.alpha2 * x1 + G.beta2 * x2 + zt2
 
 
-def random_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
-                    rng: np.random.Generator) -> AfSchedule:
-    """One fuzz schedule of n slots, drawn from rng as fuzz_census draws
-    each of its schedules: its alphabet holds the plan's cancelling values,
-    the two values nulling the remaining diagonal entries, a random filler,
-    and zeros so some slots idle both relays."""
+def alphabet_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
+                      rng: np.random.Generator) -> AfSchedule:
+    """A schedule of n slots that reaches every state: its alphabet holds
+    the plan's cancelling values, the two values nulling the remaining
+    diagonal entries, a random filler, and zeros so some slots idle both
+    relays.  Each slot's pair is one uniform draw over the 2 x 6 grid."""
     u_vals, v_fixed = _fuzz_values(ch, plan)
-    filler, index = _draw_fuzz(rng, n)
+    filler = float(rng.uniform(*FILLER_RANGE))
+    index = np.transpose(np.divmod(rng.integers(12, size=n), 6))
     return AfSchedule(AfAlphabet(U=u_vals, V=(*v_fixed, filler)), index)
 
 

@@ -31,16 +31,17 @@ from afdof import (
     end_to_end,
     estimate_dof_slope,
     fit_rate_report,
-    fuzz_census,
     min_census_fraction,
     plan_achievability,
     random_lemma2_instance,
+    ratio_map_probe,
     relay_powers,
     run_scheme_trials,
     sample_channel,
     scheme_schedule,
     sweep_power_grid,
 )
+from afdof.bounds import FILLER_RANGE
 from afdof.cli import (
     GAIN_CHUNK_ROWS,
     SCHEME_SLOPE_WINDOW,
@@ -48,10 +49,10 @@ from afdof.cli import (
     USER_SLOPE_WINDOW,
 )
 from conftest import (
+    alphabet_schedule,
     chain_block,
     laurent_massart_deviations,
     matrix_chain,
-    random_schedule,
     reference_channel,
     sweep_noise,
 )
@@ -187,18 +188,19 @@ def test_criterion_06_census_pigeonhole():
 
     ch = sample_channel(40)
     plan = plan_achievability(ch)
-    violations, disagreements = fuzz_census(ch, plan, 300, 1000,
-                                            np.random.default_rng(41))
+    fillers = np.random.default_rng(41).uniform(*FILLER_RANGE, 1000)
+    probe = ratio_map_probe(ch, plan, fillers)
 
     cens = census(ch, scheme_schedule(plan, 100))
     balanced = (cens.nA, cens.nB, cens.nC1, cens.nZero) == (100, 100, 100, 0)
-    _report(6, "min census fraction <= 1/3 exhaustively (n <= 8) and on 1e3 "
-               "random schedules at n=300, whose every slot state is the "
-               "critical-ratio map's; achievability census is balanced",
-            exhaustive_ok and violations == 0 and disagreements == 0
-            and balanced,
-            f"achievability census {asdict(cens)}, {violations} pigeonhole "
-            f"violations, {disagreements} ratio-map disagreements")
+    _report(6, "min census fraction <= 1/3 exhaustively (n <= 8); the slot "
+               "labels follow the critical-ratio map on walks to both sides "
+               "of each critical ratio and on 1e3 random fillers; "
+               "achievability census is balanced",
+            exhaustive_ok and probe.violations == 0 and balanced,
+            f"achievability census {asdict(cens)}, {probe.violations} "
+            f"ratio-map violations, {probe.disagreements} in-band "
+            f"disagreements")
 
 
 def test_criterion_07_bound_dominance():
@@ -230,7 +232,7 @@ def test_criterion_08_lemma2_validity():
 def test_criterion_09_chain_matrix_equivalence():
     ch = sample_channel(90)
     rng = np.random.default_rng(91)
-    sched = random_schedule(ch, plan_achievability(ch), 1000, rng)
+    sched = alphabet_schedule(ch, plan_achievability(ch), 1000, rng)
     symbols = rng.normal(0.0, 10.0, size=(1000, 2))
     y1a, y2a = chain_block(ch, sched, symbols, noise_seed=92)
     y1b, y2b = matrix_chain(ch, sched.mu, sched.lam, *symbols.T,

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -32,11 +31,12 @@ from afdof import (
     slot_states,
     end_to_end,
 )
+import afdof.bounds
 import afdof.scheme
-from afdof.bounds import FUZZ_CHUNK, _fuzz_chunks, fuzz_census, random_spd
+from afdof.bounds import PROBE_OFFSETS, random_spd, ratio_map_probe
 from afdof.channel import nulling_coefficients
 from afdof.scheme import COEF_TOL, _LABELS, _label_ids, phase_matrices
-from conftest import random_schedule, schedule_from_pairs
+from conftest import alphabet_schedule, schedule_from_pairs
 
 
 def G(entries) -> EndToEndMatrix:
@@ -191,7 +191,7 @@ def test_slot_states_scale_invariant(seed, k):
     # Scaling every (mu, lam) by a power of two scales each end-to-end entry
     # exactly, so no label may change.
     ch = sample_channel(seed)
-    sched = random_schedule(ch, plan_achievability(ch), 60,
+    sched = alphabet_schedule(ch, plan_achievability(ch), 60,
                             np.random.default_rng(seed))
     s = 2.0 ** k
     scaled = schedule_from_pairs(np.column_stack([s * sched.mu,
@@ -228,7 +228,7 @@ def test_slot_states_match_critical_ratio_map(ref_channel):
     for ch, rng, count, n in cases:
         plan = plan_achievability(ch)
         for _ in range(count):
-            sched = random_schedule(ch, plan, n, rng)
+            sched = alphabet_schedule(ch, plan, n, rng)
             assert slot_states(ch, sched) == [
                 ratio_map_label(ch, mu, lam)
                 for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
@@ -269,86 +269,58 @@ def test_impossible_pattern_only_for_scheduled_pairs():
         census(all_zero, two_zeros)
 
 
-def test_random_schedule_draw_order(ref_channel, ref_plan):
-    # One n-cell index draw must replay the scalar draws, slot by slot, of a
-    # cell of the 2 x 6 grid split into (u index, v index) by divmod(cell, 6),
-    # so seeded fuzz schedules stay the same.
-    for seed in (0, 1, 7):
-        sched = random_schedule(ref_channel, ref_plan, 300,
-                                np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        u_vals, v_vals = sched.alphabet.U, sched.alphabet.V
-        assert v_vals[-1] == float(rng.uniform(0.2, 2.0))
-        pairs = tuple((u_vals[i], v_vals[j]) for i, j in sched.index.tolist())
-        cells = (divmod(int(rng.integers(12)), 6) for _ in range(300))
-        assert pairs == tuple((u_vals[i], v_vals[j]) for i, j in cells)
+ONE_ZERO_STATES = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
 
 
-def loop_census_rows(ch, plan, n, schedules, rng):
-    """The reference: one census(random_schedule(...)) per schedule."""
-    return [list(astuple(census(ch, random_schedule(ch, plan, n, rng)))[:6])
-            for _ in range(schedules)]
-
-
-def test_fuzz_chunks_match_census_loop():
-    # Row for row the census of random_schedule on the same stream, and the
-    # stream is left where the loop leaves it.
-    counts = (0, 1, FUZZ_CHUNK - 1, FUZZ_CHUNK, FUZZ_CHUNK + 1)
-    for seed in range(50):
+def test_probe_walks_switch_once():
+    # Along increasing offsets to either side of each critical value c r_e,
+    # the zero rule and ratio_map_label each switch once, from entry e's
+    # state to C1: the state at 1e-13, C1 at 1e-3.  The probe, whose map is
+    # _ratio_map_ids, agrees that no pair breaks its rule.
+    k = len(PROBE_OFFSETS)
+    for seed in range(200):
         ch = sample_channel(seed)
         plan = plan_achievability(ch)
-        for schedules in counts:
-            rng, ref_rng = (np.random.default_rng([seed, schedules])
-                            for _ in range(2))
-            chunks = list(_fuzz_chunks(ch, plan, 30, schedules, rng))
-            rows = [row for c, _ in chunks for row in c.tolist()]
-            assert rows == loop_census_rows(ch, plan, 30, schedules, ref_rng)
-            assert all(len(c) <= FUZZ_CHUNK for c, _ in chunks)
-            assert sum(int(w.sum()) for _, w in chunks) == 0
-            assert rng.random() == ref_rng.random()
+        pairs = [(plan.c, lam * (1.0 + side * d))
+                 for lam in nulling_coefficients(ch, plan.c)
+                 for side in (-1.0, 1.0) for d in PROBE_OFFSETS.tolist()]
+        rules = (slot_states(ch, schedule_from_pairs(pairs)),
+                 [ratio_map_label(ch, mu, lam) for mu, lam in pairs])
+        for walk in range(8):
+            state = ONE_ZERO_STATES[walk // 2]
+            for labels in rules:
+                got = labels[walk * k:(walk + 1) * k]
+                switch = got.count(state)
+                assert 1 <= switch < k, (seed, walk, got)
+                assert got == [state] * switch + [StateLabel.C1] * (k - switch)
+        assert ratio_map_probe(ch, plan, ()).violations == 0, seed
 
 
-@pytest.mark.parametrize("pattern", [0, 2], ids=["C1", "B"])
-def test_fuzz_impossible_pattern_matches_census(monkeypatch, ref_channel,
-                                                ref_plan, pattern):
-    # With one label made impossible, the fuzz raises exactly when some
-    # schedule uses a pair with that label, naming the pair census names.
-    mutant = afdof.scheme._PATTERN_IDS.copy()
-    mutant[pattern] = -1
-    monkeypatch.setattr(afdof.scheme, "_PATTERN_IDS", mutant)
-
-    def outcome(run):
-        try:
-            return run()
-        except ImpossiblePattern as exc:
-            return str(exc)
-
-    seen = set()
-    for seed in range(20):
-        for n, schedules in ((1, 1), (3, FUZZ_CHUNK + 1)):
-            got = outcome(lambda: [row for c, _ in _fuzz_chunks(
-                ref_channel, ref_plan, n, schedules,
-                np.random.default_rng(seed)) for row in c.tolist()])
-            assert got == outcome(lambda: loop_census_rows(
-                ref_channel, ref_plan, n, schedules,
-                np.random.default_rng(seed)))
-            seen.add(type(got))
-    assert seen == {str, list}
-
-
-def test_fuzz_memory_does_not_grow_with_schedules():
+def test_filler_inside_a_band_may_take_either_label():
+    # Fillers 2e-9 above each critical value on channel 42: past the map's
+    # rel_tol of 1e-9, but inside every band, where the zero rule may still
+    # call the entry zero.  Each filler the two rules label differently is
+    # a disagreement and no violation.
     ch = sample_channel(42)
     plan = plan_achievability(ch)
-    peaks = []
-    for schedules in (250, 4000):
-        tracemalloc.start()
-        try:
-            assert fuzz_census(ch, plan, 300, schedules,
-                               np.random.default_rng(0)) == (0, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] == pytest.approx(peaks[0], abs=0.1), peaks
+    fillers = [lam * (1.0 + 2e-9) for lam in nulling_coefficients(ch, plan.c)]
+    differ = sum(slot_states(ch, schedule_from_pairs([(plan.c, f)]))[0]
+                 != ratio_map_label(ch, plan.c, f) for f in fillers)
+    bare, probe = (ratio_map_probe(ch, plan, f) for f in ((), fillers))
+    assert min(probe.band.values()) > 2e-9
+    assert differ >= 1
+    assert (probe.violations, probe.disagreements) == (
+        0, bare.disagreements + differ)
+    assert probe.probes == bare.probes + 2 * len(fillers)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-2, 1e-15], ids=["wide", "narrow"])
+def test_probe_catches_a_map_off_the_walk(monkeypatch, rel_tol):
+    # A map tolerance that reaches past 1e-3 leaves the walks' far ends at
+    # entry e's state; one below 1e-13 leaves their near ends at C1.
+    monkeypatch.setattr(afdof.bounds, "RATIO_MAP_REL_TOL", rel_tol)
+    ch = sample_channel(42)
+    assert ratio_map_probe(ch, plan_achievability(ch), ()).violations > 0
 
 
 def test_evaluate_bounds_balanced_census():
@@ -551,6 +523,6 @@ def test_random_schedule_reaches_every_state(ref_channel, ref_plan):
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(20):
-        sched = random_schedule(ref_channel, ref_plan, 120, rng)
+        sched = alphabet_schedule(ref_channel, ref_plan, 120, rng)
         seen.update(slot_states(ref_channel, sched))
     assert seen == set(StateLabel)
