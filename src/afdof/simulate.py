@@ -7,9 +7,11 @@ source slots to L destination samples; the relays' one-slot latency shifts
 every sample alike and is not modelled.  keyed_rng builds every random
 stream but the channel draw.  A sweep has one generator whose draws every
 power reads, BLOCK_DRAWS normals per block, trial t's after trial t - 1's.
-A trial is summed in leaves of LEAF triples by np.sum, and its leaf sums
-by math.fsum; the chain runs phase by phase in tiles of whole trials, or
-of one leaf of a longer trial, so memory is a tile and one power's copy,
+Each tile runs the linear chain twice, symbols alone and noise alone, and
+a leaf of LEAF triples keeps per stream three np.sums whose squared error
+at power P is P*A + 2*sqrt(P)*B + C; a trial's leaf sums go through
+math.fsum.  The chain runs phase by phase in tiles of whole trials, or of
+one leaf of a longer trial, so memory is a tile and its zero-noise twin,
 and results depend on neither the tiling, the number of trials nor the
 rest of the grid.  Relay powers have a closed form, scheme.relay_powers.
 """
@@ -42,7 +44,7 @@ BLOCK_DRAWS = 15
 # sweep_power_grid sums a trial in leaves of LEAF triples.  Trials of one
 # leaf share tiles of at most GROUP_CAP slots; a longer trial runs one leaf
 # per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a tile's draws,
-# their one-power copy, chain scratch and squared errors take at most 2 MB.
+# zero noise, chain scratch and decoded streams take at most 2 MB.
 LEAF = 2 ** 12
 GROUP_CAP = 2 ** 14
 
@@ -137,23 +139,28 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     unless the phases are B, A and C1) run before any draw.
 
     The sweep has one generator, keyed_rng(SWEEP, seed), and every power
-    reads its draws (common random numbers): a tile is drawn once, and
-    each power copies it, scales the symbols by sqrt(P) and runs the chain
-    on the copy.  So point i equals run_scheme_trials at grid[i] and the
-    same seed.  A decoded stream's error is noise only, so its MSE agrees
-    across the grid up to rounding.  Each point's N * MSE / sigma^2 is
-    still chi-square with N degrees of freedom, and the bounds read from a
-    sweep are union bounds over its points, which need no independence.
-    Rates come from the analytic formula fed by these MSEs.
+    reads its draws (common random numbers).  The relay coefficients do
+    not depend on P, so the chain and decoders are linear, and each tile
+    runs through them twice: its unit-variance symbols with zero noise
+    (the signal path), and its noise, in place, with zero symbols.  With
+    e_s the decoded signal minus the sent symbol and e_n the decoded
+    noise, a stream's squared error at power P is P*A + 2*sqrt(P)*B + C,
+    A = sum e_s**2, B = sum e_s*e_n and C = sum e_n**2: in real arithmetic
+    sum (sqrt(P)*e_s + e_n)**2.  A and B carry the symbols' leak through
+    entries zero only to COEF_TOL.  Point i equals run_scheme_trials at
+    grid[i] and the same seed.  Each point's N * MSE / sigma^2 is still
+    chi-square with N degrees of freedom, and the bounds read from a sweep
+    are union bounds over its points, which need no independence.  Rates
+    come from the analytic formula fed by these MSEs.
 
-    A trial's squared stream errors are summed in consecutive leaves of
-    LEAF triples (the last holds the remainder), each by np.sum, and the
-    leaf sums by math.fsum.  A tile is as many whole trials as fit in
-    GROUP_CAP slots when n_triples <= LEAF, else one leaf of one trial; it
-    fills a (rows, BLOCK_DRAWS, w) array in C order, so each (trial, leaf)
-    of w triples reads the next BLOCK_DRAWS * w normals.  Memory is a
-    tile's draws and one power's copy, and results depend neither on the
-    tiling nor on the number of trials.
+    A trial's A, B and C are np.sums over consecutive leaves of LEAF
+    triples (the last holds the remainder), and each power's leaf sums go
+    through math.fsum.  A tile is as many whole trials as fit in GROUP_CAP
+    slots when n_triples <= LEAF, else one leaf of one trial; it fills a
+    (rows, BLOCK_DRAWS, w) array in C order, so each (trial, leaf) of w
+    triples reads the next BLOCK_DRAWS * w normals.  Memory is a tile's
+    draws and the signal path's zero noise, whatever the grid, and results
+    depend neither on the tiling nor on the number of trials.
     """
     grid = [float(P) for P in grid]
     for P in grid:
@@ -165,40 +172,41 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     span = min(n_triples, LEAF)  # the longest tile
     group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
     widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
-    # A tile's draws and one power's copy, which the chain overwrites; the
-    # chain's scratch t1, t2 and relay v's phase-3 input, which phase 3's
-    # lam = 0 keeps zero; the squared stream errors (a1, a2, b1, b2).
-    draws, copy = np.empty((2, group * BLOCK_DRAWS * span))
+    # A tile's draws, whose noise the noise path overwrites; the chain's
+    # scratch t1, t2 and relay v's phase-3 input, which phase 3's lam = 0
+    # keeps zero.
+    draws = np.empty(group * BLOCK_DRAWS * span)
     scratch = np.zeros((3, group * span))
-    sq = np.empty((4, group, span))
 
-    def run(rows, w, P):
-        """The (4, rows) squared-error sums of the drawn tile at power P."""
-        block, x = (b[:rows * BLOCK_DRAWS * w].reshape(rows, BLOCK_DRAWS, w)
-                    for b in (draws, copy))
-        np.multiply(block[:, :4], math.sqrt(P), out=x[:, :4])
-        x[:, 4:] = block[:, 4:]
-        a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = x.transpose(1, 0, 2)
+    def decode(x, z):
+        """The decoded streams (a1, a2, b1, b2) of symbols x and noise z."""
+        a1, a2, b1, b2 = x
+        rows, _, w = z.shape
+        zu1, zu2, zu3, zv1, zv2, *zd = z.transpose(1, 0, 2)
         t1, t2, zv3 = scratch[:, :rows * w].reshape(3, rows, w)
         inputs = ((a1, b1, zu1, zv1, zd[0], zd[3]),
                   (a2, b2, zu2, zv2, zd[1], zd[4]),
                   (a1, b2, zu3, zv3, zd[2], zd[5]))
         y1, y2 = zip(*(_chain(ch, mu, lam, *phase, t1, t2)[:2]
                        for (mu, lam), phase in zip(plan.phase_pairs(), inputs)))
-        hats = (*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G))
-        errs = sq[:, :rows, :w]
-        for hat, sent, out in zip(hats, (a1, a2, b1, b2), errs):
-            np.square(np.subtract(hat, sent, out=out), out=out)
-        return np.sum(errs, axis=2)
+        return (*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G))
 
     sq_errs = [[] for _ in grid]  # per power, per trial: (a1, a2, b1, b2)
+    power = np.reshape(grid, (-1, 1, 1, 1))
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        leaf_sums = []  # (leaves, powers, 4, rows)
-        for w in widths:
-            rng.standard_normal(out=draws[:rows * BLOCK_DRAWS * w])
-            leaf_sums.append([run(rows, w, P) for P in grid])
-        for point, sums in zip(sq_errs, np.transpose(leaf_sums, (1, 3, 2, 0)).tolist()):
+        terms = np.empty((3, len(widths), 4, rows))  # A, B, C per leaf and stream
+        for leaf, w in enumerate(widths):
+            block = draws[:rows * BLOCK_DRAWS * w].reshape(rows, BLOCK_DRAWS, w)
+            rng.standard_normal(out=block)
+            z = np.zeros((rows, BLOCK_DRAWS - 4, w))  # the chain overwrites it
+            sent = block[:, :4].transpose(1, 0, 2)
+            e_s = np.subtract(decode(sent, z), sent)
+            e_n = np.array(decode((0.0,) * 4, block[:, 4:]))
+            for j, (u, v) in enumerate(((e_s, e_s), (e_s, e_n), (e_n, e_n))):
+                np.sum(u * v, axis=2, out=terms[j, leaf])
+        leaf_sums = power * terms[0] + 2.0 * np.sqrt(power) * terms[1] + terms[2]
+        for point, sums in zip(sq_errs, leaf_sums.transpose(0, 3, 2, 1).tolist()):
             point += [list(map(math.fsum, trial)) for trial in sums]
     return [SchemeStats(P, *(sum(c) / (trials * n_triples) for c in zip(*point)))
             for P, point in zip(grid, sq_errs)]

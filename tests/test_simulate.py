@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import afdof.simulate
 from afdof import (
+    ChannelRealization,
     InsufficientGrid,
     InvalidPower,
     analytic_noise_variances,
@@ -25,6 +27,7 @@ from afdof import (
     scheme_schedule,
     sweep_power_grid,
 )
+from afdof.scheme import phase_matrices
 from afdof.simulate import (
     FUZZ,
     LEAF,
@@ -178,8 +181,8 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
     # leaves, one per tile, under every cap: the caps of 3 * LEAF * 3 and
     # 2**20 would group such trials if long trials were not kept one per
     # tile, and then a trial's leaves would not follow one another in the
-    # sweep's stream.  Every power of the grid reuses each tile's draws, so
-    # no power may see another's tiling either.
+    # sweep's stream.  Every power of the grid combines the same tile sums,
+    # so no power may see another's tiling either.
     assert afdof.simulate.GROUP_CAP >= 3 * min(trials * n, LEAF)
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
@@ -193,9 +196,9 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
 
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
     # A long trial runs one leaf of LEAF triples per tile and each tile sums
-    # its own squared stream errors, so the traced peak is one tile's draws
-    # and their one-power copy (about 1.4 MB) whatever the trial length or
-    # number of trials.
+    # its own stream errors, so the traced peak is one tile's draws, the
+    # signal path's zero noise and the decoded streams (about 1.6 MB)
+    # whatever the trial length or number of trials.
     # Per-triple error rows would add 32 B per triple and trial: 12.8 MB at
     # 4e5 triples.  A first short call loads numpy.random, which numpy
     # imports lazily, so the test measures the same whether it runs alone
@@ -274,15 +277,67 @@ def test_mse_power_independent(ref_channel, ref_plan):
 
 
 def test_sweep_mse_is_power_independent(ref_channel, ref_plan):
-    # Every power of a sweep decodes the same noise, so each stream's MSE
-    # agrees across the grid up to rounding (1.1e-13 relative at most here);
-    # any symbol leaking into a decoded stream shows as a spread growing
-    # with P.
+    # Every power of a sweep combines the same decoded noise, so each
+    # stream's MSE agrees across the grid up to rounding (2.2e-13 relative
+    # at most here); any symbol leaking into a decoded stream shows as a
+    # spread growing with P.
     points = sweep_power_grid(ref_channel, ref_plan, GRID, n_triples=2000,
                               trials=3, seed=6)
     for name in ("mse_a1", "mse_a2", "mse_b1", "mse_b2"):
         mses = [getattr(p, name) for p in points]
         assert max(mses) - min(mses) <= 1e-12 * min(mses), (name, mses)
+
+
+def test_sweep_carries_symbol_leak(ref_channel, ref_plan):
+    # The phases' zero entries are zero only to COEF_TOL, so a plan whose
+    # phase-1 lambda is off by 5e-10 still labels B, A, C1, and its a1
+    # stream carries P * (beta1 / alpha1)**2 of b1 on top of the noise.
+    # Each point's N * mse_a1 is then (sigma^2 + leak) * chi2_N.  The
+    # sweep's signal path must keep that leak: a sweep that summed the
+    # noise path alone would read about sigma^2 = 2 at 1e22, not about
+    # 402.  2 points x 2 tails share a 1e-9 total false-alarm rate.
+    plan = dataclasses.replace(
+        ref_plan, lambda_phase1=ref_plan.lambda_phase1 * (1 + 5e-10))
+    G1 = phase_matrices(ref_channel, plan)[0]
+    (sigma_sq, _), _ = analytic_noise_variances(ref_channel, plan)
+    trials, n = 3, 2000
+    x = math.log(4 / 1e-9)
+    for s in sweep_power_grid(ref_channel, plan, (1e3, 1e22), n, trials, seed=0):
+        want = sigma_sq + s.P * (G1.beta1 / G1.alpha1) ** 2
+        below, above = laurent_massart_deviations(np.array([want]), trials * n, x)
+        deviation = trials * n * (s.mse_a1 - want)
+        assert -below <= deviation <= above, (s.P, s.mse_a1, want)
+    assert 300 <= want <= 500  # the leak dominates at 1e22
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), slots=st.integers(1, 60),
+       scale=st.sampled_from((1.0, 1e6, 1e11)))
+def test_chain_splits_into_signal_and_noise(seed, slots, scale):
+    # sweep_power_grid runs a tile's symbols and its noise through the
+    # chain separately and adds their decoded errors at each power, which
+    # holds only while the chain is linear in (symbols, noise).  Sample k
+    # of (x, z) must equal (x, 0) plus (0, z) to within a few ulps of M_k,
+    # the chain run on absolute gains, coefficients and inputs, which
+    # bounds every intermediate of sample k.  A relay that is not linear,
+    # say one normalised by its received power, fails here.
+    ch = sample_channel(seed)
+    plan = plan_achievability(ch)
+    rng = np.random.default_rng(seed)
+    sched = alphabet_schedule(ch, plan, slots, rng)
+    symbols = rng.standard_normal((2, slots)) * scale
+    noise = rng.standard_normal((4, slots))
+
+    def chain(ch, mu, lam, x, z):
+        return _chain(ch, mu, lam, *x, *z.copy(), *np.empty((2, slots)))[:2]
+
+    whole = chain(ch, sched.mu, sched.lam, symbols, noise)
+    signal = chain(ch, sched.mu, sched.lam, symbols, np.zeros_like(noise))
+    split = chain(ch, sched.mu, sched.lam, np.zeros_like(symbols), noise)
+    bound = chain(ChannelRealization(*np.abs(ch.gains())), np.abs(sched.mu),
+                  np.abs(sched.lam), np.abs(symbols), np.abs(noise))
+    for y, s, z, m in zip(whole, signal, split, bound):
+        assert np.all(np.abs(y - (s + z)) <= 16 * np.finfo(float).eps * m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -386,8 +441,8 @@ def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
 
 def test_chain_leaves_symbols_unchanged(ref_channel, ref_plan):
     # The chain works in place over its noise and scratch arrays; x1 and x2
-    # are only read, which run_scheme_trials relies on when it reuses its
-    # symbol buffers.
+    # are only read, which sweep_power_grid relies on when its signal path
+    # reads a tile's symbols and then subtracts them from their decoding.
     sched = alphabet_schedule(ref_channel, ref_plan, 60,
                               np.random.default_rng(2))
     symbols = np.random.default_rng(3).normal(size=(2, len(sched)))
