@@ -17,8 +17,6 @@ from .channel import (
     sample_channel,
 )
 from .scheme import (
-    AfAlphabet,
-    AfSchedule,
     DegenerateCoefficients,
     InvalidPower,
     NonGenericChannel,
@@ -48,7 +46,6 @@ from .bounds import (
     SingularCovariance,
     StateCensus,
     bound_slopes,
-    census,
     check_lemma2,
     gaussian_entropy,
     min_census_fraction,

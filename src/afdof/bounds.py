@@ -1,12 +1,12 @@
 """Computable artifacts of the sum-rate outer bound.
 
-Labels each slot's end-to-end matrix by the zero rule of scheme._label_ids
-(the position of its single zero entry, or lack of one), counts those
-states over a schedule, gives the slope coefficients of the three sum-rate
-bounds, whose minimum caps the sum-DoF at 4/3, probes the zero rule against
-the channel's critical-ratio map on both sides of each critical ratio, and
-numerically checks the Gaussian entropy-difference lemma the bound proofs
-lean on.
+Labels each slot of a schedule, given as per-slot (mu, lam) arrays, by the
+zero rule of scheme._label_ids (the position of its end-to-end matrix's
+single zero entry, or lack of one), counts those states over a schedule,
+gives the slope coefficients of the three sum-rate bounds, whose minimum
+caps the sum-DoF at 4/3, probes the zero rule against the channel's
+critical-ratio map on both sides of each critical ratio, and numerically
+checks the Gaussian entropy-difference lemma the bound proofs lean on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelRealization, end_to_end, nulling_coefficients
 from .scheme import (_C1_ID, _LABELS, _ONE_ZERO_IDS, _ONE_ZERO_LABELS,
-                     _ZERO_ID, AfSchedule, PhasePlan, StateLabel, _label_ids)
+                     _ZERO_ID, PhasePlan, StateLabel, _label_ids)
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -93,32 +93,25 @@ def _grid_label_ids(ch: ChannelRealization, mu: np.ndarray,
     return table, zero
 
 
-def slot_states(ch: ChannelRealization,
-                schedule: AfSchedule) -> list[StateLabel]:
-    """Per-slot state labels for a schedule.
+def slot_states(ch: ChannelRealization, mu: np.ndarray,
+                lam: np.ndarray) -> list[StateLabel]:
+    """Per-slot state labels of a schedule given as equal-length 1-D arrays
+    of finite relay coefficients, slot k using (mu[k], lam[k]).
 
-    A slot's state depends only on its (mu, lambda) pair, so the schedule's
-    U x V alphabet grid is labelled at once and every slot reads its pair's
-    label from it.  Only the pairs the schedule uses can raise
-    ImpossiblePattern, which names the first.
+    ImpossiblePattern names the first slot's pair that no state describes.
     """
-    U, V = (np.asarray(a, dtype=float) for a in (schedule.alphabet.U,
-                                                schedule.alphabet.V))
-    table, zero = _grid_label_ids(ch, U[:, None], V)
-    i, j = schedule.index.astype(np.intp).T
-    ids = table[i, j]
+    mu, lam = (np.asarray(a, dtype=float) for a in (mu, lam))
+    if mu.ndim != 1 or mu.shape != lam.shape:
+        raise ValueError("mu and lam must be equal-length 1-D arrays")
+    if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
+        raise ValueError("schedule coefficients must be finite")
+    ids, zero = _grid_label_ids(ch, mu, lam)
     if (ids < 0).any():
         k = int(np.argmax(ids < 0))
         raise ImpossiblePattern(
-            f"pair ({U[i[k]]}, {V[j[k]]}): "
-            f"{np.count_nonzero(zero[:, i[k], j[k]])} zero entries with "
-            "nonzero coefficients")
+            f"pair ({mu[k]}, {lam[k]}): {np.count_nonzero(zero[:, k])} zero "
+            "entries with nonzero coefficients")
     return [_LABELS[k] for k in ids.tolist()]
-
-
-def census(ch: ChannelRealization, schedule: AfSchedule) -> StateCensus:
-    """Classify every slot of a schedule and count the states."""
-    return StateCensus.of(slot_states(ch, schedule))
 
 
 def bound_slopes(census_counts: StateCensus) -> tuple[float, float, float]:

@@ -235,8 +235,7 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
                 p.P, p.R1, p.R2, p.R1 + p.R2, p.mse_a1, p.mse_a2,
                 p.mse_b1, p.mse_b2, *np.mean(phases, axis=0))])
     _write_json(os.path.join(cfg.output_dir, "plan.json"), {
-        **asdict(plan), "alphabet": asdict(plan.alphabet()),
-        "channel": ch.to_dict()})
+        **asdict(plan), "channel": ch.to_dict()})
     _write_json(os.path.join(cfg.output_dir, "slope.json"), {
         "scheme": {**asdict(report.sum_fit),
                    "slope_user1": report.slope_user1,
@@ -271,8 +270,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     n = cfg.schedule_slots
     ch = _resolve_channel(cfg)
     plan = plan_achievability(ch)
-    schedule = scheme_schedule(plan, n // 3)
-    states = slot_states(ch, schedule)  # census.csv's state column
+    mu, lam = scheme_schedule(plan, n // 3)
+    states = slot_states(ch, mu, lam)  # census.csv's state column
     cens = StateCensus.of(states)
     set_name, fraction = min_census_fraction(cens)
     slope_dof = bound_slopes(cens)
@@ -290,8 +289,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     with open(os.path.join(cfg.output_dir, "census.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "mu", "lambda", "state"])
-        for k, (mu, lam, label) in enumerate(zip(schedule.mu, schedule.lam, states)):
-            writer.writerow([k, _fmt(mu), _fmt(lam), label.value])
+        for k, (mu_k, lam_k, label) in enumerate(zip(mu, lam, states)):
+            writer.writerow([k, _fmt(mu_k), _fmt(lam_k), label.value])
     _write_json(os.path.join(cfg.output_dir, "bounds.json"), {
         "census": asdict(cens),
         "min_fraction": {"set": set_name, "fraction": fraction},

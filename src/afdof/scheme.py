@@ -1,11 +1,11 @@
 """Three-phase time-varying amplify-forward scheme.
 
 Plans the relay coefficients that alternately cancel one source at one
-destination, builds periodic schedules over the induced finite alphabets,
-labels end-to-end matrices by their zero entries (the one zero rule, read
-by phase_matrices and the outer-bound census), reconstructs both symbols
-at each destination from a three-slot block, and evaluates the resulting
-noise variances and achievable rates analytically.
+destination, builds the scheme's periodic schedule as per-slot (mu, lam)
+arrays, labels end-to-end matrices by their zero entries (the one zero
+rule, read by phase_matrices and the outer-bound census), reconstructs both
+symbols at each destination from a three-slot block, and evaluates the
+resulting noise variances and achievable rates analytically.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -100,51 +99,6 @@ def _label_ids(G: EndToEndMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class AfAlphabet:
-    """Finite sets of admissible relay scaling values, one per relay."""
-
-    U: tuple[float, ...]
-    V: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.U) == 0 or len(self.V) == 0:
-            raise ValueError("alphabets must be nonempty")
-        if not all(math.isfinite(x) for x in self.U + self.V):
-            raise ValueError("alphabet values must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class AfSchedule:
-    """Per-slot relay coefficients as alphabet indices: slot k uses
-    (U[index[k, 0]], V[index[k, 1]]), read as the cached arrays mu and lam."""
-
-    alphabet: AfAlphabet
-    index: np.ndarray
-
-    def __post_init__(self):
-        index = np.asarray(self.index)
-        n_u, n_v = len(self.alphabet.U), len(self.alphabet.V)
-        if index.ndim != 2 or index.shape[1] != 2 or index.dtype.kind not in "iu":
-            raise ValueError("index must be an (L, 2) integer array")
-        if index.size and (index.min() < 0 or index[:, 0].max() >= n_u
-                           or index[:, 1].max() >= n_v):
-            raise ValueError(f"index outside the alphabet sizes ({n_u}, {n_v})")
-        object.__setattr__(self, "index", index.astype(
-            np.min_scalar_type(max(n_u, n_v) - 1), copy=False))
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @cached_property
-    def mu(self) -> np.ndarray:
-        return np.asarray(self.alphabet.U)[self.index[:, 0]]
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        return np.asarray(self.alphabet.V)[self.index[:, 1]]
-
-
-@dataclass(frozen=True)
 class PhasePlan:
     """Coefficients of the three-phase scheme for one channel.
 
@@ -163,10 +117,6 @@ class PhasePlan:
         """(mu, lam) of phases 1, 2 and 3; relay v is silent in phase 3."""
         return ((self.c, self.lambda_phase1), (self.c, self.lambda_phase2),
                 (self.c, 0.0))
-
-    def alphabet(self) -> AfAlphabet:
-        (mu, lam1), (_, lam2), (_, lam3) = self.phase_pairs()
-        return AfAlphabet(U=(mu,), V=tuple(dict.fromkeys((lam3, lam1, lam2))))
 
 
 def plan_achievability(ch: ChannelRealization) -> PhasePlan:
@@ -205,17 +155,15 @@ def relay_powers(ch: ChannelRealization, plan: PhasePlan,
     return tuple((mu * mu * su, lam * lam * sv) for mu, lam in plan.phase_pairs())
 
 
-def scheme_schedule(plan: PhasePlan, n_triples: int) -> AfSchedule:
-    """The scheme's relay schedule for n_triples blocks: 3 n_triples slots,
-    slot k carrying plan.phase_pairs()[k % 3], so each block runs phases 1,
-    2, 3."""
+def scheme_schedule(plan: PhasePlan,
+                    n_triples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scheme's relay schedule for n_triples blocks as per-slot (mu, lam)
+    arrays: 3 n_triples slots, slot k carrying plan.phase_pairs()[k % 3], so
+    each block runs phases 1, 2, 3."""
     if n_triples < 1:
         raise ValueError("schedule needs at least one block (n_triples >= 1)")
-    alphabet = plan.alphabet()
-    index = np.zeros((3 * n_triples, 2), dtype=np.uint8)
-    for phase, (_, lam) in enumerate(plan.phase_pairs()):
-        index[phase::3, 1] = alphabet.V.index(lam)
-    return AfSchedule(alphabet, index)
+    mu, lam = np.tile(np.transpose(plan.phase_pairs()), n_triples)
+    return mu, lam
 
 
 def phase_matrices(ch: ChannelRealization,

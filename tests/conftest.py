@@ -5,8 +5,6 @@ import pytest
 from hypothesis import settings
 
 from afdof import (
-    AfAlphabet,
-    AfSchedule,
     ChannelRealization,
     PhasePlan,
     end_to_end,
@@ -40,13 +38,10 @@ def ref_plan(ref_channel):
     return plan_achievability(ref_channel)
 
 
-def schedule_from_pairs(pairs) -> AfSchedule:
-    """Schedule of the given per-slot (mu, lambda) pairs over the alphabet
-    of their distinct values, in first-occurrence order."""
-    mus, lams = np.asarray(pairs, dtype=float).reshape(-1, 2).T.tolist()
-    U, V = tuple(dict.fromkeys(mus)), tuple(dict.fromkeys(lams))
-    return AfSchedule(AfAlphabet(U=U, V=V), np.array(
-        [[U.index(mu), V.index(lam)] for mu, lam in zip(mus, lams)]))
+def schedule_from_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The per-slot (mu, lam) arrays of the given (mu, lambda) pairs."""
+    mu, lam = np.array(pairs, dtype=float).reshape(-1, 2).T.copy()
+    return mu, lam
 
 
 def sweep_noise(noise_seed, slots: int) -> np.ndarray:
@@ -57,14 +52,14 @@ def sweep_noise(noise_seed, slots: int) -> np.ndarray:
     return keyed_rng(SWEEP, noise_seed).standard_normal((4, slots))
 
 
-def chain_block(ch: ChannelRealization, schedule: AfSchedule, symbols,
-                noise_seed=None):
-    """Destination samples (y1, y2) of the physical chain on (L, 2) symbols,
-    with zero noise or sweep_noise(noise_seed, L)."""
+def chain_block(ch: ChannelRealization, mu, lam, symbols, noise_seed=None):
+    """Destination samples (y1, y2) of the physical chain on the L-slot
+    schedule (mu, lam) and (L, 2) symbols, with zero noise or
+    sweep_noise(noise_seed, L)."""
     symbols = np.asarray(symbols, dtype=float)
-    y1, y2, _, _ = _chain(ch, schedule.mu, schedule.lam, symbols[:, 0],
-                          symbols[:, 1], *sweep_noise(noise_seed, len(schedule)),
-                          *np.empty((2, len(schedule))))
+    y1, y2, _, _ = _chain(ch, mu, lam, symbols[:, 0], symbols[:, 1],
+                          *sweep_noise(noise_seed, len(mu)),
+                          *np.empty((2, len(mu))))
     return y1, y2
 
 
@@ -80,15 +75,16 @@ def matrix_chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2):
 
 
 def alphabet_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
-                      rng: np.random.Generator) -> AfSchedule:
-    """A schedule of n slots that reaches every state: its alphabet holds
-    the plan's cancelling values, the two values nulling the remaining
-    diagonal entries, a random filler, and zeros so some slots idle both
-    relays.  Each slot's pair is one uniform draw over the 2 x 6 grid."""
+                      rng: np.random.Generator):
+    """The (mu, lam) arrays of a schedule of n slots that reaches every
+    state: mu takes the values (c, 0), and lam the plan's cancelling values,
+    the two values nulling the remaining diagonal entries, a random filler
+    and 0, so some slots idle both relays.  Each slot's pair is one uniform
+    draw over that 2 x 6 grid."""
     u_vals, v_fixed = _fuzz_values(ch, plan)
     filler = float(rng.uniform(*FILLER_RANGE))
-    index = np.transpose(np.divmod(rng.integers(12, size=n), 6))
-    return AfSchedule(AfAlphabet(U=u_vals, V=(*v_fixed, filler)), index)
+    i, j = np.divmod(rng.integers(12, size=n), 6)
+    return np.array(u_vals)[i], np.array((*v_fixed, filler))[j]
 
 
 def laurent_massart_deviations(weights, n, x):

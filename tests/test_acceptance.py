@@ -25,7 +25,6 @@ from afdof import (
     analytic_noise_variances,
     baseline_tdma_rate,
     bound_slopes,
-    census,
     check_conditions,
     check_lemma2,
     end_to_end,
@@ -39,6 +38,7 @@ from afdof import (
     run_scheme_trials,
     sample_channel,
     scheme_schedule,
+    slot_states,
     sweep_power_grid,
 )
 from afdof.bounds import FILLER_RANGE
@@ -191,7 +191,7 @@ def test_criterion_06_census_pigeonhole():
     fillers = np.random.default_rng(41).uniform(*FILLER_RANGE, 1000)
     probe = ratio_map_probe(ch, plan, fillers)
 
-    cens = census(ch, scheme_schedule(plan, 100))
+    cens = StateCensus.of(slot_states(ch, *scheme_schedule(plan, 100)))
     balanced = (cens.nA, cens.nB, cens.nC1, cens.nZero) == (100, 100, 100, 0)
     _report(6, "min census fraction <= 1/3 exhaustively (n <= 8); the slot "
                "labels follow the critical-ratio map on walks to both sides "
@@ -206,7 +206,7 @@ def test_criterion_06_census_pigeonhole():
 def test_criterion_07_bound_dominance():
     ch = reference_channel()
     plan = plan_achievability(ch)
-    cens = census(ch, scheme_schedule(plan, 100))
+    cens = StateCensus.of(slot_states(ch, *scheme_schedule(plan, 100)))
     min_bound = min(bound_slopes(cens))
     points = sweep_power_grid(ch, plan, GRID, n_triples=600, trials=5, seed=51)
     achieved = estimate_dof_slope([(p.P, p.R1 + p.R2) for p in points]).slope
@@ -232,11 +232,10 @@ def test_criterion_08_lemma2_validity():
 def test_criterion_09_chain_matrix_equivalence():
     ch = sample_channel(90)
     rng = np.random.default_rng(91)
-    sched = alphabet_schedule(ch, plan_achievability(ch), 1000, rng)
+    mu, lam = alphabet_schedule(ch, plan_achievability(ch), 1000, rng)
     symbols = rng.normal(0.0, 10.0, size=(1000, 2))
-    y1a, y2a = chain_block(ch, sched, symbols, noise_seed=92)
-    y1b, y2b = matrix_chain(ch, sched.mu, sched.lam, *symbols.T,
-                            *sweep_noise(92, len(sched)))
+    y1a, y2a = chain_block(ch, mu, lam, symbols, noise_seed=92)
+    y1b, y2b = matrix_chain(ch, mu, lam, *symbols.T, *sweep_noise(92, 1000))
     # Relative to the block's peak amplitude: individual samples can sit
     # arbitrarily close to zero by cancellation while both paths agree to
     # machine precision on the summed terms.

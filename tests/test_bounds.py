@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afdof import (
-    AfAlphabet,
-    AfSchedule,
     ChannelRealization,
     DegenerateCoefficients,
     EndToEndMatrix,
@@ -18,7 +16,6 @@ from afdof import (
     StateCensus,
     StateLabel,
     bound_slopes,
-    census,
     analytic_noise_variances,
     check_lemma2,
     gaussian_entropy,
@@ -66,13 +63,13 @@ def test_classify_reference_phase1(ref_channel, ref_plan):
     c = ref_plan.c
     matrix = end_to_end(ref_channel, c, ref_plan.lambda_phase1)
     assert matrix.entries() == pytest.approx((-5 * c, 0.0, -4 * c, 2 * c))
-    assert slot_states(ref_channel, schedule_from_pairs(
+    assert slot_states(ref_channel, *schedule_from_pairs(
         [(c, ref_plan.lambda_phase1)])) == [StateLabel.B]
 
 
 def test_classify_impossible_patterns():
-    # Two or three zeros with a nonzero entry: no label, and census raises
-    # for a scheduled pair (test_impossible_pattern_only_for_scheduled_pairs).
+    # Two or three zeros with a nonzero entry: no label, and slot_states
+    # raises for a scheduled pair (test_impossible_pattern_only_for_scheduled_pairs).
     assert label_id(G((0, 1, 1, 0))) == -1
     assert label_id(G((1, 0, 0, 0))) == -1
 
@@ -145,7 +142,7 @@ def test_phase_check_matches_census_near_genericity_boundaries():
             continue
         planned += 1
         try:
-            labelled = slot_states(ch, scheme_schedule(plan, 1)) == [
+            labelled = slot_states(ch, *scheme_schedule(plan, 1)) == [
                 StateLabel.B, StateLabel.A, StateLabel.C1]
         except ImpossiblePattern:
             labelled = False
@@ -161,7 +158,7 @@ def test_phase_check_matches_census_near_genericity_boundaries():
 def test_census_achievability_schedule(ref_channel, ref_plan):
     for m in (1, 4, 33):
         sched = scheme_schedule(ref_plan, m)
-        cens = census(ref_channel, sched)
+        cens = StateCensus.of(slot_states(ref_channel, *sched))
         assert (cens.nB, cens.nA, cens.nC1) == (m, m, m)
         assert cens.nC2 == cens.nC3 == cens.nZero == 0
         assert cens.nC == m and cens.nS == 3 * m
@@ -169,13 +166,14 @@ def test_census_achievability_schedule(ref_channel, ref_plan):
 
 def test_census_all_zero_schedule(ref_channel):
     sched = schedule_from_pairs(((0.0, 0.0),) * 12)
-    cens = census(ref_channel, sched)
+    cens = StateCensus.of(slot_states(ref_channel, *sched))
     assert cens.nZero == 12 and cens.nS == 0
 
 
 def test_census_single_phase_schedule(ref_channel, ref_plan):
     pair = ref_plan.phase_pairs()[0]
-    cens = census(ref_channel, schedule_from_pairs((pair,) * 9))
+    cens = StateCensus.of(slot_states(
+        ref_channel, *schedule_from_pairs((pair,) * 9)))
     assert cens.nB == 9
 
 
@@ -191,12 +189,10 @@ def test_slot_states_scale_invariant(seed, k):
     # Scaling every (mu, lam) by a power of two scales each end-to-end entry
     # exactly, so no label may change.
     ch = sample_channel(seed)
-    sched = alphabet_schedule(ch, plan_achievability(ch), 60,
-                            np.random.default_rng(seed))
+    mu, lam = alphabet_schedule(ch, plan_achievability(ch), 60,
+                                np.random.default_rng(seed))
     s = 2.0 ** k
-    scaled = schedule_from_pairs(np.column_stack([s * sched.mu,
-                                                    s * sched.lam]))
-    assert slot_states(ch, scaled) == slot_states(ch, sched)
+    assert slot_states(ch, s * mu, s * lam) == slot_states(ch, mu, lam)
 
 
 def ratio_map_label(ch, mu, lam) -> StateLabel:
@@ -219,7 +215,7 @@ def ratio_map_label(ch, mu, lam) -> StateLabel:
 
 
 def test_slot_states_match_critical_ratio_map(ref_channel):
-    # The grid-table labels against an oracle that never forms the matrix:
+    # The zero rule's labels against an oracle that never forms the matrix:
     # 3 schedules of 100 slots on each of 100 sampled channels, and 25 of 60
     # on the reference channel.
     cases = [(sample_channel(seed), np.random.default_rng(seed), 3, 100)
@@ -228,27 +224,26 @@ def test_slot_states_match_critical_ratio_map(ref_channel):
     for ch, rng, count, n in cases:
         plan = plan_achievability(ch)
         for _ in range(count):
-            sched = alphabet_schedule(ch, plan, n, rng)
-            assert slot_states(ch, sched) == [
-                ratio_map_label(ch, mu, lam)
-                for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
-            assert census(ch, sched).n == n
+            mu, lam = alphabet_schedule(ch, plan, n, rng)
+            assert slot_states(ch, mu, lam) == [
+                ratio_map_label(ch, *pair)
+                for pair in zip(mu.tolist(), lam.tolist())]
+            assert StateCensus.of(slot_states(ch, mu, lam)).n == n
 
 
 def test_census_over_more_than_256_grid_pairs(ref_channel):
-    # 17 x 18 = 306 pairs, each one slot, while the index is stored as uint8:
-    # a pair's grid code i * 18 + j must not wrap at 256, where the pairs
-    # that null an entry sit.  Slot by slot against the ratio map.
+    # 306 slots, one per pair of a 17 x 18 grid whose last four mu values
+    # each meet the four lam values that null their entries.  Slot by slot
+    # against the ratio map.
     U = tuple(float(u) for u in range(17))
     V = (0.0, 1.0, *(lam for u in U[-4:]
                      for lam in nulling_coefficients(ref_channel, u)))
-    index = np.indices((len(U), len(V))).reshape(2, -1).T
-    sched = AfSchedule(AfAlphabet(U=U, V=V), index)
-    assert sched.index.dtype == np.uint8 and len(sched) > 256
-    want = [ratio_map_label(ref_channel, mu, lam)
-            for mu, lam in zip(sched.mu.tolist(), sched.lam.tolist())]
-    assert slot_states(ref_channel, sched) == want
-    assert astuple(census(ref_channel, sched))[:6] == tuple(
+    mu, lam = schedule_from_pairs([(u, v) for u in U for v in V])
+    want = [ratio_map_label(ref_channel, *pair)
+            for pair in zip(mu.tolist(), lam.tolist())]
+    states = slot_states(ref_channel, mu, lam)
+    assert states == want
+    assert astuple(StateCensus.of(states))[:6] == tuple(
         want.count(label) for label in _LABELS)
     assert set(want) == set(StateLabel)
 
@@ -258,15 +253,14 @@ def test_impossible_pattern_only_for_scheduled_pairs():
     # alpha2 = beta2 = mu + 2 lam, so (1, -1) zeroes two entries and
     # (2, -1) the other two; (1, 1) and (2, 1) are C1.
     ch = ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
-    alphabet = AfAlphabet(U=(1.0, 2.0), V=(1.0, -1.0))
-    fine = AfSchedule(alphabet, np.array([[0, 0], [1, 0], [0, 0]]))
-    assert slot_states(ch, fine) == [StateLabel.C1] * 3
-    two_zeros = AfSchedule(alphabet, np.array([[0, 0], [0, 1]]))
+    fine = schedule_from_pairs([(1.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+    assert slot_states(ch, *fine) == [StateLabel.C1] * 3
+    two_zeros = schedule_from_pairs([(1.0, 1.0), (1.0, -1.0)])
     with pytest.raises(ImpossiblePattern, match=r"pair \(1.0, -1.0\): 2 zero"):
-        census(ch, two_zeros)
+        slot_states(ch, *two_zeros)
     all_zero = ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ImpossiblePattern, match=r"pair \(1.0, -1.0\): 4 zero"):
-        census(all_zero, two_zeros)
+        slot_states(all_zero, *two_zeros)
 
 
 ONE_ZERO_STATES = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
@@ -284,7 +278,7 @@ def test_probe_walks_switch_once():
         pairs = [(plan.c, lam * (1.0 + side * d))
                  for lam in nulling_coefficients(ch, plan.c)
                  for side in (-1.0, 1.0) for d in PROBE_OFFSETS.tolist()]
-        rules = (slot_states(ch, schedule_from_pairs(pairs)),
+        rules = (slot_states(ch, *schedule_from_pairs(pairs)),
                  [ratio_map_label(ch, mu, lam) for mu, lam in pairs])
         for walk in range(8):
             state = ONE_ZERO_STATES[walk // 2]
@@ -304,7 +298,7 @@ def test_filler_inside_a_band_may_take_either_label():
     ch = sample_channel(42)
     plan = plan_achievability(ch)
     fillers = [lam * (1.0 + 2e-9) for lam in nulling_coefficients(ch, plan.c)]
-    differ = sum(slot_states(ch, schedule_from_pairs([(plan.c, f)]))[0]
+    differ = sum(slot_states(ch, *schedule_from_pairs([(plan.c, f)]))[0]
                  != ratio_map_label(ch, plan.c, f) for f in fillers)
     bare, probe = (ratio_map_probe(ch, plan, f) for f in ((), fillers))
     assert min(probe.band.values()) > 2e-9
@@ -523,6 +517,6 @@ def test_random_schedule_reaches_every_state(ref_channel, ref_plan):
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(20):
-        sched = alphabet_schedule(ref_channel, ref_plan, 120, rng)
-        seen.update(slot_states(ref_channel, sched))
+        seen.update(slot_states(
+            ref_channel, *alphabet_schedule(ref_channel, ref_plan, 120, rng)))
     assert seen == set(StateLabel)

@@ -86,8 +86,7 @@ def test_run_achievability(tmp_path):
 
     plan = json.loads((out / "plan.json").read_text())
     assert set(plan) == {"c", "l", "lambda_phase1", "lambda_phase2",
-                         "alphabet", "channel"}
-    assert set(plan["alphabet"]) == {"U", "V"}
+                         "channel"}
     assert plan["c"] == pytest.approx(0.15075567228888181)
     assert plan["channel"]["s1u"] == 1.0
 

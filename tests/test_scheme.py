@@ -1,14 +1,11 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afdof import (
-    AfAlphabet,
-    AfSchedule,
     ChannelRealization,
     DegenerateCoefficients,
     InvalidPower,
@@ -49,9 +46,6 @@ def test_plan_reference_values(ref_channel, ref_plan):
     assert ref_plan.phase_pairs() == ((ref_plan.c, ref_plan.lambda_phase1),
                                       (ref_plan.c, ref_plan.lambda_phase2),
                                       (ref_plan.c, 0.0))
-    alphabet = ref_plan.alphabet()
-    assert alphabet.U == (ref_plan.c,)
-    assert set(alphabet.V) == {0.0, ref_plan.lambda_phase1, ref_plan.lambda_phase2}
 
 
 def test_plan_rejects_nongeneric():
@@ -84,7 +78,8 @@ def test_plan_nulling_fuzz():
 
 
 def _pairs(sched):
-    return list(zip(sched.mu.tolist(), sched.lam.tolist()))
+    mu, lam = sched
+    return list(zip(mu.tolist(), lam.tolist()))
 
 
 def test_schedule_one_period(ref_plan):
@@ -94,12 +89,9 @@ def test_schedule_one_period(ref_plan):
 
 
 def test_scheme_schedule_periodic(ref_plan):
-    # Slot k carries phase pair k mod 3, stored as narrow indices into the
-    # plan's alphabet.
+    # Slot k carries phase pair k mod 3.
     sched = scheme_schedule(ref_plan, 5)
     phases = ref_plan.phase_pairs()
-    assert len(sched) == 15 and sched.index.dtype == np.uint8
-    assert sched.alphabet == ref_plan.alphabet()
     assert _pairs(sched) == [phases[k % 3] for k in range(15)]
 
 
@@ -110,45 +102,35 @@ def test_schedule_too_short(ref_plan):
 
 def test_schedule_state_sequence(ref_channel, ref_plan):
     # Phase 1 nulls (1,2), phase 2 nulls (2,1), phase 3 has no zeros.
-    labels = slot_states(ref_channel, scheme_schedule(ref_plan, 2))
+    labels = slot_states(ref_channel, *scheme_schedule(ref_plan, 2))
     assert labels == [StateLabel.B, StateLabel.A, StateLabel.C1] * 2
-
-
-def test_schedule_enforces_alphabet(ref_plan):
-    # The plan's alphabet has one u value and three v values.
-    alphabet = ref_plan.alphabet()
-    for index in ([[0, 3]], [[1, 0]], [[-1, 0]], [[0, -1]], [0, 0],
-                  [[0, 0, 0]], [[0.0, 1.0]], [[True, False]]):
-        with pytest.raises(ValueError):
-            AfSchedule(alphabet, np.array(index))
-    assert len(AfSchedule(alphabet, np.array([[0, 2]] * 4))) == 4
 
 
 def test_schedule_from_pairs():
     sched = schedule_from_pairs([(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)])
-    assert sched.alphabet == AfAlphabet(U=(1.0, 2.0), V=(0.5, -1.0))
-    assert sched.index.tolist() == [[0, 0], [1, 0], [0, 1]]
     assert _pairs(sched) == [(1.0, 0.5), (2.0, 0.5), (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", [0, 1], ids=["mu", "lam"])
-def test_schedule_rejects_nonfinite(column, value):
-    # Every schedule is built over an AfAlphabet, whose finite check rejects
-    # the pair before any census or simulation can see it.
+def test_schedule_rejects_nonfinite(ref_channel, column, value):
+    # slot_states rejects a schedule with a nonfinite coefficient before
+    # any label is read from it.
     pair = [0.5, -0.25]
     pair[column] = value
     with pytest.raises(ValueError, match="finite"):
-        schedule_from_pairs([tuple(pair)] * 3)
-    with pytest.raises(ValueError, match="finite"):
-        AfSchedule(AfAlphabet(U=(pair[0],), V=(pair[1],)),
-                   np.zeros((3, 2), dtype=int))
+        slot_states(ref_channel, *schedule_from_pairs([tuple(pair)] * 3))
 
 
-def test_alphabet_must_be_nonempty():
-    with pytest.raises(ValueError):
-        AfAlphabet(U=(), V=(0.0,))
+@pytest.mark.parametrize("mu,lam", [
+    ([0.5, 0.5], [0.25]),
+    ([[0.5, 0.5]], [[0.25, 0.25]]),
+    (0.5, 0.25),
+], ids=["mismatched", "2-D", "0-D"])
+def test_schedule_rejects_misshapen_arrays(ref_channel, mu, lam):
+    with pytest.raises(ValueError, match="equal-length 1-D"):
+        slot_states(ref_channel, mu, lam)
 
 
 def _ref_G(ref_channel, ref_plan):
@@ -326,11 +308,11 @@ def test_baseline_crossover(ref_channel, ref_plan):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_relay_power_budget_analytic(seed):
     # Second moment bound: mu^2 (h_s1u^2 + h_s2u^2 + 1) <= 1 for relay u,
-    # lam^2 (h_s1v^2 + h_s2v^2 + 1) <= 1 for relay v, every alphabet value.
+    # lam^2 (h_s1v^2 + h_s2v^2 + 1) <= 1 for relay v, in every phase.
     ch = sample_channel(seed)
     plan = plan_achievability(ch)
     su = ch.h_s1u ** 2 + ch.h_s2u ** 2 + 1.0
     sv = ch.h_s1v ** 2 + ch.h_s2v ** 2 + 1.0
     assert plan.c ** 2 * su <= 1.0 + 1e-12
-    for lam in plan.alphabet().V:
+    for _, lam in plan.phase_pairs():
         assert lam ** 2 * sv <= 1.0 + 1e-12

@@ -56,9 +56,8 @@ GRID = (1e3, 10 ** 4.5, 1e6, 10 ** 7.5, 1e9)
 
 
 def test_zero_noise_zero_symbols(ref_channel, ref_plan):
-    sched = schedule_from_pairs(ref_plan.phase_pairs() * 2)
-    symbols = np.zeros((len(sched), 2))
-    y1, y2 = chain_block(ref_channel, sched, symbols)
+    mu, lam = schedule_from_pairs(ref_plan.phase_pairs() * 2)
+    y1, y2 = chain_block(ref_channel, mu, lam, np.zeros((len(mu), 2)))
     assert not y1.any() and not y2.any()
 
 
@@ -66,8 +65,8 @@ def test_noiseless_phase1_slot(ref_channel, ref_plan):
     # One forwarded slot with phase-1 coefficients and unit symbols: d1 sees
     # only the (1,1) entry -5c, d2 sees -4c + 2c.
     pair = ref_plan.phase_pairs()[0]
-    sched = schedule_from_pairs((pair,))
-    y1, y2 = chain_block(ref_channel, sched, [[1.0, 1.0]])
+    y1, y2 = chain_block(ref_channel, *schedule_from_pairs((pair,)),
+                         [[1.0, 1.0]])
     c = ref_plan.c
     assert y1[0] == pytest.approx(-5 * c, rel=1e-12)
     assert y2[0] == pytest.approx(-2 * c, rel=1e-12)
@@ -81,11 +80,11 @@ def test_chain_matches_matrix_shortcut(ref_channel, ref_plan, make_schedule):
     # Identical noise substreams: the two evaluation paths are mutual
     # oracles, sample for sample.
     rng = np.random.default_rng(5)
-    sched = make_schedule(ref_channel, ref_plan, rng)
-    symbols = rng.normal(0.0, 10.0, size=(len(sched), 2))
-    y1a, y2a = chain_block(ref_channel, sched, symbols, noise_seed=11)
-    y1b, y2b = matrix_chain(ref_channel, sched.mu, sched.lam, *symbols.T,
-                            *sweep_noise(11, len(sched)))
+    mu, lam = make_schedule(ref_channel, ref_plan, rng)
+    symbols = rng.normal(0.0, 10.0, size=(len(mu), 2))
+    y1a, y2a = chain_block(ref_channel, mu, lam, symbols, noise_seed=11)
+    y1b, y2b = matrix_chain(ref_channel, mu, lam, *symbols.T,
+                            *sweep_noise(11, len(mu)))
     scale = max(np.max(np.abs(y1a)), np.max(np.abs(y2a)), 1.0)
     assert np.max(np.abs(y1a - y1b)) <= 1e-12 * scale
     assert np.max(np.abs(y2a - y2b)) <= 1e-12 * scale
@@ -95,11 +94,11 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
     # Received sample k must equal slot k's G applied to the slot-k symbols
     # plus effective noise; with zero noise it is the pure matrix action.
     rng = np.random.default_rng(0)
-    sched = alphabet_schedule(ref_channel, ref_plan, 50, rng)
+    mu, lam = alphabet_schedule(ref_channel, ref_plan, 50, rng)
     symbols = rng.normal(size=(50, 2))
-    y1, y2 = chain_block(ref_channel, sched, symbols)
+    y1, y2 = chain_block(ref_channel, mu, lam, symbols)
     for k in (0, 7, 23, 49):
-        G = end_to_end(ref_channel, sched.mu[k], sched.lam[k])
+        G = end_to_end(ref_channel, mu[k], lam[k])
         want1 = G.alpha1 * symbols[k, 0] + G.beta1 * symbols[k, 1]
         assert y1[k] == pytest.approx(want1, rel=1e-12, abs=1e-15)
         want2 = G.alpha2 * symbols[k, 0] + G.beta2 * symbols[k, 1]
@@ -121,8 +120,7 @@ def oracle_sq_errors(ch, plan, P, n, trials, seed):
               (zv1, zv2, np.zeros((trials, n))), zd[:3], zd[3:]]
     # Slot 3 k + p of a trial is phase p + 1 of its block k.
     slots = [np.stack(p, axis=2).reshape(trials, 3 * n) for p in phases]
-    sched = scheme_schedule(plan, n)
-    y1, y2 = matrix_chain(ch, sched.mu, sched.lam, *slots)
+    y1, y2 = matrix_chain(ch, *scheme_schedule(plan, n), *slots)
     G = [end_to_end(ch, mu, lam) for mu, lam in plan.phase_pairs()]
     hats = (*reconstruct_d1(y1[:, 0::3], y1[:, 1::3], y1[:, 2::3], *G),
             *reconstruct_d2(y2[:, 0::3], y2[:, 1::3], y2[:, 2::3], *G))
@@ -324,18 +322,18 @@ def test_chain_splits_into_signal_and_noise(seed, slots, scale):
     ch = sample_channel(seed)
     plan = plan_achievability(ch)
     rng = np.random.default_rng(seed)
-    sched = alphabet_schedule(ch, plan, slots, rng)
+    mu, lam = alphabet_schedule(ch, plan, slots, rng)
     symbols = rng.standard_normal((2, slots)) * scale
     noise = rng.standard_normal((4, slots))
 
     def chain(ch, mu, lam, x, z):
         return _chain(ch, mu, lam, *x, *z.copy(), *np.empty((2, slots)))[:2]
 
-    whole = chain(ch, sched.mu, sched.lam, symbols, noise)
-    signal = chain(ch, sched.mu, sched.lam, symbols, np.zeros_like(noise))
-    split = chain(ch, sched.mu, sched.lam, np.zeros_like(symbols), noise)
-    bound = chain(ChannelRealization(*np.abs(ch.gains())), np.abs(sched.mu),
-                  np.abs(sched.lam), np.abs(symbols), np.abs(noise))
+    whole = chain(ch, mu, lam, symbols, noise)
+    signal = chain(ch, mu, lam, symbols, np.zeros_like(noise))
+    split = chain(ch, mu, lam, np.zeros_like(symbols), noise)
+    bound = chain(ChannelRealization(*np.abs(ch.gains())), np.abs(mu),
+                  np.abs(lam), np.abs(symbols), np.abs(noise))
     for y, s, z, m in zip(whole, signal, split, bound):
         assert np.all(np.abs(y - (s + z)) <= 16 * np.finfo(float).eps * m)
 
@@ -366,8 +364,8 @@ def test_relay_power_zero_schedule(ref_channel):
     # All-zero coefficients silence both relays, relay noise included.  The
     # second hop of the reference channel is invertible, so each destination
     # hears exactly its own noise only if both relays send zero.
-    sched = schedule_from_pairs(((0.0, 0.0),) * 10)
-    y1, y2 = chain_block(ref_channel, sched, np.ones((10, 2)), noise_seed=0)
+    mu, lam = schedule_from_pairs(((0.0, 0.0),) * 10)
+    y1, y2 = chain_block(ref_channel, mu, lam, np.ones((10, 2)), noise_seed=0)
     _, _, zd1, zd2 = sweep_noise(0, 10)
     assert np.array_equal(y1, zd1) and np.array_equal(y2, zd2)
 
@@ -405,13 +403,13 @@ def test_relay_powers_match_monte_carlo(ref_channel, ref_plan, P):
     x = math.log(8 / 1e-9)
     shared1 = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
     shared2 = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1]])
-    sched = scheme_schedule(ref_plan, n)
+    mu, lam = scheme_schedule(ref_plan, n)
     rng = np.random.default_rng(12)
     a1, a2, b1, b2 = rng.standard_normal((4, n)) * math.sqrt(P)
     x1 = np.stack([a1, a2, a1], axis=1).ravel()
     x2 = np.stack([b1, b2, b2], axis=1).ravel()
     noise = rng.standard_normal((4, 3 * n))
-    _, _, xu, xv = _chain(ch, sched.mu, sched.lam, x1, x2, *noise,
+    _, _, xu, xv = _chain(ch, mu, lam, x1, x2, *noise,
                           *np.empty((2, 3 * n)))
     moments = np.array(relay_powers(ch, ref_plan, P))
     gains = np.array(ref_plan.phase_pairs())
@@ -443,14 +441,14 @@ def test_chain_leaves_symbols_unchanged(ref_channel, ref_plan):
     # The chain works in place over its noise and scratch arrays; x1 and x2
     # are only read, which sweep_power_grid relies on when its signal path
     # reads a tile's symbols and then subtracts them from their decoding.
-    sched = alphabet_schedule(ref_channel, ref_plan, 60,
-                              np.random.default_rng(2))
-    symbols = np.random.default_rng(3).normal(size=(2, len(sched)))
+    mu, lam = alphabet_schedule(ref_channel, ref_plan, 60,
+                                np.random.default_rng(2))
+    symbols = np.random.default_rng(3).normal(size=(2, 60))
     before = symbols.copy()
 
     def run():
-        return _chain(ref_channel, sched.mu, sched.lam, *symbols,
-                      *sweep_noise(4, len(sched)), *np.empty((2, len(sched))))
+        return _chain(ref_channel, mu, lam, *symbols, *sweep_noise(4, 60),
+                      *np.empty((2, 60)))
 
     first = run()
     assert np.array_equal(symbols, before)
