@@ -49,7 +49,7 @@ from .bounds import (
     check_lemma2,
     gaussian_entropy,
     min_census_fraction,
-    random_lemma2_instance,
+    random_lemma2_stacks,
     ratio_map_probe,
     slot_states,
 )

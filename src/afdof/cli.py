@@ -39,12 +39,11 @@ from .simulate import (FUZZ, LEMMA, SAMPLE_CONDITIONS, estimate_dof_slope,
 from .bounds import (
     FILLER_RANGE,
     RATIO_MAP_REL_TOL,
-    SingularCovariance,
     StateCensus,
     bound_slopes,
     check_lemma2,
     min_census_fraction,
-    random_lemma2_instance,
+    random_lemma2_stacks,
     ratio_map_probe,
     slot_states,
 )
@@ -316,39 +315,12 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
 
 
 def cmd_check_lemma2(cfg: ExperimentConfig) -> list:
-    """Check the first ``count`` nonsingular random lemma instances.
-
-    Each round draws the instances still needed and checks them in one stack
-    per dimension; a stack holding a singular instance is re-checked one
-    instance at a time, skipping (resampling) the singular ones.
-    """
-    rng = keyed_rng(LEMMA, cfg.seed)
-    cap = 100 * cfg.count
-    violations = 0
-    checked = 0
-    attempts = 0
-    while checked < cfg.count:
-        draws = min(cfg.count - checked, cap - attempts)
-        if draws == 0:
-            raise SingularCovariance("too many singular resamples")
-        attempts += draws
-        by_dim = {}
-        for _ in range(draws):
-            instance = random_lemma2_instance(rng, cfg.max_dim)
-            by_dim.setdefault(instance[0].shape[0], []).append(instance)
-        for group in by_dim.values():
-            try:
-                _, _, holds = check_lemma2(*map(np.stack, zip(*group)))
-            except SingularCovariance:
-                holds = []
-                for instance in group:
-                    try:
-                        holds.append(check_lemma2(*instance)[2])
-                    except SingularCovariance:
-                        pass  # resampled, not counted
-            checked += len(holds)
-            violations += len(holds) - int(np.count_nonzero(holds))
-    print(json.dumps({"count": checked, "violations": violations}))
+    """Check ``count`` random lemma instances, one check_lemma2 call per
+    dimension's stack; random_lemma2_stacks draws none that is singular."""
+    stacks = random_lemma2_stacks(keyed_rng(LEMMA, cfg.seed), cfg.count,
+                                  cfg.max_dim)
+    violations = sum(int(np.count_nonzero(~check_lemma2(*s)[2])) for s in stacks)
+    print(json.dumps({"count": cfg.count, "violations": violations}))
     return [("lemma2_violations", violations == 0, violations)]
 
 

@@ -240,7 +240,7 @@ def estimate_dof_slope(rates) -> SlopeFit:
         raise InsufficientGrid("grid must be strictly increasing")
     if math.log10(powers[-1] / powers[0]) < 4 - 1e-9:
         raise InsufficientGrid("grid must span at least 4 decades")
-    x = 0.5 * np.log2(powers)
+    x = 0.5 * np.array([math.log2(p) for p in powers])
     y = np.array([r for _, r in pts])
     x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
     slope = math.fsum((x - x_bar) * (y - y_bar)) / math.fsum((x - x_bar) ** 2)

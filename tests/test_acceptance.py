@@ -32,7 +32,7 @@ from afdof import (
     fit_rate_report,
     min_census_fraction,
     plan_achievability,
-    random_lemma2_instance,
+    random_lemma2_stacks,
     ratio_map_probe,
     relay_powers,
     run_scheme_trials,
@@ -217,13 +217,10 @@ def test_criterion_07_bound_dominance():
 
 
 def test_criterion_08_lemma2_validity():
-    rng = np.random.default_rng(8)
-    violations = 0
-    for _ in range(1000):
-        instance = random_lemma2_instance(rng, max_dim=4)
-        lhs, rhs, holds = check_lemma2(*instance)
-        if not holds:
-            violations += 1
+    stacks = random_lemma2_stacks(np.random.default_rng(8), 1000, max_dim=4)
+    assert sum(len(stack[0]) for stack in stacks) == 1000
+    violations = sum(int(np.count_nonzero(~check_lemma2(*stack)[2]))
+                     for stack in stacks)
     _report(8, "entropy-difference inequality holds on 1e3 random Gaussian "
                "instances (dims 1-4, slack 1e-9)", violations == 0,
             f"{violations} violations")

@@ -21,7 +21,7 @@ from afdof import (
     gaussian_entropy,
     min_census_fraction,
     plan_achievability,
-    random_lemma2_instance,
+    random_lemma2_stacks,
     reconstruct_d1,
     sample_channel,
     scheme_schedule,
@@ -30,7 +30,8 @@ from afdof import (
 )
 import afdof.bounds
 import afdof.scheme
-from afdof.bounds import PROBE_OFFSETS, random_spd, ratio_map_probe
+from afdof.bounds import (PROBE_OFFSETS, W_NORM_MAX, random_spd,
+                          ratio_map_probe)
 from afdof.channel import nulling_coefficients
 from afdof.scheme import COEF_TOL, _LABELS, _label_ids, phase_matrices
 from conftest import alphabet_schedule, schedule_from_pairs
@@ -161,13 +162,13 @@ def test_census_achievability_schedule(ref_channel, ref_plan):
         cens = StateCensus.of(slot_states(ref_channel, *sched))
         assert (cens.nB, cens.nA, cens.nC1) == (m, m, m)
         assert cens.nC2 == cens.nC3 == cens.nZero == 0
-        assert cens.nC == m and cens.nS == 3 * m
+        assert cens.nC == m and cens.n - cens.nZero == 3 * m
 
 
 def test_census_all_zero_schedule(ref_channel):
     sched = schedule_from_pairs(((0.0, 0.0),) * 12)
     cens = StateCensus.of(slot_states(ref_channel, *sched))
-    assert cens.nZero == 12 and cens.nS == 0
+    assert cens.nZero == 12 and cens.n - cens.nZero == 0
 
 
 def test_census_single_phase_schedule(ref_channel, ref_plan):
@@ -384,7 +385,7 @@ def test_gaussian_entropy_rejects_bad_input():
 
 def test_gaussian_entropy_stack_matches_single():
     rng = np.random.default_rng(5)
-    stack = np.stack([random_spd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    stack = random_spd(rng, (2, 3, 3))
     h = gaussian_entropy(stack)
     assert h.shape == (2, 3)
     assert h.tolist() == [[gaussian_entropy(c) for c in row] for row in stack]
@@ -409,20 +410,15 @@ def test_lemma2_degenerate_difference():
         check_lemma2([[1.0]], [[1.0]], [[1.0]], cov_yz)
 
 
-def stacks(instances):
-    return [np.stack(arrays) for arrays in zip(*instances)]
-
-
 def test_lemma2_stack_matches_single_calls():
     rng = np.random.default_rng(11)
-    instances = [random_lemma2_instance(rng, max_dim=4) for _ in range(120)]
-    dims = {inst[0].shape[0] for inst in instances}
+    stacks = random_lemma2_stacks(rng, 120, max_dim=4)
+    dims = {stack[0].shape[-1] for stack in stacks}
     assert dims == {1, 2, 3, 4}
-    for d in dims:
-        group = [inst for inst in instances if inst[0].shape[0] == d]
-        lhs, rhs, holds = check_lemma2(*stacks(group))
-        assert lhs.shape == rhs.shape == holds.shape == (len(group),)
-        for inst, l, r, h in zip(group, lhs, rhs, holds):
+    for stack in stacks:
+        lhs, rhs, holds = check_lemma2(*stack)
+        assert lhs.shape == rhs.shape == holds.shape == (len(stack[0]),)
+        for inst, l, r, h in zip(zip(*stack), lhs, rhs, holds):
             single = check_lemma2(*inst)
             assert type(single[0]) is float and type(single[2]) is bool
             assert l == pytest.approx(single[0], rel=1e-12, abs=1e-12)
@@ -434,12 +430,12 @@ def test_lemma2_stack_with_degenerate_member():
     # One member with Y = Z almost surely makes the whole stack singular;
     # one at a time, only that member is.
     rng = np.random.default_rng(2)
-    group = [random_lemma2_instance(rng, max_dim=1) for _ in range(5)]
-    group[2] = (*group[2][:3], np.array([[1.0, 1.0], [1.0, 1.0]]))
+    [stack] = random_lemma2_stacks(rng, 5, max_dim=1)
+    stack[3][2] = np.ones((2, 2))
     with pytest.raises(SingularCovariance):
-        check_lemma2(*stacks(group))
+        check_lemma2(*stack)
     singular = []
-    for k, inst in enumerate(group):
+    for k, inst in enumerate(zip(*stack)):
         try:
             check_lemma2(*inst)
         except SingularCovariance:
@@ -449,10 +445,56 @@ def test_lemma2_stack_with_degenerate_member():
 
 def test_lemma2_random_instances_hold():
     rng = np.random.default_rng(77)
-    for _ in range(150):
-        M, Mp, cov_x, cov_yz = random_lemma2_instance(rng, max_dim=4)
-        lhs, rhs, holds = check_lemma2(M, Mp, cov_x, cov_yz)
-        assert holds, (lhs, rhs)
+    for stack in random_lemma2_stacks(rng, 150, max_dim=4):
+        lhs, rhs, holds = check_lemma2(*stack)
+        assert holds.all(), (lhs[~holds], rhs[~holds])
+
+
+def test_random_lemma2_stacks_shape_and_bound():
+    stacks = random_lemma2_stacks(np.random.default_rng(31), 2000, max_dim=8)
+    assert sum(len(M) for M, _, _, _ in stacks) == 2000
+    dims = [M.shape[-1] for M, _, _, _ in stacks]
+    assert dims == sorted(set(dims)) and set(dims) <= set(range(1, 9))
+    for M, Mp, cov_x, cov_yz in stacks:
+        k, d = M.shape[:2]
+        assert Mp.shape == cov_x.shape == (k, d, d)
+        assert cov_yz.shape == (k, 2 * d, 2 * d)
+        w = Mp @ np.linalg.inv(M)
+        assert np.linalg.norm(w, ord=2, axis=(-2, -1)).max() <= W_NORM_MAX
+    again = random_lemma2_stacks(np.random.default_rng(31), 2000, max_dim=8)
+    for stack, same in zip(stacks, again, strict=True):
+        for a, b in zip(stack, same):
+            assert np.array_equal(a, b)
+
+
+def lemma2_outcomes(rng, t):
+    """Per instance, whether check_lemma2 holds or "raises", over 50
+    instances for each d = 1..8 whose W = Mp M^-1 has one singular value
+    t and the rest uniform in [0, 1)."""
+    outcomes = {d: [] for d in range(1, 9)}
+    for d in outcomes:
+        for _ in range(50):
+            u, v = (np.linalg.qr(a)[0] for a in rng.standard_normal((2, d, d)))
+            s = np.concatenate([[t], rng.uniform(0.0, 1.0, d - 1)])
+            M = rng.standard_normal((d, d))
+            inst = (M, (u * s) @ v.T @ M, random_spd(rng, (d,)),
+                    random_spd(rng, (2 * d,)))
+            try:
+                outcomes[d].append(check_lemma2(*inst)[2])
+            except SingularCovariance:
+                outcomes[d].append("raises")
+    return outcomes
+
+
+def test_lemma2_w_bound_closes_the_singular_path():
+    # At t = W_NORM_MAX no instance raises and every one holds; at t = 1e8
+    # every one with d >= 2 raises.  So it is the bound on ||W||_2 that
+    # keeps random_lemma2_stacks' draws nonsingular.
+    rng = np.random.default_rng(0)
+    at_bound = lemma2_outcomes(rng, W_NORM_MAX)
+    assert all(o is True for d in at_bound for o in at_bound[d])
+    far = lemma2_outcomes(rng, 1e8)
+    assert all(o == "raises" for d in far if d >= 2 for o in far[d])
 
 
 def test_lemma2_equality_family_is_tight():
@@ -484,7 +526,7 @@ def test_lemma2_equality_family_is_tight():
         if not cond <= 100:
             continue
         W_inv = np.linalg.inv(W)
-        cov_z, cov_n = random_spd(rng, d), random_spd(rng, d)
+        cov_z, cov_n = random_spd(rng, (2, d))
         cov_y = W_inv @ (cov_z + cov_n) @ W_inv.T
         cross = W_inv @ cov_z
         cov_yz = np.block([[(cov_y + cov_y.T) / 2, cross], [cross.T, cov_z]])

@@ -342,43 +342,16 @@ def test_check_lemma2_command(capsys):
     assert report == {"count": 50, "violations": 0}
 
 
-def scripted_draws(monkeypatch, instances):
-    """Make check-lemma2 draw the given instances in order; returns the
-    list of instances drawn so far."""
-    drawn = []
-
-    def draw(rng, max_dim):
-        drawn.append(instances[len(drawn)])
-        return drawn[-1]
-
-    monkeypatch.setattr(afdof.cli, "random_lemma2_instance", draw)
-    return drawn
-
-
-def test_check_lemma2_skips_only_singular_draws(monkeypatch, capsys):
-    # Draws 0-4 form the first round; draw 2 is singular and shares the
-    # d = 1 stack with draws 0, 1 and 4. Only it is skipped, and draw 5
-    # replaces it.
-    rng = np.random.default_rng(4)
-    instances = [afdof.bounds.random_lemma2_instance(rng, max_dim=1)
-                 for _ in range(4)]
-    instances[2] = (*instances[2][:3], np.ones((2, 2)))
-    instances.insert(3, afdof.bounds.random_lemma2_instance(rng, max_dim=3))
-    instances.append(afdof.bounds.random_lemma2_instance(rng, max_dim=2))
-    drawn = scripted_draws(monkeypatch, instances)
-    assert main(["check-lemma2", "--count", "5"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"count": 5, "violations": 0}
-    assert len(drawn) == 6
-
-
-def test_check_lemma2_resample_cap(monkeypatch, tmp_path):
-    singular = (np.ones((1, 1)),) * 3 + (np.ones((2, 2)),)
-    drawn = scripted_draws(monkeypatch, [singular] * 300)
+def test_check_lemma2_fails_loudly_on_a_singular_stack(monkeypatch, tmp_path):
+    # Y = Z almost surely: the drawn stack is singular, and check-lemma2
+    # fails as every subcommand does, with no resampling.
+    singular = (np.ones((1, 1, 1)),) * 3 + (np.ones((1, 2, 2)),)
+    monkeypatch.setattr(afdof.cli, "random_lemma2_stacks",
+                        lambda rng, count, max_dim: [singular])
     out = tmp_path / "out"
-    assert main(["check-lemma2", "--count", "2", "--out", str(out)]) == 1
+    assert main(["check-lemma2", "--count", "1", "--out", str(out)]) == 1
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "SingularCovariance"
-    assert len(drawn) == 200
 
 
 def recorded(monkeypatch, module, name):
@@ -394,27 +367,34 @@ def recorded(monkeypatch, module, name):
     return results
 
 
+FUZZ_DIGEST = "2447c3f6c4af2369660d1067fca93d23bb6abb5f755cf559f311e8b60aacd591"
+LEMMA_DIGEST = "e8be5c7c6cc53b195e9baa6cf50574c8c39819e63f352dfd5ae6700afeb6ee6d"
+
+
 def test_fuzz_and_lemma_draws_pinned(tmp_path, monkeypatch, capsys):
     # Neither bounds.json nor the check-lemma2 stdout shows what was drawn,
     # so the FUZZ and LEMMA streams are pinned by their seed-0 draws: moving
-    # either to another keyed_rng key changes this digest.
+    # either to another keyed_rng key changes its digest.  The LEMMA digest
+    # covers the first five instances in stack order.
     fillers = []
     probe = afdof.cli.ratio_map_probe
     monkeypatch.setattr(afdof.cli, "ratio_map_probe", lambda ch, plan, f: (
         fillers.append(f), probe(ch, plan, f))[1])
-    instances = recorded(monkeypatch, afdof.cli, "random_lemma2_instance")
+    draws = recorded(monkeypatch, afdof.cli, "random_lemma2_stacks")
     assert main(["verify-bounds", "--seed", "0", "--fuzz", "3",
                  "--out", str(tmp_path / "vb")]) == 0
     assert main(["check-lemma2", "--seed", "0", "--count", "5",
                  "--out", str(tmp_path / "lemma")]) == 0
     capsys.readouterr()
-    assert len(fillers) == 1 and len(fillers[0]) == 3 and len(instances) >= 5
-    lines = [",".join(f"{f:.12g}" for f in fillers[0])]
-    lines += [f"{inst[0].shape[0]};" + ";".join(
+    assert len(fillers) == 1 and len(fillers[0]) == 3 and len(draws) == 1
+    instances = [inst for stack in draws[0] for inst in zip(*stack)]
+    assert len(instances) == 5
+    fuzz = ",".join(f"{f:.12g}" for f in fillers[0])
+    lemma = "\n".join(f"{inst[0].shape[0]};" + ";".join(
         ",".join(f"{v:.12g}" for v in m.ravel()) for m in inst)
-        for inst in instances[:5]]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "76d37d0dac791f0ddbf887b8cea505e44941088198a18013e928eef1c59461e0")
+        for inst in instances)
+    assert hashlib.sha256(fuzz.encode()).hexdigest() == FUZZ_DIGEST
+    assert hashlib.sha256(lemma.encode()).hexdigest() == LEMMA_DIGEST
 
 
 def test_check_lemma2_usage_errors(tmp_path):

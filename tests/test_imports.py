@@ -67,3 +67,12 @@ def test_one_zero_rule():
              for p in sorted((ROOT / "src" / "afdof").glob("*.py"))
              for scope in readers(p.read_text(), "COEF_TOL")}
     assert found == {"scheme._label_ids"}
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml supports Python 3.10, so no file may use later syntax.
+    paths = [p for d in ("src", "tests", "bench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
