@@ -38,7 +38,6 @@ from .simulate import (
     SlopeFit,
     estimate_dof_slope,
     fit_rate_report,
-    run_scheme_trials,
     sweep_power_grid,
 )
 from .bounds import (

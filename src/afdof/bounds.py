@@ -189,27 +189,23 @@ def check_lemma2(M, Mp, cov_x, cov_yz):
 
     Parameters
     ----------
-    M, Mp : (d, d) invertible mixing matrices, or (k, d, d) stacks of k
-    cov_x : (d, d) covariance of X, or a (k, d, d) stack
-    cov_yz : (2d, 2d) joint covariance of (Y, Z), or a (k, 2d, 2d) stack
+    M, Mp : (k, d, d) stacks of k invertible mixing matrices
+    cov_x : (k, d, d) stack of covariances of X
+    cov_yz : (k, 2d, 2d) stack of joint covariances of (Y, Z)
 
     Returns
     -------
-    (lhs, rhs, holds) with everything in bits: a float, a float and a bool
-    for one instance, or three (k,) arrays for a stack.  SingularCovariance
-    is raised if any instance of a stack is singular.
+    (lhs, rhs, holds), three (k,) arrays, lhs and rhs in bits.
+    SingularCovariance is raised if any instance of the stack is singular.
     """
     M, Mp, cov_x, cov_yz = (np.asarray(a, dtype=float)
                             for a in (M, Mp, cov_x, cov_yz))
-    single = M.ndim <= 2
-    if single:
-        M, Mp, cov_x, cov_yz = (np.atleast_2d(a)[None]
-                                for a in (M, Mp, cov_x, cov_yz))
-    k, d = M.shape[0], M.shape[-1]
-    if M.shape != (k, d, d) or Mp.shape != M.shape or cov_x.shape != M.shape:
-        raise ValueError("M, Mp and cov_x must all be (d, d), or (k, d, d) stacks")
+    if (M.ndim != 3 or M.shape[1] != M.shape[2] or Mp.shape != M.shape
+            or cov_x.shape != M.shape):
+        raise ValueError("M, Mp and cov_x must all be (k, d, d) stacks")
+    k, d = M.shape[:2]
     if cov_yz.shape != (k, 2 * d, 2 * d):
-        raise ValueError("cov_yz must be the (2d, 2d) joint covariance of (Y, Z)")
+        raise ValueError("cov_yz must be the (k, 2d, 2d) covariances of (Y, Z)")
     for name, a in (("M", M), ("Mp", Mp), ("cov_x", cov_x), ("cov_yz", cov_yz)):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{name} must be finite")
@@ -235,10 +231,7 @@ def check_lemma2(M, Mp, cov_x, cov_yz):
     h_z_given_y = gaussian_entropy(cov_yz) - gaussian_entropy(cov_y)
     log2_det_w = (logabs_mp - logabs_m) / math.log(2.0)
     rhs = h_diff - h_z_given_y - log2_det_w
-    holds = lhs <= rhs + LEMMA2_SLACK
-    if single:
-        return float(lhs[0]), float(rhs[0]), bool(holds[0])
-    return lhs, rhs, holds
+    return lhs, rhs, lhs <= rhs + LEMMA2_SLACK
 
 
 def random_spd(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

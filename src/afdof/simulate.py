@@ -1,6 +1,6 @@
 """Sample-level Monte Carlo simulation of the two-hop chain.
 
-sweep_power_grid is the one entry to the chain; run_scheme_trials is its
+sweep_power_grid is the one entry to the chain; a single power is its
 grid of one.  Relay slot k forwards the relays' slot-k received sample
 scaled by the schedule's slot-k coefficients, so L schedule slots carry L
 source slots to L destination samples; the relays' one-slot latency shifts
@@ -147,8 +147,8 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     noise, a stream's squared error at power P is P*A + 2*sqrt(P)*B + C,
     A = sum e_s**2, B = sum e_s*e_n and C = sum e_n**2: in real arithmetic
     sum (sqrt(P)*e_s + e_n)**2.  A and B carry the symbols' leak through
-    entries zero only to COEF_TOL.  Point i equals run_scheme_trials at
-    grid[i] and the same seed.  Each point's N * MSE / sigma^2 is still
+    entries zero only to COEF_TOL.  Point i equals the grid of one,
+    (grid[i],), at the same seed.  Each point's N * MSE / sigma^2 is still
     chi-square with N degrees of freedom, and the bounds read from a sweep
     are union bounds over its points, which need no independence.  Rates
     come from the analytic formula fed by these MSEs.
@@ -210,14 +210,6 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
             point += [list(map(math.fsum, trial)) for trial in sums]
     return [SchemeStats(P, *(sum(c) / (trials * n_triples) for c in zip(*point)))
             for P, point in zip(grid, sq_errs)]
-
-
-def run_scheme_trials(ch: ChannelRealization, plan: PhasePlan, P: float,
-                      n_triples: int, trials: int, seed: int) -> SchemeStats:
-    """The stream MSEs at one power: the grid of one, sweep_power_grid(ch,
-    plan, (P,), n_triples, trials, seed)[0], and so point i of any sweep at
-    this seed whose grid[i] is P."""
-    return sweep_power_grid(ch, plan, (P,), n_triples, trials, seed)[0]
 
 
 def estimate_dof_slope(rates) -> SlopeFit:

@@ -183,6 +183,16 @@ def test_census_counts_must_sum():
         StateCensus(nA=1, nB=1, nC1=0, nC2=0, nC3=0, nZero=0, n=3)
 
 
+@pytest.mark.parametrize("counts", [
+    dict(nA=-1, nB=2, nC1=0, nC2=0, nC3=0, nZero=0, n=1),
+    dict(nA=0, nB=0, nC1=0, nC2=0, nC3=0, nZero=0, n=0),
+], ids=["negative-count", "empty"])
+def test_census_counts_must_be_nonnegative_and_nonempty(counts):
+    # Both censuses sum correctly, so only the range rule can refuse them.
+    with pytest.raises(ValueError, match="nonnegative"):
+        StateCensus(**counts)
+
+
 @settings(max_examples=200)
 @given(seed=st.integers(min_value=0, max_value=10_000),
        k=st.integers(min_value=-20, max_value=20))
@@ -397,7 +407,8 @@ def test_gaussian_entropy_stack_matches_single():
 def test_lemma2_identity_case():
     # M = M' = I, X, Y, Z independent standard normals: the left side is 0
     # and the right side is h(Y - Z) - h(Z) = 1/2 bit.
-    lhs, rhs, holds = check_lemma2([[1.0]], [[1.0]], [[1.0]], np.eye(2))
+    [lhs], [rhs], [holds] = check_lemma2([[[1.0]]], [[[1.0]]], [[[1.0]]],
+                                         np.eye(2)[None])
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.5, abs=1e-12)
     assert holds
@@ -405,9 +416,9 @@ def test_lemma2_identity_case():
 
 def test_lemma2_degenerate_difference():
     # Y = Z almost surely: the difference covariance collapses.
-    cov_yz = np.array([[1.0, 1.0], [1.0, 1.0]])
+    cov_yz = np.array([[[1.0, 1.0], [1.0, 1.0]]])
     with pytest.raises(SingularCovariance):
-        check_lemma2([[1.0]], [[1.0]], [[1.0]], cov_yz)
+        check_lemma2([[[1.0]]], [[[1.0]]], [[[1.0]]], cov_yz)
 
 
 def test_lemma2_stack_matches_single_calls():
@@ -419,16 +430,16 @@ def test_lemma2_stack_matches_single_calls():
         lhs, rhs, holds = check_lemma2(*stack)
         assert lhs.shape == rhs.shape == holds.shape == (len(stack[0]),)
         for inst, l, r, h in zip(zip(*stack), lhs, rhs, holds):
-            single = check_lemma2(*inst)
-            assert type(single[0]) is float and type(single[2]) is bool
-            assert l == pytest.approx(single[0], rel=1e-12, abs=1e-12)
-            assert r == pytest.approx(single[1], rel=1e-12, abs=1e-12)
-            assert h == single[2]
+            one = check_lemma2(*(a[None] for a in inst))
+            assert one[0].shape == one[2].shape == (1,)
+            assert l == pytest.approx(one[0][0], rel=1e-12, abs=1e-12)
+            assert r == pytest.approx(one[1][0], rel=1e-12, abs=1e-12)
+            assert h == one[2][0]
 
 
 def test_lemma2_stack_with_degenerate_member():
     # One member with Y = Z almost surely makes the whole stack singular;
-    # one at a time, only that member is.
+    # in stacks of one, only that member is.
     rng = np.random.default_rng(2)
     [stack] = random_lemma2_stacks(rng, 5, max_dim=1)
     stack[3][2] = np.ones((2, 2))
@@ -437,7 +448,7 @@ def test_lemma2_stack_with_degenerate_member():
     singular = []
     for k, inst in enumerate(zip(*stack)):
         try:
-            check_lemma2(*inst)
+            check_lemma2(*(a[None] for a in inst))
         except SingularCovariance:
             singular.append(k)
     assert singular == [2]
@@ -477,10 +488,10 @@ def lemma2_outcomes(rng, t):
             u, v = (np.linalg.qr(a)[0] for a in rng.standard_normal((2, d, d)))
             s = np.concatenate([[t], rng.uniform(0.0, 1.0, d - 1)])
             M = rng.standard_normal((d, d))
-            inst = (M, (u * s) @ v.T @ M, random_spd(rng, (d,)),
-                    random_spd(rng, (2 * d,)))
+            inst = (M[None], ((u * s) @ v.T @ M)[None],
+                    random_spd(rng, (1, d)), random_spd(rng, (1, 2 * d)))
             try:
-                outcomes[d].append(check_lemma2(*inst)[2])
+                outcomes[d].append(check_lemma2(*inst)[2].item())
             except SingularCovariance:
                 outcomes[d].append("raises")
     return outcomes
@@ -530,7 +541,8 @@ def test_lemma2_equality_family_is_tight():
         cov_y = W_inv @ (cov_z + cov_n) @ W_inv.T
         cross = W_inv @ cov_z
         cov_yz = np.block([[(cov_y + cov_y.T) / 2, cross], [cross.T, cov_z]])
-        lhs, rhs, holds = check_lemma2(M, Mp, np.zeros((d, d)), cov_yz)
+        [lhs], [rhs], [holds] = check_lemma2(M[None], Mp[None],
+                                             np.zeros((1, d, d)), cov_yz[None])
         assert holds
         assert abs(rhs - lhs) <= 64 * eps * cond ** 2, (d, cond, lhs, rhs)
 
@@ -538,21 +550,25 @@ def test_lemma2_equality_family_is_tight():
 def test_lemma2_shape_validation():
     with pytest.raises(ValueError):
         check_lemma2(np.eye(2), np.eye(2), np.eye(2), np.eye(3))
+    # One instance is a stack of one; a bare (d, d) instance is refused.
+    with pytest.raises(ValueError):
+        check_lemma2(np.eye(2), np.eye(2), np.eye(2), np.eye(4))
     with pytest.raises(ValueError):
         check_lemma2(np.ones((2, 1, 1)), np.ones((3, 1, 1)),
                      np.ones((2, 1, 1)), np.ones((2, 2, 2)))
     with pytest.raises(ValueError):
         check_lemma2(np.ones((2, 1, 1)), np.ones((2, 1, 1)),
                      np.ones((2, 1, 1)), np.eye(2))
-    args = [[[1.0]], [[1.0]], [[1.0]], np.eye(2)]
+    args = [np.ones((1, 1, 1))] * 3 + [np.eye(2)[None]]
     for position, name in enumerate(("M", "Mp", "cov_x", "cov_yz")):
         for value in (math.nan, math.inf):
             bad = list(args)
-            bad[position] = np.where(np.eye(len(args[position])) > 0, value, 0.0)
+            bad[position] = np.where(np.eye(args[position].shape[-1]) > 0,
+                                     value, 0.0)[None]
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 check_lemma2(*bad)
     with pytest.raises(SingularCovariance):
-        check_lemma2([[0.0]], [[1.0]], [[1.0]], np.eye(2))
+        check_lemma2([[[0.0]]], [[[1.0]]], [[[1.0]]], np.eye(2)[None])
 
 
 def test_random_schedule_reaches_every_state(ref_channel, ref_plan):

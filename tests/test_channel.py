@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afdof.channel
 from afdof import (
     ChannelRealization,
     ConditionReport,
+    GenericityFailure,
     check_conditions,
     effective_noise_variance,
     end_to_end,
@@ -76,6 +78,14 @@ def test_sampler_never_rejects_over_many_seeds():
     # Smoke-sized version; the full 1e5-seed run lives in the acceptance suite.
     for seed in range(5000):
         sample_channel(seed)
+
+
+def test_sampler_raises_on_a_nongeneric_draw(monkeypatch):
+    # A seed is one draw: a draw the check rejects is reported with its
+    # seed, not redrawn.  A tolerance of 10 rejects every draw.
+    monkeypatch.setattr(afdof.channel, "GENERIC_TOL", 10.0)
+    with pytest.raises(GenericityFailure, match="^seed 3:"):
+        sample_channel(3)
 
 
 def test_end_to_end_zero_coefficients(ref_channel):

@@ -266,11 +266,12 @@ def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     ({"output_dir": 7}, "output_dir must be a string"),
     ({"channel": {"gains": [list(kv) for kv in REF_GAIN_JSON.items()]}},
      "channel.gains must be an object"),
+    ({"channel": [1]}, "must be JSON objects"),
 ], ids=["top-level", "channel", "float-trials", "bool-trials", "float-fuzz",
         "float-seed", "float-channel-seed", "negative-seed",
         "negative-channel-seed", "removed-rel-tol", "removed-state-tol",
         "bool-grid-entry", "int-grid", "string-grid", "inf-gain", "extra-gain",
-        "null-output-dir", "int-output-dir", "list-gains"])
+        "null-output-dir", "int-output-dir", "list-gains", "list-channel"])
 def test_config_rejects_unknown_key(tmp_path, overrides, detail):
     # Unknown keys and malformed values of known keys both fail up front.
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -287,6 +288,12 @@ def test_config_errors_write_error_json(tmp_path, monkeypatch):
     assert main(["sample-conditions", "--config", str(tmp_path / "missing.json"),
                  "--out", str(out)]) == 1
     assert json.loads((out / "error.json").read_text())["error"] == "FileNotFoundError"
+    # A config that is not a JSON object fails before any setting is read.
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(["sample-conditions", "--config", str(tmp_path / "list.json"),
+                 "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "JSON objects" in err["detail"]
     for argv in (["check-lemma2", "--seed", "-1"],
                  ["sample-conditions", "--seed", "-1"]):
         (out / "error.json").unlink()

@@ -57,6 +57,7 @@ def test_readme_api_names_exist():
         assert hasattr(afdof, name), name
     ch = reference_channel()
     args = {"ch": ch, "plan": afdof.plan_achievability(ch), "P": 0.5,
+            "grid": (0.5,),
             "n_triples": 1, "trials": 1, "seed": 0,
             "sigma1_sq": 1.0, "sigma2_sq": 1.0}
     for name in guarded:

@@ -22,7 +22,6 @@ from afdof import (
     reconstruct_d1,
     reconstruct_d2,
     relay_powers,
-    run_scheme_trials,
     sample_channel,
     scheme_schedule,
     sweep_power_grid,
@@ -134,7 +133,7 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     # must decode to the same stream errors.  One trial's error sum is
     # n * mse.
     P, n = 100.0, 200
-    s = run_scheme_trials(ref_channel, ref_plan, P, n, trials=1, seed=seed)
+    s = sweep_power_grid(ref_channel, ref_plan, (P,), n, trials=1, seed=seed)[0]
     want = [float(np.sum(e)) for e in
             oracle_sq_errors(ref_channel, ref_plan, P, n, 1, seed)]
     got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
@@ -156,14 +155,14 @@ def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
 
 
 def test_trial_determinism(ref_channel, ref_plan):
-    kw = dict(P=100.0, n_triples=50, seed=9)
-    first = run_scheme_trials(ref_channel, ref_plan, trials=3, **kw)
-    second = run_scheme_trials(ref_channel, ref_plan, trials=3, **kw)
+    kw = dict(grid=(100.0,), n_triples=50, seed=9)
+    first = sweep_power_grid(ref_channel, ref_plan, trials=3, **kw)[0]
+    second = sweep_power_grid(ref_channel, ref_plan, trials=3, **kw)[0]
     assert first == second
     # Trial 1 draws its own streams: had it replayed trial 0, two trials
     # would average to exactly the one-trial MSEs.
-    one = run_scheme_trials(ref_channel, ref_plan, trials=1, **kw)
-    two = run_scheme_trials(ref_channel, ref_plan, trials=2, **kw)
+    one = sweep_power_grid(ref_channel, ref_plan, trials=1, **kw)[0]
+    two = sweep_power_grid(ref_channel, ref_plan, trials=2, **kw)[0]
     names = ("mse_a1", "mse_a2", "mse_b1", "mse_b2")
     assert [getattr(one, n) for n in names] != [getattr(two, n) for n in names]
 
@@ -201,13 +200,13 @@ def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
     # 4e5 triples.  A first short call loads numpy.random, which numpy
     # imports lazily, so the test measures the same whether it runs alone
     # or after others.
-    run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=1, trials=1, seed=0)
+    sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=1, trials=1, seed=0)
     peaks = []
     for trials, n in ((1, 100_000), (4, 100_000), (1, 400_000)):
         tracemalloc.start()
         try:
-            run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=n,
-                              trials=trials, seed=0)
+            sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=n,
+                             trials=trials, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
             tracemalloc.stop()
@@ -220,14 +219,14 @@ def test_trial_loop_frees_its_buffers(ref_channel, ref_plan):
     # call's buffers when it returns.  A reference cycle through them (say,
     # a nested function that calls itself) would keep each call's tile
     # alive until a collection ran.
-    run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=1, trials=1, seed=0)
+    sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=1, trials=1, seed=0)
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=100_000,
-                          trials=1, seed=0)
+        sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=100_000,
+                         trials=1, seed=0)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -256,8 +255,8 @@ def test_mse_zero_noise(ref_channel, ref_plan):
 
 
 def test_mse_matches_analytic(ref_channel, ref_plan):
-    s = run_scheme_trials(ref_channel, ref_plan, P=100.0, n_triples=5000,
-                          trials=20, seed=3)
+    s = sweep_power_grid(ref_channel, ref_plan, (100.0,), n_triples=5000,
+                         trials=20, seed=3)[0]
     (s1, s2), (t1, t2) = analytic_noise_variances(ref_channel, ref_plan)
     assert s.mse_a1 == pytest.approx(s1, rel=0.02)
     assert s.mse_a2 == pytest.approx(s2, rel=0.02)
@@ -266,10 +265,10 @@ def test_mse_matches_analytic(ref_channel, ref_plan):
 
 
 def test_mse_power_independent(ref_channel, ref_plan):
-    lo = run_scheme_trials(ref_channel, ref_plan, P=1e2, n_triples=5000,
-                           trials=10, seed=4)
-    hi = run_scheme_trials(ref_channel, ref_plan, P=1e6, n_triples=5000,
-                           trials=10, seed=5)
+    lo = sweep_power_grid(ref_channel, ref_plan, (1e2,), n_triples=5000,
+                          trials=10, seed=4)[0]
+    hi = sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=5000,
+                          trials=10, seed=5)[0]
     for name in ("mse_a1", "mse_a2", "mse_b1", "mse_b2"):
         assert getattr(lo, name) == pytest.approx(getattr(hi, name), rel=0.05)
 
@@ -343,12 +342,12 @@ def test_chain_splits_into_signal_and_noise(seed, slots, scale):
        n=st.integers(1, 40), trials=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_sweep_point_is_its_grid_of_one(grid, n, trials, seed):
-    # Point i of a sweep equals run_scheme_trials at grid[i] and the same
+    # Point i of a sweep equals the one-point sweep of grid[i] at the same
     # seed, bit for bit, whatever the other powers.
     ch = reference_channel()
     plan = plan_achievability(ch)
     points = sweep_power_grid(ch, plan, grid, n, trials, seed)
-    assert points == [run_scheme_trials(ch, plan, P, n, trials, seed)
+    assert points == [sweep_power_grid(ch, plan, (P,), n, trials, seed)[0]
                       for P in grid]
 
 
@@ -434,7 +433,7 @@ def test_relay_powers_match_monte_carlo(ref_channel, ref_plan, P):
 def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
     args = {"P": 1.0, "n_triples": 1, "trials": 1, "seed": 0, **bad}
     with pytest.raises(exc):
-        run_scheme_trials(ref_channel, ref_plan, **args)
+        sweep_power_grid(ref_channel, ref_plan, (args.pop("P"),), **args)
 
 
 def test_chain_leaves_symbols_unchanged(ref_channel, ref_plan):
@@ -558,8 +557,8 @@ def test_adjacent_seeds_do_not_share_sweep_points(ref_channel, ref_plan):
     two = sweep_power_grid(ref_channel, ref_plan, (1e3, 1e3), 50, 2, seed=2)
     assert one[0] == one[1]
     assert one[0] != two[0]
-    # A bare power is the grid of one.
-    assert run_scheme_trials(ref_channel, ref_plan, 1e3, 50, 2, seed=1) == one[0]
+    # A one-point sweep gives the same point.
+    assert sweep_power_grid(ref_channel, ref_plan, (1e3,), 50, 2, seed=1) == one[:1]
 
 
 @pytest.mark.parametrize("seed", [-1], ids=["negative-seed"])
