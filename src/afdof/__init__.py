@@ -10,7 +10,6 @@ from .channel import (
     ChannelRealization,
     ConditionReport,
     EndToEndMatrix,
-    GenericityFailure,
     check_conditions,
     effective_noise_variance,
     end_to_end,

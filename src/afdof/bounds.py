@@ -13,6 +13,7 @@ random instances whose mixing is bounded so that none is singular.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,9 +243,9 @@ def random_spd(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def random_lemma2_stacks(rng: np.random.Generator, count: int,
-                         max_dim: int = 4) -> list:
-    """``count`` random check_lemma2 instances of dimensions 1..max_dim, as
-    one (M, Mp, cov_x, cov_yz) stack per dimension drawn, smallest first.
+                         max_dim: int = 4) -> Iterator[tuple]:
+    """``count`` random check_lemma2 instances of dimensions 1..max_dim,
+    yielded as one (M, Mp, cov_x, cov_yz) stack per dimension, smallest first.
 
     A pair (M, Mp) is redrawn while ||W||_2 > W_NORM_MAX, W = Mp M^-1, so no
     stack can be singular.  Every covariance check_lemma2 forms has
@@ -257,7 +258,6 @@ def random_lemma2_stacks(rng: np.random.Generator, count: int,
     a margin of at least 100x.
     """
     dims = rng.integers(1, max_dim + 1, size=count)
-    stacks = []
     for d, k in zip(*np.unique(dims, return_counts=True)):
         pairs = np.empty((k, 2, d, d))
         far = np.ones(k, dtype=bool)
@@ -265,19 +265,8 @@ def random_lemma2_stacks(rng: np.random.Generator, count: int,
             pairs[far] = rng.standard_normal((np.count_nonzero(far), 2, d, d))
             w = pairs[:, 1] @ np.linalg.inv(pairs[:, 0])
             far = np.linalg.norm(w, ord=2, axis=(-2, -1)) > W_NORM_MAX
-        stacks.append((pairs[:, 0], pairs[:, 1], random_spd(rng, (k, d)),
-                       random_spd(rng, (k, 2 * d))))
-    return stacks
-
-
-def _fuzz_values(ch: ChannelRealization,
-                 plan: PhasePlan) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The fuzz alphabet's U and the five fixed values of its V: the plan's
-    cancelling values, the two values nulling the remaining diagonal
-    entries, and zeros, so its grid holds every state."""
-    null_c2, _, _, null_c3 = nulling_coefficients(ch, plan.c)
-    return (plan.c, 0.0), (0.0, plan.lambda_phase1, plan.lambda_phase2,
-                           null_c2, null_c3)
+        yield (pairs[:, 0], pairs[:, 1], random_spd(rng, (k, d)),
+               random_spd(rng, (k, 2 * d)))
 
 
 def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
@@ -318,9 +307,11 @@ def ratio_map_probe(ch: ChannelRealization, plan: PhasePlan,
     """Label probe pairs once by the zero rule and once by the critical-ratio
     map, and count the pairs that break the rule the two must agree by.
 
-    The pairs are the U x V grid of _fuzz_values, a walk to each side of
-    each critical value c r_e of lambda, (c, c r_e (1 -+ d)) for d in
-    PROBE_OFFSETS, and (c, f) and (0, f) for each filler f.
+    The pairs are a walk to each side of each critical value c r_e of
+    lambda, (c, c r_e (1 -+ d)) for d in PROBE_OFFSETS, (c, f) for each
+    filler f, and (c, 0), (c, c r_e), (0, 0) and (0, lambda_phase1), which
+    reach every state.  Both rules see a pair only through lambda/mu or which
+    of mu and lambda is zero, so no other fixed pair is a new case.
 
     The two rules measure different things near r_e: the zero rule entry
     e's size against the largest entry, the map lambda/mu's distance from
@@ -336,11 +327,10 @@ def ratio_map_probe(ch: ChannelRealization, plan: PhasePlan,
     walks = crit[:, None, None] * (
         1.0 + np.array([-1.0, 1.0])[:, None] * PROBE_OFFSETS)  # entry, side, d
     fillers = np.asarray(fillers, dtype=float)
-    u_vals, v_fixed = _fuzz_values(ch, plan)
-    grid_mu, grid_lam = np.meshgrid(u_vals, v_fixed, indexing="ij")
-    mu = np.concatenate([np.full(walks.size + len(fillers), plan.c),
-                         grid_mu.ravel(), np.zeros(len(fillers))])
-    lam = np.concatenate([walks.ravel(), fillers, grid_lam.ravel(), fillers])
+    mu = np.concatenate([np.full(walks.size + len(fillers) + 5, plan.c),
+                         np.zeros(2)])
+    lam = np.concatenate([walks.ravel(), fillers, [0.0], crit,
+                          [0.0, plan.lambda_phase1]])
     ids = np.stack([_grid_label_ids(ch, mu, lam)[0],
                     _ratio_map_ids(ch, mu, lam)])  # (rule, pair)
     differ = ids[0] != ids[1]

@@ -266,9 +266,12 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
+    """Census, bound slopes and ratio-map probe of the scheme's schedule,
+    after checking the plan's phases as run-achievability does."""
     n = cfg.schedule_slots
     ch = _resolve_channel(cfg)
     plan = plan_achievability(ch)
+    var_d1, var_d2 = analytic_noise_variances(ch, plan)
     mu, lam = scheme_schedule(plan, n // 3)
     states = slot_states(ch, mu, lam)  # census.csv's state column
     cens = StateCensus.of(states)
@@ -276,7 +279,6 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     slope_dof = bound_slopes(cens)
     min_bound_slope = min(slope_dof)
 
-    var_d1, var_d2 = analytic_noise_variances(ch, plan)
     achieved = [(P, achievable_rate(P, *var_d1) + achievable_rate(P, *var_d2))
                 for P in cfg.power_grid]
     achieved_fit = estimate_dof_slope(achieved)
@@ -328,16 +330,16 @@ def cmd_sample_conditions(cfg: ExperimentConfig) -> list:
     inline = cfg.channel_gains is not None
     if inline:
         samples = 1
-        ch = ChannelRealization.from_dict(cfg.channel_gains)
-        failures = int(not check_conditions(ch).generic)
+        chunks = [[ChannelRealization.from_dict(cfg.channel_gains).gains()]]
     else:
         # Chunked draws continue one stream, so they equal per-channel
         # draws of 8 gains each.
-        samples, failures = cfg.samples, 0
+        samples = cfg.samples
         rng = keyed_rng(SAMPLE_CONDITIONS, cfg.seed)
-        for start in range(0, samples, GAIN_CHUNK_ROWS):
-            rows = rng.standard_normal((min(GAIN_CHUNK_ROWS, samples - start), 8))
-            failures += int(np.count_nonzero(~check_conditions(rows).generic))
+        chunks = (rng.standard_normal((min(GAIN_CHUNK_ROWS, samples - start), 8))
+                  for start in range(0, samples, GAIN_CHUNK_ROWS))
+    failures = sum(int(np.count_nonzero(~check_conditions(rows).generic))
+                   for rows in chunks)
     report = {"samples": samples, "failures": failures, "fraction": failures / samples}
     print(json.dumps({**report, "generic": failures == 0} if inline else report))
     return [("genericity_failures", failures == 0, failures)]

@@ -10,7 +10,8 @@ from afdof import (
     end_to_end,
     plan_achievability,
 )
-from afdof.bounds import FILLER_RANGE, _fuzz_values
+from afdof.bounds import FILLER_RANGE
+from afdof.channel import nulling_coefficients
 from afdof.simulate import SWEEP, _chain, keyed_rng
 
 # Derandomized: every run draws the same examples, so a property that can
@@ -81,10 +82,11 @@ def alphabet_schedule(ch: ChannelRealization, plan: PhasePlan, n: int,
     the two values nulling the remaining diagonal entries, a random filler
     and 0, so some slots idle both relays.  Each slot's pair is one uniform
     draw over that 2 x 6 grid."""
-    u_vals, v_fixed = _fuzz_values(ch, plan)
-    filler = float(rng.uniform(*FILLER_RANGE))
+    null_c2, _, _, null_c3 = nulling_coefficients(ch, plan.c)
+    v_vals = (0.0, plan.lambda_phase1, plan.lambda_phase2, null_c2, null_c3,
+              float(rng.uniform(*FILLER_RANGE)))
     i, j = np.divmod(rng.integers(12, size=n), 6)
-    return np.array(u_vals)[i], np.array((*v_fixed, filler))[j]
+    return np.array((plan.c, 0.0))[i], np.array(v_vals)[j]
 
 
 def laurent_massart_deviations(weights, n, x):

@@ -216,7 +216,8 @@ def test_criterion_07_bound_dominance():
 
 
 def test_criterion_08_lemma2_validity():
-    stacks = random_lemma2_stacks(np.random.default_rng(8), 1000, max_dim=4)
+    stacks = list(random_lemma2_stacks(np.random.default_rng(8), 1000,
+                                       max_dim=4))
     assert sum(len(stack[0]) for stack in stacks) == 1000
     violations = sum(int(np.count_nonzero(~check_lemma2(*stack)[2]))
                      for stack in stacks)
@@ -250,8 +251,7 @@ def test_criterion_10_genericity():
     for start in range(0, 100_000, GAIN_CHUNK_ROWS):
         rows = rng.standard_normal((min(GAIN_CHUNK_ROWS, 100_000 - start), 8))
         failures += int(np.count_nonzero(~check_conditions(rows).generic))
-    sampler_ok = True
-    for seed in range(100_000):
-        sample_channel(seed)  # raises on any non-generic draw
+    sampler_ok = all(check_conditions(sample_channel(seed)).generic
+                     for seed in range(100_000))
     _report(10, "1e5 sampled channels show zero genericity failures",
             failures == 0 and sampler_ok, f"{failures} failures")

@@ -158,7 +158,7 @@ def test_verify_bounds(tmp_path):
     assert hashlib.sha256((out / "census.csv").read_bytes()).hexdigest() == (
         "d398fc321b110d6d22bbd1218f1096c286a5de38cb70194c1c70f364d5d72852")
     assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
-        "c0b350b407a713120f09b5b6784d8866278485e089fc1d89b796dd3cb95761df")
+        "7dbf94c3c405e5a9ef9b7ebdfdc637921bf911c5b0a0a1ad0d55c50ce74082bf")
 
     bounds = json.loads((out / "bounds.json").read_text())
     counts = collections.Counter(states)
@@ -171,7 +171,7 @@ def test_verify_bounds(tmp_path):
     assert bounds["fuzz"] == {"schedules": 50, "violations": 0}
     ratio_map = bounds["ratio_map"]
     assert set(ratio_map) == {"probes", "disagreements", "rel_tol", "band"}
-    assert ratio_map["probes"] == 88 + 10 + 2 * 50
+    assert ratio_map["probes"] == 88 + 7 + 50
     assert ratio_map["rel_tol"] == 1e-9
     assert set(ratio_map["band"]) == {"A", "B", "C2", "C3"}
     assert bounds["achieved_sum_slope"] <= bounds["min_bound_slope"] + 0.05
@@ -342,6 +342,37 @@ def test_config_errors_write_error_json(tmp_path, monkeypatch):
     assert not (tmp_path / "afdof-out" / "bounds.json").exists()
 
 
+def test_nongeneric_draw_stops_run_achievability(tmp_path, monkeypatch):
+    # A seed is one draw and the planner is its one genericity gate: a
+    # draw the check rejects fails the run before any sweep.  A tolerance
+    # of 10 rejects every draw.
+    monkeypatch.setattr(afdof.channel, "GENERIC_TOL", 10.0)
+    out = tmp_path / "out"
+    assert main(["run-achievability", "--channel-seed", "3",
+                 "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonGenericChannel"
+    assert not (out / "rates.csv").exists()
+
+
+def test_undecodable_channel_fails_alike_in_both_subcommands(tmp_path):
+    # With h_s1u at 1e-9 of the largest gain the channel passes the
+    # genericity check, but phase 2's matrix has two zero entries.  Both
+    # subcommands check the plan's phases before anything else, so both
+    # name the same phase and error.
+    gains = np.random.default_rng(3).standard_normal(8)
+    gains[0] = 1e-9 * np.abs(gains).max()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"channel": {"gains": dict(
+        zip(REF_GAIN_JSON, gains.tolist()))}}))
+    for command in ("run-achievability", "verify-bounds"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "DegenerateCoefficients", command
+        assert err["detail"].startswith("phase 2 is impossible, not A"), command
+
+
 def test_check_lemma2_command(capsys):
     assert main(["check-lemma2", "--count", "50", "--max-dim", "3",
                  "--seed", "1"]) == 0
@@ -362,12 +393,13 @@ def test_check_lemma2_fails_loudly_on_a_singular_stack(monkeypatch, tmp_path):
 
 
 def recorded(monkeypatch, module, name):
-    """Wrap ``module``'s binding of ``name``; returns the list of its results."""
+    """Wrap ``module``'s binding of ``name``; returns the list of its
+    results, each taken as a list, so a generator's items stay readable."""
     results = []
     draw = getattr(module, name)
 
     def wrapper(*args):
-        results.append(draw(*args))
+        results.append(list(draw(*args)))
         return results[-1]
 
     monkeypatch.setattr(module, name, wrapper)
