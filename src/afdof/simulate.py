@@ -7,13 +7,13 @@ source slots to L destination samples; the relays' one-slot latency shifts
 every sample alike and is not modelled.  keyed_rng builds every random
 stream but the channel draw.  A sweep has one generator whose draws every
 power reads, BLOCK_DRAWS normals per block, trial t's after trial t - 1's.
-Each tile runs the linear chain twice, symbols alone and noise alone, and
-a leaf of LEAF triples keeps per stream three np.sums whose squared error
-at power P is P*A + 2*sqrt(P)*B + C; a trial's leaf sums go through
-math.fsum.  The chain runs phase by phase in tiles of whole trials, or of
-one leaf of a longer trial, so memory is a tile and its zero-noise twin,
-and results depend on neither the tiling, the number of trials nor the
-rest of the grid.  Relay powers have a closed form, scheme.relay_powers.
+The chain runs once, on a block's unit impulses, for each draw's weight
+in the decoded errors; a leaf of LEAF triples keeps per stream three
+np.sums whose squared error at power P is P*A + 2*sqrt(P)*B + C, and a
+trial's leaf sums go through math.fsum.  Draws come in tiles of whole
+trials, or of one leaf of a longer trial, so memory is a tile, and
+results depend on neither the tiling, the number of trials nor the rest
+of the grid.  Relay powers have a closed form, scheme.relay_powers.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ BLOCK_DRAWS = 15
 
 # sweep_power_grid sums a trial in leaves of LEAF triples.  Trials of one
 # leaf share tiles of at most GROUP_CAP slots; a longer trial runs one leaf
-# per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a tile's draws,
-# zero noise, chain scratch and decoded streams take at most 2 MB.
+# per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a tile's draws
+# and its decoded streams' errors take at most 1.2 MB.
 LEAF = 2 ** 12
 GROUP_CAP = 2 ** 14
 
@@ -108,21 +108,33 @@ def keyed_rng(purpose: int, seed: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(purpose, 0))))
 
 
-def _chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2, t1, t2):
+def _chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2):
     """Run the physical chain: each relay scales its received sample by its
     coefficient, a scalar or one per slot, and both relays reach both
-    destinations.  Works in place, with t1 and t2 as scratch: yu then xu
-    over zu, yv then xv over zv, y1 over zd1 and y2 over zd2; x1 and x2 are
-    only read."""
-    def mix(a, x, b, y, z):  # z <- (a*x + b*y) + z
-        np.add(np.multiply(x, a, out=t1), np.multiply(y, b, out=t2), out=t1)
-        return np.add(t1, z, out=z)
-
-    xu = np.multiply(mix(ch.h_s1u, x1, ch.h_s2u, x2, zu), mu, out=zu)
-    xv = np.multiply(mix(ch.h_s1v, x1, ch.h_s2v, x2, zv), lam, out=zv)
-    y1 = mix(ch.h_ud1, xu, ch.h_vd1, xv, zd1)
-    y2 = mix(ch.h_ud2, xu, ch.h_vd2, xv, zd2)
+    destinations.  Returns the destination samples y1, y2 and the relays'
+    sent samples xu, xv; writes none of its inputs."""
+    xu = (ch.h_s1u * x1 + ch.h_s2u * x2 + zu) * mu
+    xv = (ch.h_s1v * x1 + ch.h_s2v * x2 + zv) * lam
+    y1 = ch.h_ud1 * xu + ch.h_vd1 * xv + zd1
+    y2 = ch.h_ud2 * xu + ch.h_vd2 * xv + zd2
     return y1, y2, xu, xv
+
+
+def _block_weights(ch: ChannelRealization, plan: PhasePlan) -> np.ndarray:
+    """The (4, BLOCK_DRAWS) weights of a block's draws in the errors of its
+    decoded streams (a1, a2, b1, b2): decoded minus sent for the symbols.
+    The relay coefficients do not depend on P, so the chain and decoders
+    are linear.  Raises DegenerateCoefficients as phase_matrices does."""
+    G = phase_matrices(ch, plan)
+    a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = np.eye(BLOCK_DRAWS)
+    inputs = ((a1, b1, zu1, zv1, zd[0], zd[3]),
+              (a2, b2, zu2, zv2, zd[1], zd[4]),
+              (a1, b2, zu3, 0.0, zd[2], zd[5]))  # relay v is silent
+    y1, y2 = zip(*(_chain(ch, mu, lam, *phase)[:2]
+                   for (mu, lam), phase in zip(plan.phase_pairs(), inputs)))
+    weights = np.array((*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G)))
+    weights[:, :4] -= np.eye(4)
+    return weights
 
 
 def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
@@ -135,16 +147,14 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     symbol and user 2 its second.  Each phase runs through _chain with its
     coefficients of plan.phase_pairs(), the slots of scheme_schedule(plan,
     n_triples); relay v is silent in phase 3, so no noise is drawn for it.
-    check_power (on every power) and phase_matrices (DegenerateCoefficients
+    check_power (on every power) and _block_weights (DegenerateCoefficients
     unless the phases are B, A and C1) run before any draw.
 
     The sweep has one generator, keyed_rng(SWEEP, seed), and every power
-    reads its draws (common random numbers).  The relay coefficients do
-    not depend on P, so the chain and decoders are linear, and each tile
-    runs through them twice: its unit-variance symbols with zero noise
-    (the signal path), and its noise, in place, with zero symbols.  With
-    e_s the decoded signal minus the sent symbol and e_n the decoded
-    noise, a stream's squared error at power P is P*A + 2*sqrt(P)*B + C,
+    reads its draws (common random numbers).  _block_weights gives e_s, the
+    decoded signal minus the sent symbol, as a weighting of a block's
+    unit-variance symbols, and e_n, the decoded noise, as one of its noise.
+    A stream's squared error at power P is P*A + 2*sqrt(P)*B + C,
     A = sum e_s**2, B = sum e_s*e_n and C = sum e_n**2: in real arithmetic
     sum (sqrt(P)*e_s + e_n)**2.  A and B carry the symbols' leak through
     entries zero only to COEF_TOL.  Point i equals the grid of one,
@@ -159,54 +169,34 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     slots when n_triples <= LEAF, else one leaf of one trial; it fills a
     (rows, BLOCK_DRAWS, w) array in C order, so each (trial, leaf) of w
     triples reads the next BLOCK_DRAWS * w normals.  Memory is a tile's
-    draws and the signal path's zero noise, whatever the grid, and results
-    depend neither on the tiling nor on the number of trials.
+    draws and errors, whatever the grid, and results depend neither on the
+    tiling nor on the number of trials.
     """
     grid = [float(P) for P in grid]
     for P in grid:
         check_power(P)
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
-    G = phase_matrices(ch, plan)
+    weights = _block_weights(ch, plan)
     rng = keyed_rng(SWEEP, seed)
     span = min(n_triples, LEAF)  # the longest tile
     group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
     widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
-    # A tile's draws, whose noise the noise path overwrites; the chain's
-    # scratch t1, t2 and relay v's phase-3 input, which phase 3's lam = 0
-    # keeps zero.
     draws = np.empty(group * BLOCK_DRAWS * span)
-    scratch = np.zeros((3, group * span))
-
-    def decode(x, z):
-        """The decoded streams (a1, a2, b1, b2) of symbols x and noise z."""
-        a1, a2, b1, b2 = x
-        rows, _, w = z.shape
-        zu1, zu2, zu3, zv1, zv2, *zd = z.transpose(1, 0, 2)
-        t1, t2, zv3 = scratch[:, :rows * w].reshape(3, rows, w)
-        inputs = ((a1, b1, zu1, zv1, zd[0], zd[3]),
-                  (a2, b2, zu2, zv2, zd[1], zd[4]),
-                  (a1, b2, zu3, zv3, zd[2], zd[5]))
-        y1, y2 = zip(*(_chain(ch, mu, lam, *phase, t1, t2)[:2]
-                       for (mu, lam), phase in zip(plan.phase_pairs(), inputs)))
-        return (*reconstruct_d1(*y1, *G), *reconstruct_d2(*y2, *G))
-
     sq_errs = [[] for _ in grid]  # per power, per trial: (a1, a2, b1, b2)
     power = np.reshape(grid, (-1, 1, 1, 1))
     for first in range(0, trials, group):
         rows = min(group, trials - first)
-        terms = np.empty((3, len(widths), 4, rows))  # A, B, C per leaf and stream
+        terms = np.empty((3, len(widths), rows, 4))  # A, B, C per leaf and stream
         for leaf, w in enumerate(widths):
             block = draws[:rows * BLOCK_DRAWS * w].reshape(rows, BLOCK_DRAWS, w)
             rng.standard_normal(out=block)
-            z = np.zeros((rows, BLOCK_DRAWS - 4, w))  # the chain overwrites it
-            sent = block[:, :4].transpose(1, 0, 2)
-            e_s = np.subtract(decode(sent, z), sent)
-            e_n = np.array(decode((0.0,) * 4, block[:, 4:]))
+            e_s = weights[:, :4] @ block[:, :4]
+            e_n = weights[:, 4:] @ block[:, 4:]
             for j, (u, v) in enumerate(((e_s, e_s), (e_s, e_n), (e_n, e_n))):
                 np.sum(u * v, axis=2, out=terms[j, leaf])
         leaf_sums = power * terms[0] + 2.0 * np.sqrt(power) * terms[1] + terms[2]
-        for point, sums in zip(sq_errs, leaf_sums.transpose(0, 3, 2, 1).tolist()):
+        for point, sums in zip(sq_errs, leaf_sums.transpose(0, 2, 3, 1).tolist()):
             point += [list(map(math.fsum, trial)) for trial in sums]
     return [SchemeStats(P, *(sum(c) / (trials * n_triples) for c in zip(*point)))
             for P, point in zip(grid, sq_errs)]

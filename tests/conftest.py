@@ -59,16 +59,15 @@ def chain_block(ch: ChannelRealization, mu, lam, symbols, noise_seed=None):
     sweep_noise(noise_seed, L)."""
     symbols = np.asarray(symbols, dtype=float)
     y1, y2, _, _ = _chain(ch, mu, lam, symbols[:, 0], symbols[:, 1],
-                          *sweep_noise(noise_seed, len(mu)),
-                          *np.empty((2, len(mu))))
+                          *sweep_noise(noise_seed, len(mu)))
     return y1, y2
 
 
 def matrix_chain(ch: ChannelRealization, mu, lam, x1, x2, zu, zv, zd1, zd2):
-    """The oracle of _chain, with its arguments but the scratch: sample k is
-    slot k's end-to-end matrix applied to the slot-k symbols plus that
-    slot's effective noise.  The arrays broadcast, so (trials, L) symbols
-    and noise take (L,) coefficients."""
+    """The oracle of _chain, with its arguments: sample k is slot k's
+    end-to-end matrix applied to the slot-k symbols plus that slot's
+    effective noise.  The arrays broadcast, so (trials, L) symbols and
+    noise take (L,) coefficients."""
     G = end_to_end(ch, mu, lam)  # entries are per-slot arrays
     zt1 = ch.h_ud1 * mu * zu + ch.h_vd1 * lam * zv + zd1
     zt2 = ch.h_ud2 * mu * zu + ch.h_vd2 * lam * zv + zd2

@@ -33,6 +33,7 @@ from afdof.simulate import (
     LEMMA,
     SAMPLE_CONDITIONS,
     SWEEP,
+    _block_weights,
     _chain,
     keyed_rng,
 )
@@ -193,9 +194,9 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
 
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
     # A long trial runs one leaf of LEAF triples per tile and each tile sums
-    # its own stream errors, so the traced peak is one tile's draws, the
-    # signal path's zero noise and the decoded streams (about 1.6 MB)
-    # whatever the trial length or number of trials.
+    # its own stream errors, so the traced peak is one tile's draws and
+    # its decoded streams' errors (about 0.9 MB) whatever the trial length
+    # or number of trials.
     # Per-triple error rows would add 32 B per triple and trial: 12.8 MB at
     # 4e5 triples.  A first short call loads numpy.random, which numpy
     # imports lazily, so the test measures the same whether it runs alone
@@ -264,6 +265,25 @@ def test_mse_matches_analytic(ref_channel, ref_plan):
     assert s.mse_b2 == pytest.approx(t1, rel=0.02)  # direct stream decodes b2
 
 
+def test_block_weights_are_the_closed_forms():
+    # A decoded stream's noise weights are its impulse response, so their
+    # squares sum to its closed-form variance (4.4e-16 relative at most
+    # here); its symbol weights are rounding-level on a planned channel
+    # (2.9e-12 at most here), since the decoders zero-force the phases.
+    worst_rel = worst_sym = 0.0
+    for seed in range(2000):
+        ch = sample_channel(seed)
+        plan = plan_achievability(ch)
+        weights = _block_weights(ch, plan)
+        (s1, s2), (t1, t2) = analytic_noise_variances(ch, plan)
+        want = np.array([s1, s2, t2, t1])  # streams a1, a2, b1, b2
+        got = np.sum(weights[:, 4:] ** 2, axis=1)
+        worst_rel = max(worst_rel, float(np.max(np.abs(got / want - 1))))
+        worst_sym = max(worst_sym, float(np.max(np.abs(weights[:, :4]))))
+    assert worst_rel <= 1e-13, worst_rel
+    assert worst_sym <= 1e-10, worst_sym
+
+
 def test_mse_power_independent(ref_channel, ref_plan):
     lo = sweep_power_grid(ref_channel, ref_plan, (1e2,), n_triples=5000,
                           trials=10, seed=4)[0]
@@ -290,8 +310,8 @@ def test_sweep_carries_symbol_leak(ref_channel, ref_plan):
     # phase-1 lambda is off by 5e-10 still labels B, A, C1, and its a1
     # stream carries P * (beta1 / alpha1)**2 of b1 on top of the noise.
     # Each point's N * mse_a1 is then (sigma^2 + leak) * chi2_N.  The
-    # sweep's signal path must keep that leak: a sweep that summed the
-    # noise path alone would read about sigma^2 = 2 at 1e22, not about
+    # sweep's symbol weights must keep that leak: a sweep that summed the
+    # noise errors alone would read about sigma^2 = 2 at 1e22, not about
     # 402.  2 points x 2 tails share a 1e-9 total false-alarm rate.
     plan = dataclasses.replace(
         ref_plan, lambda_phase1=ref_plan.lambda_phase1 * (1 + 5e-10))
@@ -311,12 +331,12 @@ def test_sweep_carries_symbol_leak(ref_channel, ref_plan):
 @given(seed=st.integers(0, 10_000), slots=st.integers(1, 60),
        scale=st.sampled_from((1.0, 1e6, 1e11)))
 def test_chain_splits_into_signal_and_noise(seed, slots, scale):
-    # sweep_power_grid runs a tile's symbols and its noise through the
-    # chain separately and adds their decoded errors at each power, which
-    # holds only while the chain is linear in (symbols, noise).  Sample k
-    # of (x, z) must equal (x, 0) plus (0, z) to within a few ulps of M_k,
-    # the chain run on absolute gains, coefficients and inputs, which
-    # bounds every intermediate of sample k.  A relay that is not linear,
+    # sweep_power_grid weighs a block's draws by the chain's responses to
+    # its 15 unit impulses, one at a time, which relies on superposition:
+    # the chain must be linear in (symbols, noise).  Sample k of (x, z)
+    # must equal (x, 0) plus (0, z) to within a few ulps of M_k, the chain
+    # run on absolute gains, coefficients and inputs, which bounds every
+    # intermediate of sample k.  A relay that is not linear,
     # say one normalised by its received power, fails here.
     ch = sample_channel(seed)
     plan = plan_achievability(ch)
@@ -326,7 +346,7 @@ def test_chain_splits_into_signal_and_noise(seed, slots, scale):
     noise = rng.standard_normal((4, slots))
 
     def chain(ch, mu, lam, x, z):
-        return _chain(ch, mu, lam, *x, *z.copy(), *np.empty((2, slots)))[:2]
+        return _chain(ch, mu, lam, *x, *z.copy())[:2]
 
     whole = chain(ch, mu, lam, symbols, noise)
     signal = chain(ch, mu, lam, symbols, np.zeros_like(noise))
@@ -408,8 +428,7 @@ def test_relay_powers_match_monte_carlo(ref_channel, ref_plan, P):
     x1 = np.stack([a1, a2, a1], axis=1).ravel()
     x2 = np.stack([b1, b2, b2], axis=1).ravel()
     noise = rng.standard_normal((4, 3 * n))
-    _, _, xu, xv = _chain(ch, mu, lam, x1, x2, *noise,
-                          *np.empty((2, 3 * n)))
+    _, _, xu, xv = _chain(ch, mu, lam, x1, x2, *noise)
     moments = np.array(relay_powers(ch, ref_plan, P))
     gains = np.array(ref_plan.phase_pairs())
     for k, (xr, h1, h2) in enumerate(((xu, ch.h_s1u, ch.h_s2u),
@@ -436,21 +455,21 @@ def test_run_scheme_trials_validation(ref_channel, ref_plan, bad, exc):
         sweep_power_grid(ref_channel, ref_plan, (args.pop("P"),), **args)
 
 
-def test_chain_leaves_symbols_unchanged(ref_channel, ref_plan):
-    # The chain works in place over its noise and scratch arrays; x1 and x2
-    # are only read, which sweep_power_grid relies on when its signal path
-    # reads a tile's symbols and then subtracts them from their decoding.
+def test_chain_leaves_its_inputs_unchanged(ref_channel, ref_plan):
+    # The chain only reads its symbols and noise, which _block_weights
+    # relies on: phases 1 and 3 both read the a1 impulse.
     mu, lam = alphabet_schedule(ref_channel, ref_plan, 60,
                                 np.random.default_rng(2))
     symbols = np.random.default_rng(3).normal(size=(2, 60))
-    before = symbols.copy()
+    noise = sweep_noise(4, 60)
+    before = symbols.copy(), noise.copy()
 
     def run():
-        return _chain(ref_channel, mu, lam, *symbols, *sweep_noise(4, 60),
-                      *np.empty((2, 60)))
+        return _chain(ref_channel, mu, lam, *symbols, *noise)
 
     first = run()
-    assert np.array_equal(symbols, before)
+    assert np.array_equal(symbols, before[0])
+    assert np.array_equal(noise, before[1])
     assert all(np.array_equal(a, b) for a, b in zip(first, run()))
 
 
