@@ -5,15 +5,12 @@ grid of one.  Relay slot k forwards the relays' slot-k received sample
 scaled by the schedule's slot-k coefficients, so L schedule slots carry L
 source slots to L destination samples; the relays' one-slot latency shifts
 every sample alike and is not modelled.  keyed_rng builds every random
-stream but the channel draw.  A sweep has one generator whose draws every
-power reads, BLOCK_DRAWS normals per block, trial t's after trial t - 1's.
-The chain runs once, on a block's unit impulses, for each draw's weight
-in the decoded errors; a leaf of LEAF triples keeps per stream three
-np.sums whose squared error at power P is P*A + 2*sqrt(P)*B + C, and a
-trial's leaf sums go through math.fsum.  Draws come in tiles of whole
-trials, or of one leaf of a longer trial, so memory is a tile, and
-results depend on neither the tiling, the number of trials nor the rest
-of the grid.  Relay powers have a closed form, scheme.relay_powers.
+stream but the channel draw.  The chain runs once, on a block's unit
+impulses, for each draw's weight in the decoded errors, so every MSE of a
+sweep is a quadratic form in the Gram matrix S of its blocks' draws.  A
+sweep draws S itself (_gram), a Wishart matrix, and every power reads that
+one draw; memory and time do not depend on the number of blocks.  Relay
+powers have a closed form, scheme.relay_powers.
 """
 
 from __future__ import annotations
@@ -36,17 +33,11 @@ from .scheme import (
 # Stream purposes.  Each purpose has one stream per seed.
 SWEEP, FUZZ, LEMMA, SAMPLE_CONDITIONS = range(4)
 
-# The normals of one block, in draw order: the symbols a1, a2, b1, b2, then
-# zu for phases 1-3, zv for phases 1-2 (relay v is silent in phase 3), zd1
-# for phases 1-3 and zd2 for phases 1-3.
+# The normals of one block, in the order of the block weights' columns and
+# the Gram matrix's rows: the symbols a1, a2, b1, b2, then zu for phases
+# 1-3, zv for phases 1-2 (relay v is silent in phase 3), zd1 for phases 1-3
+# and zd2 for phases 1-3.
 BLOCK_DRAWS = 15
-
-# sweep_power_grid sums a trial in leaves of LEAF triples.  Trials of one
-# leaf share tiles of at most GROUP_CAP slots; a longer trial runs one leaf
-# per tile, whatever the cap.  3 * LEAF <= GROUP_CAP, so a tile's draws
-# and its decoded streams' errors take at most 1.2 MB.
-LEAF = 2 ** 12
-GROUP_CAP = 2 ** 14
 
 
 class InsufficientGrid(Exception):
@@ -137,6 +128,41 @@ def _block_weights(ch: ChannelRealization, plan: PhasePlan) -> np.ndarray:
     return weights
 
 
+def _gram(rng: np.random.Generator, n: int) -> np.ndarray:
+    """S = sum_k g_k g_k^T over n blocks of BLOCK_DRAWS standard normals,
+    drawn as itself: S is Wishart(BLOCK_DRAWS, n, I), so by Bartlett's
+    decomposition S = T T^T, T lower triangular with T_jj**2 chi-square of
+    n - j degrees of freedom and standard normals below the diagonal, all
+    independent (Odell and Feiveson, JASA 61(313), 1966).  The chi-squares
+    come first, then the normals in np.tril_indices order.  Below
+    BLOCK_DRAWS blocks T would need a chi-square of no degrees of freedom,
+    so S is the Gram matrix of the (BLOCK_DRAWS, n) normals."""
+    if n < BLOCK_DRAWS:
+        g = rng.standard_normal((BLOCK_DRAWS, n))
+        return g @ g.T
+    T = np.diag(np.sqrt(rng.chisquare(n - np.arange(BLOCK_DRAWS))))
+    below = np.tril_indices(BLOCK_DRAWS, -1)
+    T[below] = rng.standard_normal(len(below[0]))
+    return T @ T.T
+
+
+def _gram_stats(weights: np.ndarray, S: np.ndarray, n: int,
+                grid) -> list[SchemeStats]:
+    """One SchemeStats per power of the grid from the (4, BLOCK_DRAWS)
+    block weights and the Gram matrix S of n blocks' draws.  With w_s the
+    weights on the symbols and w_n those on the noise, a stream's squared
+    error sum at power P is P*A + 2*sqrt(P)*B + C, A = w_s S w_s,
+    B = w_s S w_n and C = w_n S w_n: in real arithmetic
+    sum_k (sqrt(P) w_s.g_k + w_n.g_k)**2.  A, B and C do not depend on P,
+    so point i equals the grid of one, (grid[i],)."""
+    w_s = weights * (np.arange(BLOCK_DRAWS) < 4)
+    w_n = weights - w_s
+    A, B, C = (np.sum(u @ S * v, axis=1)
+               for u, v in ((w_s, w_s), (w_s, w_n), (w_n, w_n)))
+    return [SchemeStats(P, *((P * A + 2.0 * math.sqrt(P) * B + C) / n).tolist())
+            for P in grid]
+
+
 def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
                      n_triples: int, trials: int, seed: int) -> list[SchemeStats]:
     """Simulate trials of n_triples three-phase blocks at each power of the
@@ -150,27 +176,18 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     check_power (on every power) and _block_weights (DegenerateCoefficients
     unless the phases are B, A and C1) run before any draw.
 
-    The sweep has one generator, keyed_rng(SWEEP, seed), and every power
-    reads its draws (common random numbers).  _block_weights gives e_s, the
-    decoded signal minus the sent symbol, as a weighting of a block's
-    unit-variance symbols, and e_n, the decoded noise, as one of its noise.
-    A stream's squared error at power P is P*A + 2*sqrt(P)*B + C,
-    A = sum e_s**2, B = sum e_s*e_n and C = sum e_n**2: in real arithmetic
-    sum (sqrt(P)*e_s + e_n)**2.  A and B carry the symbols' leak through
-    entries zero only to COEF_TOL.  Point i equals the grid of one,
-    (grid[i],), at the same seed.  Each point's N * MSE / sigma^2 is still
-    chi-square with N degrees of freedom, and the bounds read from a sweep
-    are union bounds over its points, which need no independence.  Rates
-    come from the analytic formula fed by these MSEs.
-
-    A trial's A, B and C are np.sums over consecutive leaves of LEAF
-    triples (the last holds the remainder), and each power's leaf sums go
-    through math.fsum.  A tile is as many whole trials as fit in GROUP_CAP
-    slots when n_triples <= LEAF, else one leaf of one trial; it fills a
-    (rows, BLOCK_DRAWS, w) array in C order, so each (trial, leaf) of w
-    triples reads the next BLOCK_DRAWS * w normals.  Memory is a tile's
-    draws and errors, whatever the grid, and results depend neither on the
-    tiling nor on the number of trials.
+    _block_weights gives each decoded stream's error, decoded minus sent,
+    as a weighting of a block's BLOCK_DRAWS unit-variance normals, so the
+    MSEs of N = trials * n_triples blocks are quadratic forms in their Gram
+    matrix S (_gram_stats).  The sweep's one generator,
+    keyed_rng(SWEEP, seed), draws S by _gram, and every power reads it
+    (common random numbers); trials and n_triples enter only through N.
+    The MSEs have the joint law of summing N blocks' errors: each point's
+    N * MSE / sigma^2 is chi-square with N degrees of freedom, and the
+    bounds read from a sweep are union bounds over its points, which need
+    no independence.  A and B carry the symbols' leak through entries zero
+    only to COEF_TOL.  Rates come from the analytic formula fed by these
+    MSEs.
     """
     grid = [float(P) for P in grid]
     for P in grid:
@@ -178,28 +195,8 @@ def sweep_power_grid(ch: ChannelRealization, plan: PhasePlan, grid,
     if n_triples < 1 or trials < 1:
         raise ValueError("n_triples and trials must be >= 1")
     weights = _block_weights(ch, plan)
-    rng = keyed_rng(SWEEP, seed)
-    span = min(n_triples, LEAF)  # the longest tile
-    group = max(1, min(trials, GROUP_CAP // (3 * span))) if n_triples <= LEAF else 1
-    widths = [min(LEAF, n_triples - pos) for pos in range(0, n_triples, LEAF)]
-    draws = np.empty(group * BLOCK_DRAWS * span)
-    sq_errs = [[] for _ in grid]  # per power, per trial: (a1, a2, b1, b2)
-    power = np.reshape(grid, (-1, 1, 1, 1))
-    for first in range(0, trials, group):
-        rows = min(group, trials - first)
-        terms = np.empty((3, len(widths), rows, 4))  # A, B, C per leaf and stream
-        for leaf, w in enumerate(widths):
-            block = draws[:rows * BLOCK_DRAWS * w].reshape(rows, BLOCK_DRAWS, w)
-            rng.standard_normal(out=block)
-            e_s = weights[:, :4] @ block[:, :4]
-            e_n = weights[:, 4:] @ block[:, 4:]
-            for j, (u, v) in enumerate(((e_s, e_s), (e_s, e_n), (e_n, e_n))):
-                np.sum(u * v, axis=2, out=terms[j, leaf])
-        leaf_sums = power * terms[0] + 2.0 * np.sqrt(power) * terms[1] + terms[2]
-        for point, sums in zip(sq_errs, leaf_sums.transpose(0, 2, 3, 1).tolist()):
-            point += [list(map(math.fsum, trial)) for trial in sums]
-    return [SchemeStats(P, *(sum(c) / (trials * n_triples) for c in zip(*point)))
-            for P, point in zip(grid, sq_errs)]
+    n = trials * n_triples
+    return _gram_stats(weights, _gram(keyed_rng(SWEEP, seed), n), n, grid)
 
 
 def estimate_dof_slope(rates) -> SlopeFit:

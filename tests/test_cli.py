@@ -12,7 +12,6 @@ import afdof.bounds
 import afdof.channel
 import afdof.cli
 import afdof.scheme
-import afdof.simulate
 from afdof import (ChannelRealization, check_conditions, plan_achievability,
                    relay_powers)
 from afdof.cli import (
@@ -99,25 +98,25 @@ def test_run_achievability_deterministic(tmp_path):
     assert (out_a / "rates.csv").read_bytes() == (out_b / "rates.csv").read_bytes()
     assert (out_a / "slope.json").read_bytes() == (out_b / "slope.json").read_bytes()
     # The seeded-output contract: this .12g CSV changes only on purpose (a
-    # new stream layout updates the digest).  Full-precision JSON floats may
-    # differ in the last bits across numpy builds and BLAS kernels (the
-    # sweep's matmul rounds otherwise without FMA, as under OpenBLAS's
-    # SandyBridge kernel), so only the CSV is pinned.
+    # new stream layout updates the digest).  The sweep draws its blocks'
+    # Gram matrix from chisquare, numpy's gamma sampler, and
+    # standard_normal.  Full-precision JSON floats may differ in the last
+    # bits across numpy builds and BLAS kernels (the sweep's small matmuls
+    # round otherwise without FMA, as under OpenBLAS's SandyBridge kernel),
+    # so only the CSV is pinned.
     assert hashlib.sha256((out_a / "rates.csv").read_bytes()).hexdigest() == (
-        "3092337ac1da5710a66af414320dc08d7796c95466385daa44c48defa3073c6c")
+        "3d491c864680f617b1fa447c9cd99f4370a236ae416721759c4a8dca5b47e546")
 
 
-def test_run_achievability_digest_with_one_trial_groups(tmp_path, monkeypatch):
-    # A cap of one element runs each trial in its own tile over the call's
-    # reused buffers, as long blocks run one leaf per tile; no tile may leak
-    # into the next.
-    monkeypatch.setattr(afdof.simulate, "GROUP_CAP", 1)
-    cfg = write_config(tmp_path / "cfg.json", trials=2, n_triples=100)
+def test_run_achievability_digest_with_one_trial_groups(tmp_path):
+    # A sweep reads trials and n_triples only through their product, so one
+    # trial of 200 triples gives the digest pinned in
+    # test_run_achievability_deterministic for two trials of 100.
+    cfg = write_config(tmp_path / "cfg.json", trials=1, n_triples=200)
     out = tmp_path / "out"
     assert main(["run-achievability", "--config", cfg, "--out", str(out)]) == 0
-    # The digest pinned in test_run_achievability_deterministic.
     assert hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest() == (
-        "3092337ac1da5710a66af414320dc08d7796c95466385daa44c48defa3073c6c")
+        "3d491c864680f617b1fa447c9cd99f4370a236ae416721759c4a8dca5b47e546")
 
 
 def test_relay_power_check_can_fail(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import afdof.simulate
 from afdof import (
     ChannelRealization,
     InsufficientGrid,
@@ -28,19 +27,22 @@ from afdof import (
 )
 from afdof.scheme import phase_matrices
 from afdof.simulate import (
+    BLOCK_DRAWS,
     FUZZ,
-    LEAF,
     LEMMA,
     SAMPLE_CONDITIONS,
     SWEEP,
     _block_weights,
     _chain,
+    _gram,
+    _gram_stats,
     keyed_rng,
 )
 from afdof.cli import (
     SCHEME_SLOPE_WINDOW,
     TDMA_SLOPE_WINDOW,
     USER_SLOPE_WINDOW,
+    main,
 )
 from conftest import (
     alphabet_schedule,
@@ -105,15 +107,15 @@ def test_block_simulation_matches_end_to_end_entries(ref_channel, ref_plan):
         assert y2[k] == pytest.approx(want2, rel=1e-12, abs=1e-15)
 
 
-def oracle_sq_errors(ch, plan, P, n, trials, seed):
+def oracle_sq_errors(ch, plan, P, block):
     """The (trials, n) squared stream errors (a1, a2, b1, b2) of the matrix
-    oracle on scheme_schedule's slots, fed what a sweep at seed ``seed``
-    reads at power P with one leaf per trial: trial t's n blocks are row t
-    of a (trials, 15, n) draw of the sweep's one generator, the same at
-    every power.  Its rows are the symbols a1, a2, b1, b2, scaled by
-    sqrt(P), then zu for phases 1-3, zv for phases 1-2, zd1 and zd2 for
-    phases 1-3.  Relay v's phase-3 noise is zero: its output is scaled by 0."""
-    block = keyed_rng(SWEEP, seed).standard_normal((trials, 15, n))
+    oracle on scheme_schedule's slots, for a (trials, 15, n) array of
+    unit-variance draws: row t holds trial t's n blocks.  Its rows are the
+    symbols a1, a2, b1, b2, scaled by sqrt(P), then zu for phases 1-3, zv
+    for phases 1-2, zd1 and zd2 for phases 1-3.  Relay v's phase-3 noise is
+    zero: its output is scaled by 0."""
+    trials, _, n = block.shape
+    block = block.copy()
     block[:, :4] *= math.sqrt(P)
     a1, a2, b1, b2, zu1, zu2, zu3, zv1, zv2, *zd = block.transpose(1, 0, 2)
     phases = [(a1, a2, a1), (b1, b2, b2), (zu1, zu2, zu3),
@@ -127,30 +129,40 @@ def oracle_sq_errors(ch, plan, P, n, trials, seed):
     return [(hat - x) ** 2 for hat, x in zip(hats, (a1, a2, b1, b2))]
 
 
+def block_gram(block):
+    """The Gram matrix sum_k g_k g_k^T of every block of a (trials, 15, n)
+    draw."""
+    g = block.transpose(1, 0, 2).reshape(BLOCK_DRAWS, -1)
+    return g @ g.T
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
-    # A trial runs scheme_schedule's phases through the chain; the matrix
-    # oracle on that schedule's slots, with the trial's symbols and noise,
-    # must decode to the same stream errors.  One trial's error sum is
-    # n * mse.
+    # The matrix oracle on scheme_schedule's slots decodes one trial's
+    # blocks sample by sample; the sweep's reduction, fed the Gram matrix of
+    # the same draws, must give the same stream error sums, n * mse.
     P, n = 100.0, 200
-    s = sweep_power_grid(ref_channel, ref_plan, (P,), n, trials=1, seed=seed)[0]
+    block = np.random.default_rng(seed).standard_normal((1, BLOCK_DRAWS, n))
+    s = _gram_stats(_block_weights(ref_channel, ref_plan), block_gram(block),
+                    n, (P,))[0]
     want = [float(np.sum(e)) for e in
-            oracle_sq_errors(ref_channel, ref_plan, P, n, 1, seed)]
+            oracle_sq_errors(ref_channel, ref_plan, P, block)]
     got = [n * s.mse_a1, n * s.mse_a2, n * s.mse_b1, n * s.mse_b2]
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
-    # At every power of a sweep, trial t must read row t of the sweep's one
-    # (trials, 15, n) draw: every trial's stream errors, rebuilt in matrix
-    # form from those rows of the symbols and of all the noises, give each
-    # point's MSEs.
-    n, trials, seed = 30, 3, 4
-    points = sweep_power_grid(ref_channel, ref_plan, (1e2, 1e5), n, trials, seed)
+    # At every power of a grid, the reduction fed the Gram matrix of a
+    # (trials, 15, n) draw must give each point's MSEs as the mean of every
+    # trial's stream errors, rebuilt in matrix form from row t of the
+    # symbols and of all the noises.
+    n, trials = 30, 3
+    block = np.random.default_rng(4).standard_normal((trials, BLOCK_DRAWS, n))
+    points = _gram_stats(_block_weights(ref_channel, ref_plan),
+                         block_gram(block), trials * n, (1e2, 1e5))
     for s in points:
         want = [float(np.mean(e)) for e in
-                oracle_sq_errors(ref_channel, ref_plan, s.P, n, trials, seed)]
+                oracle_sq_errors(ref_channel, ref_plan, s.P, block)]
         assert [s.mse_a1, s.mse_a2, s.mse_b1, s.mse_b2] == pytest.approx(
             want, rel=1e-12)
 
@@ -160,50 +172,74 @@ def test_trial_determinism(ref_channel, ref_plan):
     first = sweep_power_grid(ref_channel, ref_plan, trials=3, **kw)[0]
     second = sweep_power_grid(ref_channel, ref_plan, trials=3, **kw)[0]
     assert first == second
-    # Trial 1 draws its own streams: had it replayed trial 0, two trials
-    # would average to exactly the one-trial MSEs.
+    # Trials add blocks: a sweep that drew n_triples blocks whatever the
+    # number of trials would give two trials exactly the one-trial MSEs.
     one = sweep_power_grid(ref_channel, ref_plan, trials=1, **kw)[0]
     two = sweep_power_grid(ref_channel, ref_plan, trials=2, **kw)[0]
     names = ("mse_a1", "mse_a2", "mse_b1", "mse_b2")
     assert [getattr(one, n) for n in names] != [getattr(two, n) for n in names]
 
 
-@pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000),
-                                     (3, 2 * LEAF + 5)])
-def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, monkeypatch,
-                                           trials, n):
-    # The first three shapes fit one tile by default.  A cap below 3 runs one
-    # trial per tile; a cap of 3 * 7 also puts two trials of 3 in a tile; a
-    # cap of three trials' slots leaves a remainder group, since no trial
-    # count here is a multiple of 3.  A trial of 2 * LEAF + 5 runs in three
-    # leaves, one per tile, under every cap: the caps of 3 * LEAF * 3 and
-    # 2**20 would group such trials if long trials were not kept one per
-    # tile, and then a trial's leaves would not follow one another in the
-    # sweep's stream.  Every power of the grid combines the same tile sums,
-    # so no power may see another's tiling either.
-    assert afdof.simulate.GROUP_CAP >= 3 * min(trials * n, LEAF)
+@pytest.mark.parametrize("trials,n", [(40, 50), (7, 3), (5, 1000), (3, 8197)])
+def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, trials, n):
+    # A sweep draws the Gram matrix of its N = trials * n_triples blocks, so
+    # every grouping of one N into trials gives the same points, bit for bit,
+    # at every power and on every channel.  The n_triples blocks of one
+    # trial are grouped too; for n = 3 that N is below BLOCK_DRAWS, where the
+    # blocks themselves are drawn.
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
-        kw = dict(grid=(1e3, 1e6, 1e9), n_triples=n, trials=trials, seed=3)
-        with monkeypatch.context() as m:
-            grouped = sweep_power_grid(ch, plan, **kw)
-            for cap in (1, 3 * 7, 3 * 300, 3 * 3 * n, 3 * LEAF * 3, 2 ** 20):
-                m.setattr(afdof.simulate, "GROUP_CAP", cap)
-                assert sweep_power_grid(ch, plan, **kw) == grouped
+        for shapes in (((trials, n), (n, trials), (1, trials * n),
+                        (trials * n, 1)), ((1, n), (n, 1))):
+            first, *rest = [sweep_power_grid(ch, plan, (1e3, 1e6, 1e9), k,
+                                             t, seed=3)
+                            for t, k in shapes]
+            assert all(points == first for points in rest), shapes
+
+
+def test_gram_matches_its_exact_moments():
+    # S = sum_k g_k g_k^T over N blocks: each diagonal entry is chi2_N, and
+    # each off-diagonal one is (U - V) / 2, with U and V the independent
+    # chi2_N sums of ((g_i + g_j) / sqrt(2))**2 and ((g_i - g_j) / sqrt(2))**2.
+    # A diagonal entry has 2 tails, an off-diagonal one 4 (one per tail of U
+    # and of V); 5 seeds x 3 sizes x (15 * 2 + 105 * 4) tails share a 1e-9
+    # total false-alarm rate.
+    sizes, seeds = (BLOCK_DRAWS, 1000, 10 ** 8), range(5)
+    x = math.log(len(seeds) * len(sizes) * (15 * 2 + 105 * 4) / 1e-9)
+    off = np.tril_indices(BLOCK_DRAWS, -1)
+    for n in sizes:
+        below, above = laurent_massart_deviations(np.array([1.0]), n, x)
+        for seed in seeds:
+            S = _gram(keyed_rng(SWEEP, seed), n)
+            assert np.array_equal(S, S.T)
+            diag = np.diag(S) - n
+            assert np.all((-below <= diag) & (diag <= above)), (n, seed, diag)
+            assert np.all(np.abs(2 * S[off]) <= below + above), (n, seed)
+
+
+def test_gram_below_block_draws_is_the_blocks_gram(tmp_path):
+    # Below BLOCK_DRAWS blocks, S is the Gram matrix of the blocks drawn
+    # directly: PSD, of rank N.  A run of 3 blocks completes.
+    for n in range(1, BLOCK_DRAWS):
+        S = _gram(keyed_rng(SWEEP, n), n)
+        g = keyed_rng(SWEEP, n).standard_normal((BLOCK_DRAWS, n))
+        assert np.array_equal(S, g @ g.T)
+        eigs = np.linalg.eigvalsh(S)
+        assert eigs[0] >= -1e-12 * eigs[-1], (n, eigs)
+        assert np.linalg.matrix_rank(S) == n
+    assert main(["run-achievability", "--trials", "1", "--n-triples", "3",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
-    # A long trial runs one leaf of LEAF triples per tile and each tile sums
-    # its own stream errors, so the traced peak is one tile's draws and
-    # its decoded streams' errors (about 0.9 MB) whatever the trial length
-    # or number of trials.
-    # Per-triple error rows would add 32 B per triple and trial: 12.8 MB at
-    # 4e5 triples.  A first short call loads numpy.random, which numpy
-    # imports lazily, so the test measures the same whether it runs alone
-    # or after others.
-    sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=1, trials=1, seed=0)
+    # A sweep draws the Gram matrix of its N blocks, not the blocks, so its
+    # traced peak does not grow with N: here N = 1e5 to 1e8.  Drawing the
+    # blocks would take 120 B per block, 12 MB at N = 1e5.  A first short
+    # call loads numpy.random, which numpy imports lazily, so the test
+    # measures the same whether it runs alone or after others.
+    sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=100, trials=1, seed=0)
     peaks = []
-    for trials, n in ((1, 100_000), (4, 100_000), (1, 400_000)):
+    for trials, n in ((1, 100_000), (4, 100_000), (1, 400_000), (1000, 100_000)):
         tracemalloc.start()
         try:
             sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=n,
@@ -212,28 +248,29 @@ def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 3.0, peaks
-    assert peaks[1:] == pytest.approx([peaks[0]] * 2, abs=0.1), peaks
+    assert peaks[1:] == pytest.approx([peaks[0]] * 3, abs=0.1), peaks
 
 
 def test_trial_loop_frees_its_buffers(ref_channel, ref_plan):
     # With the cyclic collector off, reference counting alone must free a
-    # call's buffers when it returns.  A reference cycle through them (say,
-    # a nested function that calls itself) would keep each call's tile
-    # alive until a collection ran.
-    sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=1, trials=1, seed=0)
+    # call's buffers when it returns, whatever its N.  A reference cycle
+    # through them (say, a nested function that calls itself) would keep
+    # each call's arrays alive until a collection ran.
+    sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=100, trials=1, seed=0)
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=100_000,
-                         trials=1, seed=0)
-        after = tracemalloc.get_traced_memory()[0]
+        for trials in (1, 1000):
+            before = tracemalloc.get_traced_memory()[0]
+            sweep_power_grid(ref_channel, ref_plan, (1e6,), n_triples=100_000,
+                             trials=trials, seed=0)
+            after = tracemalloc.get_traced_memory()[0]
+            assert abs(after - before) <= 0.1e6, (trials, before, after)
     finally:
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
-    assert abs(after - before) <= 0.1e6, (before, after)
 
 
 def noiseless_decode_mse(ch, plan, P, n_triples, seed):
@@ -310,8 +347,8 @@ def test_sweep_carries_symbol_leak(ref_channel, ref_plan):
     # phase-1 lambda is off by 5e-10 still labels B, A, C1, and its a1
     # stream carries P * (beta1 / alpha1)**2 of b1 on top of the noise.
     # Each point's N * mse_a1 is then (sigma^2 + leak) * chi2_N.  The
-    # sweep's symbol weights must keep that leak: a sweep that summed the
-    # noise errors alone would read about sigma^2 = 2 at 1e22, not about
+    # sweep's symbol weights must keep that leak: a sweep that kept the
+    # noise's C alone would read about sigma^2 = 2 at 1e22, not about
     # 402.  2 points x 2 tails share a 1e-9 total false-alarm rate.
     plan = dataclasses.replace(
         ref_plan, lambda_phase1=ref_plan.lambda_phase1 * (1 + 5e-10))
