@@ -135,9 +135,10 @@ def read_config(path: str | None) -> dict:
 
 
 def load_config(args: argparse.Namespace, raw: dict) -> ExperimentConfig:
-    """Merge defaults < config < flags (the seed falls back to AFDOF_SEED
-    when neither sets it) into one settings object, then validate it."""
+    """Merge defaults < config < flags (the seed falls back to AFDOF_SEED),
+    then validate.  A channel given twice fails, but --channel-seed replaces gains."""
     names = {f.name for f in fields(ExperimentConfig)}
+    flags = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     channel = raw.get("channel", {})
     settings = {k: v for k, v in raw.items() if k != "channel"}
     unknown = sorted(k for k in settings
@@ -145,18 +146,21 @@ def load_config(args: argparse.Namespace, raw: dict) -> ExperimentConfig:
         f"channel.{k}" for k in sorted(channel) if f"channel_{k}" not in names]
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
+    if "gains" in channel and ("seed" in channel or "samples" in flags):
+        clash = "channel.seed" if "seed" in channel else "--samples"
+        raise ValueError(f"channel given twice: config channel.gains and {clash}")
     settings.update({f"channel_{k}": v for k, v in channel.items()})
 
     cfg = ExperimentConfig()
     for name, value in settings.items():
         setattr(cfg, name, _config_value(name.replace("channel_", "channel."),
                                          getattr(cfg, name), value))
-    if args.seed is None and "seed" not in raw and os.environ.get("AFDOF_SEED"):
+    if "seed" not in flags and "seed" not in raw and os.environ.get("AFDOF_SEED"):
         cfg.seed = int(os.environ["AFDOF_SEED"])
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, parse_grid(value) if name == "power_grid" else value)
+    for name, value in flags.items():
+        setattr(cfg, name, parse_grid(value) if name == "power_grid" else value)
+    if "channel_seed" in flags:
+        cfg.channel_gains = None
     validate_config(cfg)
     return cfg
 
@@ -242,8 +246,6 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
         "tdma": asdict(tdma_fit),
     })
 
-    top = points[-1]
-    tdma_top = sum(tdma_rates[-1])
     sums = [p.R1 + p.R2 for p in points]
     worst_power = max(np.max(phases) / p.P for p, phases in zip(points, moments))
     lo, hi = USER_SLOPE_WINDOW
@@ -258,8 +260,8 @@ def cmd_run_achievability(cfg: ExperimentConfig) -> list:
          TDMA_SLOPE_WINDOW[0] <= tdma_fit.slope <= TDMA_SLOPE_WINDOW[1],
          tdma_fit.slope),
         ("tdma_below_scheme",
-         tdma_fit.slope < report.slope_sum and tdma_top < top.R1 + top.R2,
-         {"tdma_sum": tdma_top, "scheme_sum": top.R1 + top.R2}),
+         tdma_fit.slope < report.slope_sum and sum(tdma_rates[-1]) < sums[-1],
+         {"tdma_sum": sum(tdma_rates[-1]), "scheme_sum": sums[-1]}),
         ("relay_power_feasible", worst_power <= 1 + 1e-12, worst_power),
         ("monotone_sum_rate", all(b >= a for a, b in zip(sums, sums[1:])), sums),
     ]
@@ -305,7 +307,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> list:
     })
 
     return [
-        ("pigeonhole", fraction <= 1.0 / 3.0 + 1e-12, fraction),
+        ("pigeonhole", 3 * min(cens.nA, cens.nB, cens.nC) <= cens.n, fraction),
         ("achievability_census_balanced",
          cens.nA == cens.nB == cens.nC1 == n // 3 and cens.nZero == 0,
          asdict(cens)),
@@ -328,13 +330,11 @@ def cmd_check_lemma2(cfg: ExperimentConfig) -> list:
 
 def cmd_sample_conditions(cfg: ExperimentConfig) -> list:
     inline = cfg.channel_gains is not None
+    samples = 1 if inline else cfg.samples
     if inline:
-        samples = 1
         chunks = [[ChannelRealization.from_dict(cfg.channel_gains).gains()]]
     else:
-        # Chunked draws continue one stream, so they equal per-channel
-        # draws of 8 gains each.
-        samples = cfg.samples
+        # Chunks continue one stream: they equal per-channel draws of 8 gains.
         rng = keyed_rng(SAMPLE_CONDITIONS, cfg.seed)
         chunks = (rng.standard_normal((min(GAIN_CHUNK_ROWS, samples - start), 8))
                   for start in range(0, samples, GAIN_CHUNK_ROWS))
@@ -364,12 +364,12 @@ _FLAGS = {  # flag: (ExperimentConfig field it sets, help)
     "--grid": ("power_grid", "comma-separated powers, e.g. 1e3,1e4.5,1e6"),
     "--trials": ("trials", None),
     "--n-triples": ("n_triples", None),
-    "--channel-seed": ("channel_seed", None),
+    "--channel-seed": ("channel_seed", "seeded channel; replaces channel.gains"),
     "--slots": ("schedule_slots", "schedule length (multiple of 3)"),
     "--fuzz": ("fuzz", "number of random filler values to probe"),
     "--count": ("count", None),
     "--max-dim": ("max_dim", None),
-    "--samples": ("samples", None),
+    "--samples": ("samples", "channels to draw; not with channel.gains"),
 }
 
 

@@ -46,7 +46,7 @@ class InsufficientGrid(Exception):
 
 @dataclass(frozen=True)
 class SchemeStats:
-    """Trial-averaged reconstruction MSEs at power P."""
+    """Reconstruction MSEs at power P, each a mean over a sweep's N blocks."""
 
     P: float
     mse_a1: float
@@ -131,17 +131,16 @@ def _block_weights(ch: ChannelRealization, plan: PhasePlan) -> np.ndarray:
 def _gram(rng: np.random.Generator, n: int) -> np.ndarray:
     """S = sum_k g_k g_k^T over n blocks of BLOCK_DRAWS standard normals,
     drawn as itself: S is Wishart(BLOCK_DRAWS, n, I), so by Bartlett's
-    decomposition S = T T^T, T lower triangular with T_jj**2 chi-square of
-    n - j degrees of freedom and standard normals below the diagonal, all
-    independent (Odell and Feiveson, JASA 61(313), 1966).  The chi-squares
-    come first, then the normals in np.tril_indices order.  Below
-    BLOCK_DRAWS blocks T would need a chi-square of no degrees of freedom,
-    so S is the Gram matrix of the (BLOCK_DRAWS, n) normals."""
-    if n < BLOCK_DRAWS:
-        g = rng.standard_normal((BLOCK_DRAWS, n))
-        return g @ g.T
-    T = np.diag(np.sqrt(rng.chisquare(n - np.arange(BLOCK_DRAWS))))
-    below = np.tril_indices(BLOCK_DRAWS, -1)
+    decomposition S = T T^T, T lower trapezoidal of m = min(n, BLOCK_DRAWS)
+    columns, all independent: T_jj**2 chi-square of n - j degrees of freedom,
+    drawn first, then standard normals below the diagonal in np.tril_indices
+    order (Odell and Feiveson, JASA 61(313), 1966).  For n < BLOCK_DRAWS, with
+    G = [g_1 ... g_n] = [L1 Q; G2] (Q orthogonal, L1 Bartlett's n x n factor),
+    G2 Q^T is iid normal and independent of L1, as G2 is of Q, so S = G G^T =
+    T T^T with T = [L1; G2 Q^T] (Srivastava, Ann. Statist. 31(5), 2003)."""
+    m = min(n, BLOCK_DRAWS)
+    T = np.eye(BLOCK_DRAWS, m) * np.sqrt(rng.chisquare(n - np.arange(m)))
+    below = np.tril_indices(BLOCK_DRAWS, -1, m)
     T[below] = rng.standard_normal(len(below[0]))
     return T @ T.T
 

@@ -155,7 +155,15 @@ def test_verify_bounds(tmp_path):
     assert len(rows) == 30
     states = [r["state"] for r in rows]
     assert states[:3] == ["B", "A", "C1"]
-    # Pinned like rates.csv in test_run_achievability_deterministic.
+    # census.csv prints .12g: each slot's mu and lam (plan_achievability's
+    # scalar float arithmetic and math.sqrt, np.tile) and its state by the
+    # zero rule (elementwise abs, max and comparison).  bounds.json keeps
+    # full precision: counts and their ratios, the probe's counts and bands
+    # (the FUZZ stream's uniform fillers pick its pairs; PROBE_OFFSETS are
+    # the bands) and the achieved slope, from the analytic sigma^2 through
+    # elementwise ops, math.log2 and math.fsum.  No BLAS matmul and no
+    # reduction whose order depends on the SIMD level reaches either file,
+    # so both are pinned.
     assert hashlib.sha256((out / "census.csv").read_bytes()).hexdigest() == (
         "d398fc321b110d6d22bbd1218f1096c286a5de38cb70194c1c70f364d5d72852")
     assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
@@ -268,11 +276,14 @@ def test_verify_bounds_rejects_bad_slots(tmp_path, flags):
     ({"channel": {"gains": [list(kv) for kv in REF_GAIN_JSON.items()]}},
      "channel.gains must be an object"),
     ({"channel": [1]}, "must be JSON objects"),
+    ({"channel": {"seed": 3, "gains": REF_GAIN_JSON}},
+     "channel given twice: config channel.gains and channel.seed"),
 ], ids=["top-level", "channel", "float-trials", "bool-trials", "float-fuzz",
         "float-seed", "float-channel-seed", "negative-seed",
         "negative-channel-seed", "removed-rel-tol", "removed-state-tol",
         "bool-grid-entry", "int-grid", "string-grid", "inf-gain", "extra-gain",
-        "null-output-dir", "int-output-dir", "list-gains", "list-channel"])
+        "null-output-dir", "int-output-dir", "list-gains", "list-channel",
+        "seed-and-gains"])
 def test_config_rejects_unknown_key(tmp_path, overrides, detail):
     # Unknown keys and malformed values of known keys both fail up front.
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -415,7 +426,12 @@ def test_fuzz_and_lemma_draws_pinned(tmp_path, monkeypatch, capsys):
     # Neither bounds.json nor the check-lemma2 stdout shows what was drawn,
     # so the FUZZ and LEMMA streams are pinned by their seed-0 draws: moving
     # either to another keyed_rng key changes its digest.  The LEMMA digest
-    # covers the first five instances in stack order.
+    # covers the first five instances in stack order.  Both print .12g.
+    # FUZZ is SFC64's uniform draws alone.  LEMMA is its integers (the
+    # dimensions) and standard normals, with random_spd's small BLAS
+    # matmuls; its redraw rule reads np.linalg.inv and the 2-norm, which is
+    # LAPACK's SVD, but these five draws have ||W||_2 <= 26.1, 38x inside
+    # W_NORM_MAX, so no LAPACK rounding can change which pairs are kept.
     fillers = []
     probe = afdof.cli.ratio_map_probe
     monkeypatch.setattr(afdof.cli, "ratio_map_probe", lambda ch, plan, f: (
@@ -460,7 +476,10 @@ def test_sample_conditions(capsys):
 
 def test_sample_conditions_output_pinned(tmp_path, capsys):
     # 10000 rows cross two chunk boundaries; the inline config checks one
-    # channel and prints "generic" as a JSON bool.
+    # channel and prints "generic" as a JSON bool.  The stdout holds counts
+    # of the SAMPLE_CONDITIONS stream's standard normals that fail
+    # check_conditions (elementwise products, abs, maximum and comparison);
+    # no matmul or reduction reaches it.
     assert 2 * afdof.cli.GAIN_CHUNK_ROWS < 10000
     assert main(["sample-conditions", "--samples", "10000", "--seed", "3",
                  "--out", str(tmp_path / "drawn")]) == 0
@@ -524,6 +543,27 @@ def test_flag_overrides_config_seed(tmp_path):
                  "--out", str(out_flag)]) == 0
     assert ((out_flag / "rates.csv").read_bytes()
             != (out_cfg / "rates.csv").read_bytes())
+
+
+def test_a_channel_is_given_once(tmp_path, capsys):
+    # --channel-seed beats the config's inline gains, as every flag beats
+    # the config: the run is the seeded channel's, not the gains'.
+    cfg = write_config(tmp_path / "cfg.json")
+    runs = {name: tmp_path / name for name in ("both", "flag", "gains")}
+    for name, argv in (("both", ["--config", cfg, "--channel-seed", "7"]),
+                       ("flag", ["--channel-seed", "7"]),
+                       ("gains", ["--config", cfg])):
+        assert main(["verify-bounds", *argv, "--out", str(runs[name])]) == 0
+    both, flag, gains = ((runs[n] / "bounds.json").read_bytes() for n in runs)
+    assert both == flag != gains
+    # --samples asks for drawn channels, which inline gains do not give.
+    out = tmp_path / "samples"
+    assert main(["sample-conditions", "--config", cfg, "--samples", "5000",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "ValueError", "detail": "channel given twice: "
+                   "config channel.gains and --samples"}
 
 
 def test_module_entry_point():

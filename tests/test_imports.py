@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -18,6 +19,18 @@ def unused_imports(source: str) -> list[str]:
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(imported - read)
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages a module imports by absolute name; a relative
+    import stays inside its own package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
 
 
 def readers(source: str, name: str) -> set[str]:
@@ -52,6 +65,27 @@ def test_no_unused_imports():
     unused = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
               for p in paths}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_imported_packages_skips_relative_imports():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from scipy.linalg import svd\nfrom .channel import x\n"
+              "def f():\n    import sympy\n")
+    assert imported_packages(source) == {"__future__", "os", "scipy", "sympy"}
+
+
+def test_imports_are_ones_ci_installs():
+    # CI installs only numpy, pytest and hypothesis, so src/ may import the
+    # standard library and numpy, and tests/ also pytest, hypothesis, the
+    # package and conftest.  A scipy or sympy import, say, passes on a
+    # machine that has them and fails on CI; it fails here first.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    extra = {"src": set(), "tests": {"pytest", "hypothesis", "afdof", "conftest"}}
+    found = {p.relative_to(ROOT).as_posix():
+             sorted(imported_packages(p.read_text()) - allowed - extra[d])
+             for d in extra for p in sorted((ROOT / d).rglob("*.py"))}
+    assert len(found) > 10
+    assert {path: names for path, names in found.items() if names} == {}
 
 
 def test_readers_finds_enclosing_functions():

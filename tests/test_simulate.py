@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import tracemalloc
 
@@ -186,7 +187,7 @@ def test_results_do_not_depend_on_grouping(ref_channel, ref_plan, trials, n):
     # every grouping of one N into trials gives the same points, bit for bit,
     # at every power and on every channel.  The n_triples blocks of one
     # trial are grouped too; for n = 3 that N is below BLOCK_DRAWS, where the
-    # blocks themselves are drawn.
+    # Bartlett factor has N columns.
     for ch, plan in ((ref_channel, ref_plan),
                      (sample_channel(5), plan_achievability(sample_channel(5)))):
         for shapes in (((trials, n), (n, trials), (1, trials * n),
@@ -202,9 +203,10 @@ def test_gram_matches_its_exact_moments():
     # each off-diagonal one is (U - V) / 2, with U and V the independent
     # chi2_N sums of ((g_i + g_j) / sqrt(2))**2 and ((g_i - g_j) / sqrt(2))**2.
     # A diagonal entry has 2 tails, an off-diagonal one 4 (one per tail of U
-    # and of V); 5 seeds x 3 sizes x (15 * 2 + 105 * 4) tails share a 1e-9
-    # total false-alarm rate.
-    sizes, seeds = (BLOCK_DRAWS, 1000, 10 ** 8), range(5)
+    # and of V).  Below BLOCK_DRAWS blocks S is singular, of the same law.
+    # 5 seeds x 7 sizes x (15 * 2 + 105 * 4) tails share a 1e-9 total
+    # false-alarm rate.
+    sizes, seeds = (1, 2, 7, 14, BLOCK_DRAWS, 1000, 10 ** 8), range(5)
     x = math.log(len(seeds) * len(sizes) * (15 * 2 + 105 * 4) / 1e-9)
     off = np.tril_indices(BLOCK_DRAWS, -1)
     for n in sizes:
@@ -217,18 +219,39 @@ def test_gram_matches_its_exact_moments():
             assert np.all(np.abs(2 * S[off]) <= below + above), (n, seed)
 
 
+def test_gram_draws_below_block_draws_add_up_to_a_wishart():
+    # One draw below BLOCK_DRAWS blocks has tails wider than its mean, so a
+    # zero row would pass the test above.  The sum of K independent
+    # Wishart(15, N) draws is Wishart(15, K N), with the same exact moments;
+    # 1000 draws of one stream per N, 4 sizes x (15 * 2 + 105 * 4) tails
+    # share a 1e-9 total false-alarm rate.
+    sizes, draws = (1, 2, 7, 14), 1000
+    x = math.log(len(sizes) * (15 * 2 + 105 * 4) / 1e-9)
+    off = np.tril_indices(BLOCK_DRAWS, -1)
+    for n in sizes:
+        below, above = laurent_massart_deviations(np.array([1.0]), draws * n, x)
+        rng = keyed_rng(SWEEP, n)
+        S = sum(_gram(rng, n) for _ in range(draws))
+        diag = np.diag(S) - draws * n
+        assert np.all((-below <= diag) & (diag <= above)), (n, diag)
+        assert np.all(np.abs(2 * S[off]) <= below + above), n
+
+
 def test_gram_below_block_draws_is_the_blocks_gram(tmp_path):
-    # Below BLOCK_DRAWS blocks, S is the Gram matrix of the blocks drawn
-    # directly: PSD, of rank N.  A run of 3 blocks completes.
+    # Below BLOCK_DRAWS blocks, S is the Gram matrix of N blocks: PSD, of
+    # rank N.  A run of 3 blocks completes, and its .12g CSV is pinned like
+    # test_cli's rates.csv digests: the same samplers and small matmuls
+    # reach it, through a (15, 3) Bartlett factor.
     for n in range(1, BLOCK_DRAWS):
         S = _gram(keyed_rng(SWEEP, n), n)
-        g = keyed_rng(SWEEP, n).standard_normal((BLOCK_DRAWS, n))
-        assert np.array_equal(S, g @ g.T)
         eigs = np.linalg.eigvalsh(S)
         assert eigs[0] >= -1e-12 * eigs[-1], (n, eigs)
         assert np.linalg.matrix_rank(S) == n
+    out = tmp_path / "out"
     assert main(["run-achievability", "--trials", "1", "--n-triples", "3",
-                 "--out", str(tmp_path / "out")]) == 0
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest() == (
+        "f04eea78bccbbca6649a47ce13d5ecfcb44ce442037cee565cf7f49d617509a8")
 
 
 def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
