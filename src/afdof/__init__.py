@@ -10,6 +10,7 @@ from .channel import (
     ChannelRealization,
     ConditionReport,
     EndToEndMatrix,
+    StateLabel,
     check_conditions,
     effective_noise_variance,
     end_to_end,
@@ -20,7 +21,6 @@ from .scheme import (
     InvalidPower,
     NonGenericChannel,
     PhasePlan,
-    StateLabel,
     achievable_rate,
     analytic_noise_variances,
     baseline_tdma_rate,

@@ -1,7 +1,7 @@
 """Computable artifacts of the sum-rate outer bound.
 
 Labels each slot of a schedule, given as per-slot (mu, lam) arrays, by the
-zero rule of scheme._label_ids (the position of its end-to-end matrix's
+zero rule of channel.label_ids (the position of its end-to-end matrix's
 single zero entry, or lack of one), counts those states over a schedule,
 gives the slope coefficients of the three sum-rate bounds, whose minimum
 caps the sum-DoF at 4/3, probes the zero rule against the channel's
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, end_to_end, nulling_coefficients
-from .scheme import (_C1_ID, _LABELS, _ONE_ZERO_IDS, _ONE_ZERO_LABELS,
-                     _ZERO_ID, PhasePlan, StateLabel, _label_ids)
+from .channel import (C1_ID, LABELS, ONE_ZERO_IDS, ONE_ZERO_LABELS, ZERO_ID,
+                      ChannelRealization, StateLabel, end_to_end, label_ids,
+                      nulling_coefficients)
+from .scheme import PhasePlan
 
 _LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -78,21 +79,11 @@ class StateCensus:
     @classmethod
     def of(cls, states: list[StateLabel]) -> StateCensus:
         """The census of a schedule's per-slot states."""
-        return cls(*map(states.count, _LABELS), n=len(states))
+        return cls(*map(states.count, LABELS), n=len(states))
 
     @property
     def nC(self) -> int:
         return self.nC1 + self.nC2 + self.nC3
-
-
-def _grid_label_ids(ch: ChannelRealization, mu: np.ndarray,
-                    lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_label_ids of the end_to_end matrices of broadcast mu and lam arrays.
-    Zero means both relays idle; a matrix that vanishes while a relay sends
-    is impossible (-1)."""
-    table, zero = _label_ids(end_to_end(ch, mu, lam))
-    table[(table == _ZERO_ID) & ((mu != 0.0) | (lam != 0.0))] = -1
-    return table, zero
 
 
 def slot_states(ch: ChannelRealization, mu: np.ndarray,
@@ -107,13 +98,13 @@ def slot_states(ch: ChannelRealization, mu: np.ndarray,
         raise ValueError("mu and lam must be equal-length 1-D arrays")
     if not (np.isfinite(mu).all() and np.isfinite(lam).all()):
         raise ValueError("schedule coefficients must be finite")
-    ids, zero = _grid_label_ids(ch, mu, lam)
+    ids, zero = label_ids(end_to_end(ch, mu, lam), mu, lam)
     if (ids < 0).any():
         k = int(np.argmax(ids < 0))
         raise ImpossiblePattern(
             f"pair ({mu[k]}, {lam[k]}): {np.count_nonzero(zero[:, k])} zero "
             "entries with nonzero coefficients")
-    return [_LABELS[k] for k in ids.tolist()]
+    return [LABELS[k] for k in ids.tolist()]
 
 
 def bound_slopes(census_counts: StateCensus) -> tuple[float, float, float]:
@@ -286,9 +277,9 @@ def _ratio_map_ids(ch: ChannelRealization, mu: np.ndarray,
              <= RATIO_MAP_REL_TOL * np.maximum(np.abs(ratio), np.abs(r)))
             & ((mu != 0.0) & (lam != 0.0))[..., None])
     n_hits = hits.sum(axis=-1)
-    ids = np.where(n_hits == 1, _ONE_ZERO_IDS[hits.argmax(axis=-1)],
-                   np.where(n_hits == 0, _C1_ID, -1))
-    return np.where((mu == 0.0) & (lam == 0.0), _ZERO_ID, ids)
+    ids = np.where(n_hits == 1, ONE_ZERO_IDS[hits.argmax(axis=-1)],
+                   np.where(n_hits == 0, C1_ID, -1))
+    return np.where((mu == 0.0) & (lam == 0.0), ZERO_ID, ids)
 
 
 @dataclass(frozen=True)
@@ -331,29 +322,29 @@ def ratio_map_probe(ch: ChannelRealization, plan: PhasePlan,
                          np.zeros(2)])
     lam = np.concatenate([walks.ravel(), fillers, [0.0], crit,
                           [0.0, plan.lambda_phase1]])
-    ids = np.stack([_grid_label_ids(ch, mu, lam)[0],
+    ids = np.stack([label_ids(end_to_end(ch, mu, lam), mu, lam)[0],
                     _ratio_map_ids(ch, mu, lam)])  # (rule, pair)
     differ = ids[0] != ids[1]
 
     # Each rule's single switch along a walk: as many of entry e's state as
     # the walk has, then C1, and never C1 first or the state last.
     walk_ids = ids[:, :walks.size].reshape(2, *walks.shape)
-    state = _ONE_ZERO_IDS[:, None, None]
+    state = ONE_ZERO_IDS[:, None, None]
     switch = np.count_nonzero(walk_ids == state, axis=-1, keepdims=True)
-    step = np.where(np.arange(len(PROBE_OFFSETS)) < switch, state, _C1_ID)
-    step[..., 0], step[..., -1] = state[..., 0], _C1_ID
+    step = np.where(np.arange(len(PROBE_OFFSETS)) < switch, state, C1_ID)
+    step[..., 0], step[..., -1] = state[..., 0], C1_ID
     off_walk = (walk_ids != step).any(axis=0).ravel()
     band = PROBE_OFFSETS[np.minimum(switch, len(PROBE_OFFSETS) - 1)].max(
         axis=(0, 2, 3))
 
     fill = slice(walks.size, walks.size + len(fillers))
     in_band = np.abs(fillers[:, None] / crit - 1.0) < band
-    either = ((ids[:, fill, None] == _ONE_ZERO_IDS)
-              | (ids[:, fill, None] == _C1_ID)).all(axis=0)
+    either = ((ids[:, fill, None] == ONE_ZERO_IDS)
+              | (ids[:, fill, None] == C1_ID)).all(axis=0)
     bad = differ.copy()
     bad[:walks.size] = off_walk
     bad[fill] &= ~(in_band & either).any(axis=1)
     return RatioProbe(
         probes=len(mu), violations=int(np.count_nonzero(bad)),
         disagreements=int(np.count_nonzero(differ & ~bad)),
-        band={s.value: float(b) for s, b in zip(_ONE_ZERO_LABELS, band)})
+        band={s.value: float(b) for s, b in zip(ONE_ZERO_LABELS, band)})

@@ -3,8 +3,10 @@
 Two sources reach two destinations only through two relays; there is no
 direct source-destination link.  Everything here is a pure function of the
 eight real channel gains: genericity checks, the end-to-end matrix induced
-by one pair of relay scaling coefficients, and the variance of the
-effective noise seen at a destination.
+by one pair of relay scaling coefficients, the state labels of such
+matrices by their one zero rule (read by the scheme's phase check and the
+outer-bound census), and the variance of the effective noise seen at a
+destination.
 """
 
 from __future__ import annotations
@@ -14,12 +16,19 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 # Genericity tests: a gain or a 2x2 determinant counts as zero at or below
 # GENERIC_TOL times its scale.
 GENERIC_TOL = 1e-12
+
+# The one zero rule for end-to-end coefficients, read only by label_ids:
+# an entry is zero at or below COEF_TOL times the largest-magnitude entry of
+# its own matrix.  Looser than GENERIC_TOL so it does not flap on
+# accumulated rounding, still far below any generic entry.
+COEF_TOL = 1e-9
 
 _GAIN_KEYS = ("s1u", "s2u", "s1v", "s2v", "ud1", "vd1", "ud2", "vd2")
 
@@ -174,6 +183,50 @@ def nulling_coefficients(ch: ChannelRealization, mu: float) -> tuple[float, ...]
     (alpha1, beta1, alpha2, beta2) when the u-relay scales by mu."""
     u, v = end_to_end(ch, mu, 0.0), end_to_end(ch, 0.0, 1.0)
     return tuple(-a / b for a, b in zip(u.entries(), v.entries()))
+
+
+class StateLabel(str, Enum):
+    A = "A"          # only the (2,1) entry is zero
+    B = "B"          # only the (1,2) entry is zero
+    C1 = "C1"        # no zero entries
+    C2 = "C2"        # only the (1,1) entry is zero
+    C3 = "C3"        # only the (2,2) entry is zero
+    ZERO = "Zero"    # all entries zero (both coefficients zero)
+
+
+# State positions, as label_ids gives them: LABELS is bounds.StateCensus's
+# count order (nA, nB, nC1, nC2, nC3, nZero); ONE_ZERO_LABELS and
+# ONE_ZERO_IDS give the state of a matrix whose only zero is entry e, in
+# entry order (alpha1, beta1, alpha2, beta2).
+LABELS = tuple(StateLabel)
+ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
+ONE_ZERO_IDS = np.array([LABELS.index(s) for s in ONE_ZERO_LABELS])
+C1_ID = LABELS.index(StateLabel.C1)
+ZERO_ID = LABELS.index(StateLabel.ZERO)
+# Label position by zero pattern, bit e set when entry e is zero.  Two or
+# more zeros (-1) are impossible; label_ids labels all four apart.
+_PATTERN_IDS = np.full(16, -1)
+_PATTERN_IDS[0] = C1_ID
+_PATTERN_IDS[[1, 2, 4, 8]] = ONE_ZERO_IDS
+
+
+def label_ids(G: EndToEndMatrix, mu, lam) -> tuple[np.ndarray, np.ndarray]:
+    """State positions in LABELS, -1 for impossible, of G =
+    end_to_end(ch, mu, lam) for floats or broadcast arrays mu and lam, and
+    G's (4, ...) zero mask.
+
+    This is the one zero rule: an entry is zero at or below COEF_TOL times
+    the largest-magnitude entry of its matrix.  A matrix that vanishes is
+    Zero when both relays idle and impossible while a relay sends.  Two or
+    three zeros cannot happen unless a channel sits within COEF_TOL of a
+    genericity boundary, so those patterns are impossible too.
+    """
+    magnitude = np.abs(G.entries())
+    scale = magnitude.max(axis=0)
+    zero = magnitude <= COEF_TOL * scale
+    pattern = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
+    idle = (mu == 0.0) & (lam == 0.0)
+    return np.where(scale == 0.0, np.where(idle, ZERO_ID, -1), pattern), zero
 
 
 def effective_noise_variance(ch: ChannelRealization, mu: float, lam: float,

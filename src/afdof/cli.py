@@ -146,8 +146,11 @@ def load_config(args: argparse.Namespace, raw: dict) -> ExperimentConfig:
         f"channel.{k}" for k in sorted(channel) if f"channel_{k}" not in names]
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    if "gains" in channel and ("seed" in channel or "samples" in flags):
-        clash = "channel.seed" if "seed" in channel else "--samples"
+    # Only sample-conditions reads samples (a config may also feed the others).
+    drawn = ("--samples" if "samples" in flags else "config samples" if
+             args.command == "sample-conditions" and "samples" in raw else None)
+    clash = "channel.seed" if "seed" in channel else drawn
+    if "gains" in channel and clash:
         raise ValueError(f"channel given twice: config channel.gains and {clash}")
     settings.update({f"channel_{k}": v for k, v in channel.items()})
 

@@ -2,34 +2,29 @@
 
 Plans the relay coefficients that alternately cancel one source at one
 destination, builds the scheme's periodic schedule as per-slot (mu, lam)
-arrays, labels end-to-end matrices by their zero entries (the one zero
-rule, read by phase_matrices and the outer-bound census), reconstructs both
-symbols at each destination from a three-slot block, and evaluates the
-resulting noise variances and achievable rates analytically.
+arrays, checks its phases' states by the zero rule of channel.label_ids,
+reconstructs both symbols at each destination from a three-slot block, and
+evaluates the resulting noise variances and achievable rates analytically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .channel import (
+    LABELS,
     ChannelRealization,
     EndToEndMatrix,
+    StateLabel,
     check_conditions,
     effective_noise_variance,
     end_to_end,
+    label_ids,
     nulling_coefficients,
 )
-
-# The one zero rule for end-to-end coefficients, read only by _label_ids:
-# an entry is zero at or below COEF_TOL times the largest-magnitude entry of
-# its own matrix.  Looser than channel.GENERIC_TOL (1e-12) so it does not
-# flap on accumulated rounding, still far below any generic entry.
-COEF_TOL = 1e-9
 
 
 class NonGenericChannel(Exception):
@@ -52,50 +47,8 @@ def check_power(P: float) -> None:
         raise InvalidPower(f"P must be finite and >= 1, got {P}")
 
 
-class StateLabel(str, Enum):
-    A = "A"          # only the (2,1) entry is zero
-    B = "B"          # only the (1,2) entry is zero
-    C1 = "C1"        # no zero entries
-    C2 = "C2"        # only the (1,1) entry is zero
-    C3 = "C3"        # only the (2,2) entry is zero
-    ZERO = "Zero"    # all entries zero (both coefficients zero)
-
-
-# Label order is bounds.StateCensus's count order: nA, nB, nC1, nC2, nC3,
-# nZero.
-_LABELS = tuple(StateLabel)
-
-# The label of a matrix whose only zero is entry e, in entry order
-# (alpha1, beta1, alpha2, beta2).
-_ONE_ZERO_LABELS = (StateLabel.C2, StateLabel.B, StateLabel.A, StateLabel.C3)
-_ONE_ZERO_IDS = np.array([_LABELS.index(s) for s in _ONE_ZERO_LABELS])
-_C1_ID = _LABELS.index(StateLabel.C1)
-_ZERO_ID = _LABELS.index(StateLabel.ZERO)
-# Label position by zero pattern, bit e set when entry e is zero.  Two or
-# more zeros (-1) are impossible unless all four are, which _label_ids
-# labels Zero apart.
-_PATTERN_IDS = np.full(16, -1)
-_PATTERN_IDS[0] = _C1_ID
-_PATTERN_IDS[[1, 2, 4, 8]] = _ONE_ZERO_IDS
-
 # The states the decoders need: phase 1 nulls beta1, phase 2 alpha2.
 _PHASE_STATES = (StateLabel.B, StateLabel.A, StateLabel.C1)
-
-
-def _label_ids(G: EndToEndMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """State positions, in StateLabel order, of end-to-end matrices whose
-    fields are floats or same-shape arrays, and their (4, ...) zero mask.
-
-    This is the one zero rule: an entry is zero at or below COEF_TOL times
-    the largest-magnitude entry of its matrix.  An all-zero matrix is Zero.
-    Two or three zeros cannot happen unless a channel sits within COEF_TOL
-    of a genericity boundary, so those patterns get -1.
-    """
-    magnitude = np.abs(G.entries())
-    scale = magnitude.max(axis=0)
-    zero = magnitude <= COEF_TOL * scale
-    pattern = _PATTERN_IDS[np.packbits(zero, axis=0, bitorder="little")[0]]
-    return np.where(scale == 0.0, _ZERO_ID, pattern), zero
 
 
 @dataclass(frozen=True)
@@ -168,8 +121,7 @@ def scheme_schedule(plan: PhasePlan,
 
 def phase_matrices(ch: ChannelRealization,
                    plan: PhasePlan) -> tuple[EndToEndMatrix, ...]:
-    """The end-to-end matrices of plan.phase_pairs(), labelled by the zero
-    rule of _label_ids in one call.
+    """The end-to-end matrices of plan.phase_pairs(), labelled by label_ids.
 
     Raises DegenerateCoefficients, naming the first offending phase, its
     state and its entries, unless phases 1, 2 and 3 are in states B, A and
@@ -180,8 +132,8 @@ def phase_matrices(ch: ChannelRealization,
     G = end_to_end(ch, mu, lam)
     rows = np.transpose(G.entries()).tolist()
     for phase, (i, want, row) in enumerate(
-            zip(_label_ids(G)[0].tolist(), _PHASE_STATES, rows), 1):
-        state = _LABELS[i].value if i >= 0 else "impossible"
+            zip(label_ids(G, mu, lam)[0].tolist(), _PHASE_STATES, rows), 1):
+        state = LABELS[i].value if i >= 0 else "impossible"
         if state != want.value:
             raise DegenerateCoefficients(
                 f"phase {phase} is {state}, not {want.value}: entries "

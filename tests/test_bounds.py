@@ -32,8 +32,8 @@ import afdof.bounds
 import afdof.scheme
 from afdof.bounds import (PROBE_OFFSETS, W_NORM_MAX, random_spd,
                           ratio_map_probe)
-from afdof.channel import nulling_coefficients
-from afdof.scheme import COEF_TOL, _LABELS, _label_ids, phase_matrices
+from afdof.channel import COEF_TOL, LABELS, label_ids, nulling_coefficients
+from afdof.scheme import PhasePlan, phase_matrices
 from conftest import alphabet_schedule, schedule_from_pairs
 
 
@@ -42,9 +42,10 @@ def G(entries) -> EndToEndMatrix:
     return EndToEndMatrix(alpha1=a1, beta1=b1, alpha2=a2, beta2=b2)
 
 
-def label_id(matrix: EndToEndMatrix) -> int:
-    """The zero rule's label position for one matrix; -1 is impossible."""
-    ids, _ = _label_ids(matrix)
+def label_id(matrix: EndToEndMatrix, mu=1.0, lam=1.0) -> int:
+    """The zero rule's label position for one matrix seen with relay
+    coefficients (mu, lam); -1 is impossible."""
+    ids, _ = label_ids(matrix, mu, lam)
     return int(ids)
 
 
@@ -57,7 +58,9 @@ def label_id(matrix: EndToEndMatrix) -> int:
     ((0, 0, 0, 0), StateLabel.ZERO),
 ])
 def test_classify_patterns(entries, label):
-    assert label_id(G(entries)) == _LABELS.index(label)
+    # Both relays idle for the vanishing matrix, which is Zero only then.
+    coef = 0.0 if label is StateLabel.ZERO else 1.0
+    assert label_id(G(entries), coef, coef) == LABELS.index(label)
 
 
 def test_classify_reference_phase1(ref_channel, ref_plan):
@@ -73,6 +76,23 @@ def test_classify_impossible_patterns():
     # raises for a scheduled pair (test_impossible_pattern_only_for_scheduled_pairs).
     assert label_id(G((0, 1, 1, 0))) == -1
     assert label_id(G((1, 0, 0, 0))) == -1
+    # A matrix that vanishes is Zero only while both relays idle.
+    for mu, lam in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.5)):
+        assert label_id(G((0, 0, 0, 0)), mu, lam) == -1
+
+
+def test_phase_check_and_census_agree_on_a_vanishing_matrix():
+    # With the four second-hop gains zero, every pair's matrix vanishes, so
+    # (1.0, 0.5), where both relays send, is impossible by the one zero
+    # rule: to the scheme's phase check and to the census alike.
+    ch = ChannelRealization(1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    plan = PhasePlan(c=1.0, l=1.0, lambda_phase1=0.5, lambda_phase2=-0.5)
+    assert end_to_end(ch, 1.0, 0.5).entries() == (0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateCoefficients,
+                       match="phase 1 is impossible, not B"):
+        phase_matrices(ch, plan)
+    with pytest.raises(ImpossiblePattern, match=r"pair \(1.0, 0.5\): 4 zero"):
+        slot_states(ch, *scheme_schedule(plan, 1))
 
 
 @pytest.mark.parametrize("factor,label,others", [
@@ -94,7 +114,7 @@ def test_state_labels_and_decoder_share_zero_rule(monkeypatch, ref_channel,
     G3 = G((others, others, 2 * others, others))
     phases = G(np.transpose([G1.entries(), G2.entries(), G3.entries()]))
     monkeypatch.setattr(afdof.scheme, "end_to_end", lambda ch, mu, lam: phases)
-    assert label_id(G1) == _LABELS.index(label)
+    assert label_id(G1) == LABELS.index(label)
     if label is StateLabel.B:
         assert phase_matrices(ref_channel, ref_plan) == (G1, G2, G3)
         reconstruct_d1(1.0, 1.0, 1.0, G1, G2, G3)
@@ -255,7 +275,7 @@ def test_census_over_more_than_256_grid_pairs(ref_channel):
     states = slot_states(ref_channel, mu, lam)
     assert states == want
     assert astuple(StateCensus.of(states))[:6] == tuple(
-        want.count(label) for label in _LABELS)
+        want.count(label) for label in LABELS)
     assert set(want) == set(StateLabel)
 
 

@@ -108,7 +108,7 @@ def test_run_achievability_deterministic(tmp_path):
         "3d491c864680f617b1fa447c9cd99f4370a236ae416721759c4a8dca5b47e546")
 
 
-def test_run_achievability_digest_with_one_trial_groups(tmp_path):
+def test_run_achievability_digest_depends_on_trials_times_triples(tmp_path):
     # A sweep reads trials and n_triples only through their product, so one
     # trial of 200 triples gives the digest pinned in
     # test_run_achievability_deterministic for two trials of 100.
@@ -193,9 +193,9 @@ def test_verify_bounds(tmp_path):
 def swap_labels(monkeypatch, e, f):
     """Swap the labels of the one-zero patterns of entries e and f, in
     (alpha1, beta1, alpha2, beta2) order, in the one zero rule."""
-    swapped = afdof.scheme._PATTERN_IDS.copy()
+    swapped = afdof.channel._PATTERN_IDS.copy()
     swapped[[1 << e, 1 << f]] = swapped[[1 << f, 1 << e]]
-    monkeypatch.setattr(afdof.scheme, "_PATTERN_IDS", swapped)
+    monkeypatch.setattr(afdof.channel, "_PATTERN_IDS", swapped)
 
 
 def test_fuzz_ratio_map_check_can_fail(tmp_path, monkeypatch):
@@ -564,6 +564,16 @@ def test_a_channel_is_given_once(tmp_path, capsys):
     err = json.loads((out / "error.json").read_text())
     assert err == {"error": "ValueError", "detail": "channel given twice: "
                    "config channel.gains and --samples"}
+    # So does a config's samples, in sample-conditions, the one command
+    # that reads it; the same config still feeds the other commands.
+    cfg = write_config(tmp_path / "samples.json", samples=5000)
+    assert main(["sample-conditions", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "ValueError", "detail": "channel given twice: "
+                   "config channel.gains and config samples"}
+    assert main(["verify-bounds", "--config", cfg,
+                 "--out", str(tmp_path / "vb")]) == 0
 
 
 def test_module_entry_point():

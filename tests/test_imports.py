@@ -95,12 +95,38 @@ def test_readers_finds_enclosing_functions():
 
 
 def test_one_zero_rule():
-    # Only scheme._label_ids reads COEF_TOL, so no second zero rule for
+    # Only channel.label_ids reads COEF_TOL, so no second zero rule for
     # end-to-end coefficients can creep back into the package.
     found = {f"{p.stem}.{scope}"
              for p in sorted((ROOT / "src" / "afdof").glob("*.py"))
              for scope in readers(p.read_text(), "COEF_TOL")}
-    assert found == {"scheme._label_ids"}
+    assert found == {"channel.label_ids"}
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names a module imports from an afdof module, by
+    a relative import or by absolute name."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").partition(".")[0]
+                       == "afdof")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_private_imports_finds_underscore_names():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .scheme import _PATTERN_IDS, PhasePlan\n"
+              "from afdof.bounds import _ratio_map_ids\nfrom . import _x\n")
+    assert private_imports(source) == ["_PATTERN_IDS", "_ratio_map_ids", "_x"]
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A name one module of the package reads from another is a documented
+    # public name of the module that defines it.
+    found = {p.name: private_imports(p.read_text())
+             for p in sorted((ROOT / "src" / "afdof").glob("*.py"))}
+    assert len(found) > 3
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_sources_parse_as_python_3_10():

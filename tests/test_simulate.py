@@ -152,7 +152,7 @@ def test_trial_matches_matrix_decode(ref_channel, ref_plan, seed):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_trial_t_reads_row_t_of_its_point(ref_channel, ref_plan):
+def test_gram_stats_give_the_mean_error_of_every_trial(ref_channel, ref_plan):
     # At every power of a grid, the reduction fed the Gram matrix of a
     # (trials, 15, n) draw must give each point's MSEs as the mean of every
     # trial's stream errors, rebuilt in matrix form from row t of the
@@ -254,7 +254,7 @@ def test_gram_below_block_draws_is_the_blocks_gram(tmp_path):
         "f04eea78bccbbca6649a47ce13d5ecfcb44ce442037cee565cf7f49d617509a8")
 
 
-def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
+def test_sweep_memory_does_not_grow_with_n(ref_channel, ref_plan):
     # A sweep draws the Gram matrix of its N blocks, not the blocks, so its
     # traced peak does not grow with N: here N = 1e5 to 1e8.  Drawing the
     # blocks would take 120 B per block, 12 MB at N = 1e5.  A first short
@@ -274,7 +274,7 @@ def test_long_trial_memory_is_tile_bounded(ref_channel, ref_plan):
     assert peaks[1:] == pytest.approx([peaks[0]] * 3, abs=0.1), peaks
 
 
-def test_trial_loop_frees_its_buffers(ref_channel, ref_plan):
+def test_sweep_frees_its_buffers(ref_channel, ref_plan):
     # With the cyclic collector off, reference counting alone must free a
     # call's buffers when it returns, whatever its N.  A reference cycle
     # through them (say, a nested function that calls itself) would keep
